@@ -4,7 +4,8 @@ Matrix files are plain text: one row per line, whitespace-separated entries,
 each an optionally-signed integer or p/q with positive q; blank lines and
 lines starting with '#' are ignored.  Exit codes: 0 the property holds
 (YES / verified / solution found), 1 it fails (NO / falsified / none found),
-2 input or usage error, 3 undecided because the partition cap was hit.
+2 input or usage error, 3 undecided because the search examined as many
+candidate blocks as --cap allows.
 All JSON output is canonical: fixed key order, rationals as lowest-term
 strings, byte-identical across runs.
 """
@@ -149,7 +150,7 @@ def _report_decision(decision: Decision, as_json: bool) -> int:
             sys.stdout.write("assembled:\n")
             _matrix_lines(decision.assembled)
         if decision.verdict == UNDECIDED:
-            sys.stdout.write(f"partition cap {decision.cap} exceeded\n")
+            sys.stdout.write(f"search cap of {decision.cap} candidate blocks exceeded\n")
     if decision.verdict == YES:
         return EXIT_HOLDS
     if decision.verdict == UNDECIDED:
@@ -174,7 +175,7 @@ def _witness_json(witness) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
-                        help="max ordered partitions to enumerate before reporting UNDECIDED")
+                        help="max candidate blocks the search examines before reporting UNDECIDED")
     common.add_argument("--json", action="store_true", help="canonical JSON output")
     common.add_argument("--threads", type=int, default=1,
                         help="reserved; execution is sequential and results are "

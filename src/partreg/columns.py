@@ -1,4 +1,4 @@
-"""Columns-condition certificates: check, enumerate, decide, verify.
+"""Columns-condition certificates: check, search, decide, verify.
 
 An ordered partition (I_1, ..., I_m) of a matrix's column indices witnesses
 Rado's columns condition when the I_1 columns sum to zero exactly and each
@@ -6,21 +6,29 @@ later block's column sum is a linear combination of all earlier columns.  By
 Rado's theorem this decides kernel partition regularity, so the search here
 is the core decision procedure; everything is exact rational arithmetic.
 
-Ordered partitions are enumerated in one fixed canonical order (see
-enumerate_ordered_partitions), which makes "the first certificate found"
-reproducible across runs.
+The search (closure_search) never walks ordered partitions.  Call a column
+set reachable when some chain of blocks covers it.  Reachable sets are
+closed under union: append the second chain's blocks minus what is already
+placed; each leftover sum is a block sum minus placed columns, so it stays
+in the larger span.  So the search state is the set of placed columns plus
+the equalities that the unknown scalars of a scaled matrix must meet so far,
+and a block that adds no equality can be taken without branching.  Blocks
+are tried largest first, then in lexicographic order.
+enumerate_ordered_partitions remains as the brute-force reference.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import Q, QMatrix, QVector, rational, residual_functionals, span_membership
 
-DEFAULT_PARTITION_CAP = 10_000_000
+DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
 
 
 @dataclass(frozen=True)
@@ -104,10 +112,10 @@ class ColumnsConditionCertificate:
 
 
 class PartitionCapExceeded(Exception):
-    """Raised when enumeration is truncated by its cap with items remaining."""
+    """Raised when a search or enumeration reaches its cap with work remaining."""
 
     def __init__(self, cap: int):
-        super().__init__(f"ordered-partition enumeration capped at {cap}")
+        super().__init__(f"search capped at {cap}")
         self.cap = cap
 
 
@@ -151,11 +159,12 @@ def enumerate_ordered_partitions(
 ) -> Iterator[OrderedPartition]:
     """Yield every ordered set partition of {0,...,v-1} exactly once.
 
-    Canonical order: set partitions come from restricted-growth strings in
+    Order: set partitions come from restricted-growth strings in
     lexicographic order, and each is expanded by permuting its blocks, with
     permutations in lexicographic order.  Once `cap` partitions have been
     yielded and more remain, PartitionCapExceeded is raised, so truncation is
-    always explicit.
+    always explicit.  This is the brute-force reference; the decision
+    procedures use closure_search instead.
     """
     if v < 1:
         raise ValueError("need at least one column index")
@@ -237,66 +246,170 @@ def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> 
         return False
 
 
+@dataclass(frozen=True)
+class EqualityEchelon:
+    """Fully reduced echelon form of affine equalities over scalar variables.
+
+    Each row (a_0, ..., a_{n-1}, c) states a . x + c == 0.  A row's pivot is
+    its first non-zero coefficient; it equals 1 and every other row is zero
+    there, so two echelons have the same solution set exactly when their
+    rows are equal.
+    """
+
+    nvars: int
+    rows: tuple[tuple[Fraction, ...], ...] = ()
+    pivots: tuple[int, ...] = ()
+
+    def extend(self, equalities: Iterable[Sequence]) -> "EqualityEchelon | None":
+        """This echelon with `equalities` added, in the same row format.
+
+        Returns self when every equality is already implied, and None when
+        they contradict the echelon.
+        """
+        nvars = self.nvars
+        rows, pivots = list(self.rows), list(self.pivots)
+        for equality in equalities:
+            if not any(equality):
+                continue
+            work = list(equality)
+            for p, row in zip(pivots, rows):
+                f = work[p]
+                if f:
+                    work = [a - f * b for a, b in zip(work, row)]
+            pivot = next((i for i in range(nvars) if work[i]), None)
+            if pivot is None:
+                if work[nvars]:
+                    return None
+                continue
+            inv = Q(1) / work[pivot]
+            new = tuple(inv * a for a in work)
+            for i, row in enumerate(rows):
+                f = row[pivot]
+                if f:
+                    rows[i] = tuple(a - f * b for a, b in zip(row, new))
+            at = bisect.bisect(pivots, pivot)
+            rows.insert(at, new)
+            pivots.insert(at, pivot)
+        if len(rows) == len(self.rows):
+            return self
+        return EqualityEchelon(nvars, tuple(rows), tuple(pivots))
+
+
+def closure_search(
+    columns: Sequence[QVector],
+    group_of: Sequence[int | None],
+    nvars: int,
+    feasible: Callable[[EqualityEchelon], bool] | None = None,
+    cap: int | None = DEFAULT_PARTITION_CAP,
+) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
+    """Yield ordered partitions that witness the scaled columns condition.
+
+    Column j is scaled by variable group_of[j], or fixed at 1 when that is
+    None.  Each yielded partition comes with the echelon of its equalities:
+    the scalars, all non-zero, for which it is a certificate.  For non-zero
+    scalars the scaled and unscaled earlier columns span the same space, so
+    a later block's condition is linear: the annihilators of the unscaled
+    earlier columns kill its scaled sum.
+
+    The state is (placed columns, echelon).  A block whose equalities are
+    already implied is taken without branching; by the union lemma this
+    loses nothing.  A block that adds equalities is a branch, entered only
+    when `feasible` accepts the new echelon (None accepts all).  Which
+    scalars succeed depends on the echelon alone, so each echelon is
+    explored once: the first partition is found by the first next(), and
+    exhausting the iterator finds every echelon that succeeds.  Blocks are
+    tried largest first, then in lexicographic order.  Each candidate block
+    counts against `cap`; reaching it with blocks left raises
+    PartitionCapExceeded.
+    """
+    full = frozenset(range(len(columns)))
+    slot = [nvars if g is None else g for g in group_of]
+    explored: set[tuple] = set()
+    examined = 0
+
+    def block_equalities(placed: frozenset[int], rest: list[int]):
+        # One equality per annihilator row, scaled to integers over `rest`.
+        if placed:
+            functionals = residual_functionals(
+                [columns[i] for i in sorted(placed)], dim=columns[0].dim
+            ).entries
+            projected = {
+                j: [sum((f * x for f, x in zip(row, columns[j].entries)), Q(0))
+                    for row in functionals]
+                for j in rest
+            }
+        else:
+            projected = {j: list(columns[j].entries) for j in rest}
+        k = len(projected[rest[0]])
+        for s in range(k):
+            scale = math.lcm(*(projected[j][s].denominator for j in rest))
+            for j in rest:
+                projected[j][s] = int(projected[j][s] * scale)
+
+        def equalities(block: tuple[int, ...]) -> list[list[int]]:
+            sums = [[0] * (nvars + 1) for _ in range(k)]
+            for j in block:
+                at = slot[j]
+                for row, x in zip(sums, projected[j]):
+                    row[at] += x
+            return sums
+
+        return equalities
+
+    def explore(placed: frozenset[int], echelon: EqualityEchelon, chain: tuple):
+        nonlocal examined
+        explored.add(echelon.rows)
+        while placed != full:
+            rest = sorted(full - placed)
+            equalities = block_equalities(placed, rest)
+            taken = None
+            for size in range(len(rest), 0, -1):
+                for block in itertools.combinations(rest, size):
+                    if cap is not None and examined >= cap:
+                        raise PartitionCapExceeded(cap)
+                    examined += 1
+                    extended = echelon.extend(equalities(block))
+                    if extended is None:
+                        continue
+                    if extended is echelon:
+                        taken = block
+                        break
+                    if extended.rows in explored:
+                        continue
+                    if feasible is not None and not feasible(extended):
+                        explored.add(extended.rows)
+                        continue
+                    yield from explore(placed.union(block), extended, chain + (block,))
+                if taken is not None:
+                    break
+            if taken is None:
+                return
+            placed = placed.union(taken)
+            chain += (taken,)
+        yield OrderedPartition(chain), echelon
+
+    return explore(frozenset(), EqualityEchelon(nvars), ())
+
+
 def decide_columns_condition(
     A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP
 ) -> ColumnsConditionCertificate | None | CapExceeded:
-    """First certificate in canonical enumeration order, if any.
+    """A certificate for the columns condition of A, if one exists.
 
-    None is returned only after the whole space of ordered partitions was
-    enumerated; a truncated search returns CapExceeded instead of guessing.
-    Cheap filters (first block must sum to zero, later blocks must pass the
-    cached annihilator test) prune partitions without changing which
-    certificate is found first.
+    The partition is the first that closure_search finds (largest blocks
+    first).  None is returned only when the search is exhausted; a
+    truncated search returns CapExceeded instead of guessing.
     """
-    cols = A.columns()
-    u = A.rows
-    sum_memo: dict[frozenset[int], tuple[Fraction, ...]] = {}
-    residual_memo: dict[frozenset[int], QMatrix] = {}
-
-    def block_sum(block: tuple[int, ...]) -> tuple[Fraction, ...]:
-        key = frozenset(block)
-        cached = sum_memo.get(key)
-        if cached is None:
-            acc = [Q(0)] * u
-            for i in block:
-                entries = cols[i].entries
-                for r in range(u):
-                    acc[r] += entries[r]
-            cached = tuple(acc)
-            sum_memo[key] = cached
-        return cached
-
-    def residual(prefix: frozenset[int]) -> QMatrix:
-        cached = residual_memo.get(prefix)
-        if cached is None:
-            cached = residual_functionals([cols[i] for i in sorted(prefix)], dim=u)
-            residual_memo[prefix] = cached
-        return cached
-
+    search = closure_search(A.columns(), (None,) * A.cols, 0, cap=cap)
     try:
-        for partition in enumerate_ordered_partitions(A.cols, cap):
-            if any(x != 0 for x in block_sum(partition.blocks[0])):
-                continue
-            prefix = frozenset(partition.blocks[0])
-            passed = True
-            for t in range(1, partition.block_count):
-                R = residual(prefix)
-                if R.rows:
-                    s = block_sum(partition.blocks[t])
-                    if any(
-                        sum((row[r] * s[r] for r in range(u)), Q(0)) != 0
-                        for row in R.entries
-                    ):
-                        passed = False
-                        break
-                prefix = prefix | frozenset(partition.blocks[t])
-            if passed:
-                certificate = check_partition(A, partition)
-                assert certificate is not None
-                return certificate
+        found = next(search, None)
     except PartitionCapExceeded as exceeded:
         return CapExceeded(exceeded.cap)
-    return None
+    if found is None:
+        return None
+    certificate = check_partition(A, found[0])
+    assert certificate is not None, "closure search yielded a non-certificate"
+    return certificate
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 Every decision reduces to one search: assemble the candidate columns under a
 scaling template (some columns fixed at 1, the rest under unknown positive
-scalars), then walk the ordered partitions of the combined column indices in
-canonical order and ask for a strictly positive solution of the induced
-affine system.  YES verdicts carry the scalars, the assembled scaled matrix
-and a certificate that re-verifies independently; NO verdicts are issued
-only after the whole partition space was enumerated; a truncated search is
-reported UNDECIDED, never guessed.
+scalars), then run the closure search of the columns module, which places
+blocks largest first and enters a branch only while the scalar equalities
+gathered so far keep a strictly positive solution.  YES verdicts carry the
+scalars, the assembled scaled matrix and a certificate that re-verifies
+independently; NO verdicts are issued only after the search was exhausted;
+a truncated search is reported UNDECIDED, never guessed.
 """
 
 from __future__ import annotations
@@ -21,18 +21,18 @@ from .columns import (
     CapExceeded,
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
-    OrderedPartition,
+    EqualityEchelon,
     PartitionCapExceeded,
     check_partition,
+    closure_search,
     decide_columns_condition,
-    enumerate_ordered_partitions,
 )
 from .feasibility import (
-    PositiveSolution,
+    AffineSystem,
+    LinearEquality,
     ScalingTemplate,
     build_system,
     feasible_positive,
-    iter_system_equalities,
 )
 from .linalg import Q, QMatrix, QVector
 
@@ -47,8 +47,8 @@ class Decision:
 
     verdict is YES, NO or UNDECIDED.  YES decisions carry the scalar
     assignment (possibly empty), the scaled assembled matrix, and a
-    certificate valid for it; UNDECIDED carries the partition cap that
-    truncated the search.
+    certificate valid for it; UNDECIDED carries the cap, a number of
+    candidate blocks examined, that truncated the search.
     """
 
     verdict: str
@@ -79,72 +79,27 @@ class Decision:
         }
 
 
-class _StagedEqualities:
-    """Incremental exact consistency check for affine equalities.
-
-    Ignores positivity; used only to discard partitions whose systems are
-    outright inconsistent before the full solver runs.
-    """
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.rows: list[tuple[list[Fraction], Fraction]] = []
-        self.pivots: list[int] = []
-
-    def add(self, coeffs: tuple[Fraction, ...], const: Fraction) -> bool:
-        work = list(coeffs)
-        c = const
-        for (row, rconst), p in zip(self.rows, self.pivots):
-            f = work[p]
-            if f != 0:
-                work = [a - f * b for a, b in zip(work, row)]
-                c -= f * rconst
-        pivot = next((i for i, x in enumerate(work) if x != 0), None)
-        if pivot is None:
-            return c == 0
-        inv = Q(1) / work[pivot]
-        self.rows.append(([inv * x for x in work], inv * c))
-        self.pivots.append(pivot)
-        return True
+def _has_positive_solution(echelon: EqualityEchelon) -> bool:
+    n = echelon.nvars
+    equalities = tuple(LinearEquality(row[:n], row[n]) for row in echelon.rows)
+    return feasible_positive(AffineSystem(n, equalities, frozenset(range(n)))) is not None
 
 
-def _search_scaled(
-    template: ScalingTemplate, cap: int | None
-) -> tuple[OrderedPartition, PositiveSolution] | None | CapExceeded:
-    """First partition (canonical order) whose system admits a positive solution."""
-    residual_memo: dict[frozenset[int], QMatrix] = {}
-    try:
-        for partition in enumerate_ordered_partitions(len(template.columns), cap):
-            solver = _StagedEqualities(template.nvars)
-            consistent = True
-            for coeffs, const in iter_system_equalities(
-                template, partition, residual_memo
-            ):
-                if not solver.add(coeffs, const):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            solution = feasible_positive(
-                build_system(template, partition, residual_memo)
-            )
-            if solution is not None:
-                return partition, solution
-    except PartitionCapExceeded as exceeded:
-        return CapExceeded(exceeded.cap)
-    return None
-
-
-def _decision_from_search(
-    template: ScalingTemplate,
-    result,
-    scalar_names: Sequence[str],
+def _decide_scaled(
+    template: ScalingTemplate, scalar_names: Sequence[str], cap: int | None
 ) -> Decision:
-    if isinstance(result, CapExceeded):
-        return Decision(UNDECIDED, cap=result.cap)
-    if result is None:
+    search = closure_search(
+        template.columns, template.group_of, template.nvars, _has_positive_solution, cap
+    )
+    try:
+        found = next(search, None)
+    except PartitionCapExceeded as exceeded:
+        return Decision(UNDECIDED, cap=exceeded.cap)
+    if found is None:
         return Decision(NO)
-    partition, solution = result
+    partition = found[0]
+    solution = feasible_positive(build_system(template, partition))
+    assert solution is not None, "closure search yielded an infeasible partition"
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)
     assert certificate is not None, "feasible partition must certify"
@@ -188,7 +143,7 @@ def multiply_kpr(
     """
     template = multiply_kpr_template(matrices)
     names = tuple(f"c_{t}" for t in range(2, len(matrices) + 1))
-    return _decision_from_search(template, _search_scaled(template, cap), names)
+    return _decide_scaled(template, names, cap)
 
 
 def doubly_kpr(A: QMatrix, B: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
@@ -237,7 +192,7 @@ def is_ipr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
     """
     template = is_ipr_template(A)
     names = tuple(f"e_{j}" for j in range(1, A.cols + 1))
-    return _decision_from_search(template, _search_scaled(template, cap), names)
+    return _decide_scaled(template, names, cap)
 
 
 def zero_column_subset_exists(A: QMatrix) -> tuple[int, ...] | None:

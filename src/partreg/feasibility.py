@@ -7,9 +7,11 @@ matrix into an affine system: multiplying columns by positive scalars never
 changes their span, so the later-block membership constraints can be stated
 once against annihilators of the *unscaled* earlier columns.  That reduction
 is what keeps the system affine rather than polynomial; it is valid for any
-nonzero scalar values, and the one place scalar value 0 could sneak in
-(enumerate_feasible_scalars, which is sign-unconstrained) re-checks 0
-directly against the matrix.
+nonzero scalar values, and the places where scalar value 0 could sneak in
+(the sign-unconstrained scalar sets) check 0 directly against the matrix.
+The decision procedures and scalar_union_over_partitions do not walk
+partitions: they run the closure search of the columns module, which
+builds the same equalities block by block, largest blocks first.
 
 feasible_positive decides the system exactly: equalities are eliminated by
 Gaussian substitution, then Fourier-Motzkin elimination runs over the strict
@@ -28,9 +30,10 @@ from typing import Iterator, Sequence
 
 from .columns import (
     DEFAULT_PARTITION_CAP,
+    EqualityEchelon,
     OrderedPartition,
     check_partition,
-    enumerate_ordered_partitions,
+    closure_search,
 )
 from .linalg import Q, QMatrix, QVector, residual_functionals
 
@@ -339,17 +342,13 @@ def feasible_positive(system: AffineSystem) -> PositiveSolution | None:
 
 
 def iter_system_equalities(
-    template: ScalingTemplate,
-    partition: OrderedPartition,
-    residual_memo: dict[frozenset[int], QMatrix] | None = None,
+    template: ScalingTemplate, partition: OrderedPartition
 ) -> Iterator[tuple[tuple[Fraction, ...], Fraction]]:
     """Yield (coeffs, const) equalities of the scaled columns condition.
 
     First the rows of "block-1 scaled columns sum to zero", then for each
     later block the annihilator rows of the earlier unscaled columns applied
-    to the block's scaled sum.  Lazy by block, so callers doing early
-    infeasibility pruning skip the unneeded annihilator computations; the
-    memo caches annihilators across partitions of the same template.
+    to the block's scaled sum.
     """
     if not partition.covers(len(template.columns)):
         raise ValueError("partition does not cover the template's columns")
@@ -374,14 +373,9 @@ def iter_system_equalities(
     for r in range(u):
         yield accumulate(first, lambda col, r=r: col[r])
 
-    if residual_memo is None:
-        residual_memo = {}
     prefix = frozenset(first)
     for t in range(1, partition.block_count):
-        R = residual_memo.get(prefix)
-        if R is None:
-            R = residual_functionals([cols[i] for i in sorted(prefix)], dim=u)
-            residual_memo[prefix] = R
+        R = residual_functionals([cols[i] for i in sorted(prefix)], dim=u)
         for functional in R.entries:
             yield accumulate(
                 partition.blocks[t],
@@ -390,18 +384,14 @@ def iter_system_equalities(
         prefix = prefix | frozenset(partition.blocks[t])
 
 
-def build_system(
-    template: ScalingTemplate,
-    partition: OrderedPartition,
-    residual_memo: dict[frozenset[int], QMatrix] | None = None,
-) -> AffineSystem:
+def build_system(template: ScalingTemplate, partition: OrderedPartition) -> AffineSystem:
     """Affine system expressing the columns condition of the scaled matrix.
 
     All scalar variables are required strictly positive.
     """
     equalities = tuple(
         LinearEquality(coeffs, const)
-        for coeffs, const in iter_system_equalities(template, partition, residual_memo)
+        for coeffs, const in iter_system_equalities(template, partition)
     )
     return AffineSystem(template.nvars, equalities, frozenset(range(template.nvars)))
 
@@ -520,17 +510,35 @@ def _scaled_check(
     return check_partition(matrix, partition) is not None
 
 
+def _pins_nonzero(echelon: EqualityEchelon) -> bool:
+    # one variable: each row x + c == 0 pins x to -c
+    return all(row[-1] != 0 for row in echelon.rows)
+
+
 def scalar_union_over_partitions(
     template: ScalingTemplate, cap: int | None = DEFAULT_PARTITION_CAP
 ) -> ScalarSet:
     """Union of enumerate_feasible_scalars over every ordered partition.
 
-    Raises PartitionCapExceeded if the enumeration is truncated, since a
-    partial union would be silently wrong.
+    Computed without walking the partitions.  The closure search, run to
+    exhaustion, yields every scalar equality state that certifies the
+    columns condition for non-zero values: no equality at all means every
+    non-zero value works.  The value 0 can shrink spans, so it is decided
+    once, by the columns condition of the matrix scaled by 0.  Raises
+    PartitionCapExceeded if either search reaches its cap, since a partial
+    union would be silently wrong.
     """
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
     result = ScalarSet.empty()
-    for partition in enumerate_ordered_partitions(len(template.columns), cap):
-        result = result.union(enumerate_feasible_scalars(template, partition))
+    for _, echelon in closure_search(
+        template.columns, template.group_of, template.nvars, _pins_nonzero, cap
+    ):
+        if echelon.rows:
+            result = result.union(ScalarSet.finite((-echelon.rows[0][-1],)))
+        else:
+            result = result.union(ScalarSet.all_except((Q(0),)))
+    zero = template.scaled_matrix([Q(0)] * template.nvars)
+    if next(closure_search(zero.columns(), (None,) * zero.cols, 0, cap=cap), None):
+        result = result.union(ScalarSet.finite((Q(0),)))
     return result

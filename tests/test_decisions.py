@@ -57,12 +57,17 @@ def test_is_kpr_cap_gives_undecided():
     assert decision.verdict == UNDECIDED and decision.cap == 1
 
 
+def test_is_kpr_long_row_without_zero_sum_is_no():
+    # 1x12 has 28091567595 ordered partitions; the closure search sees 4095 blocks
+    assert is_kpr(QMatrix.of([[1] * 12])).verdict == NO
+
+
 # -------------------------------------------------------------- multiply_kpr
 
 def test_multiply_kpr_pair_regression():
     decision = multiply_kpr([QMatrix.of([[1, 1]]), QMatrix.of([[-1]])])
     assert decision.verdict == YES
-    # canonical search hits the single-block partition first, with scalar 2
+    # largest block first: the single block, with scalar 2
     assert decision.scalar("c_2") == 2
     assert decision.certificate.partition == OrderedPartition.from_one_based([[1, 2, 3]])
     assert verify_certificate(decision.assembled, decision.certificate)
@@ -107,6 +112,14 @@ def test_doubly_ipr_counterexample_matrix():
 
 def test_doubly_ipr_diagonal_counterexample():
     assert doubly_ipr(diag12()).verdict == NO
+
+
+def test_doubly_ipr_larger_diagonals_are_decided():
+    def diag(*d):
+        return QMatrix.of([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+
+    assert doubly_ipr(diag(1, 2, 3, 4), cap=50_000).verdict == NO
+    assert doubly_ipr(diag(1, 2, 3, 4, 5)).verdict == NO
 
 
 def test_doubly_ipr_schur_image_matrix():

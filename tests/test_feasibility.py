@@ -8,6 +8,7 @@ from partreg import (
     AffineSystem,
     LinearEquality,
     OrderedPartition,
+    PartitionCapExceeded,
     QMatrix,
     QVector,
     ScalarSet,
@@ -219,6 +220,11 @@ def test_scalar_union_direct_certificate_cross_check():
             check_partition(assembled, P) is not None
             for P in enumerate_ordered_partitions(5)
         )
+
+
+def test_scalar_union_reports_its_cap():
+    with pytest.raises(PartitionCapExceeded):
+        scalar_union_over_partitions(doubly_ipr_template(fractional_b_matrix()), cap=1)
 
 
 def test_scalar_union_diagonal_matrix_is_empty():

@@ -13,20 +13,28 @@ placed; each leftover sum is a block sum minus placed columns, so it stays
 in the larger span.  So the search state is the set of placed columns plus
 the equalities that the unknown scalars of a scaled matrix must meet so far,
 and a block that adds no equality can be taken without branching.  Blocks
-are tried largest first, then in lexicographic order.
+are tried largest first, then in lexicographic order.  The equalities are
+kept in linalg's EqualityEchelon, the package's one elimination kernel.
 enumerate_ordered_partitions remains as the brute-force reference.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .linalg import Q, QMatrix, QVector, rational, residual_functionals, span_membership
+from .linalg import (
+    EqualityEchelon,
+    Q,
+    QMatrix,
+    QVector,
+    rational,
+    residual_functionals,
+    span_membership,
+)
 
 DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
 
@@ -103,11 +111,15 @@ class ColumnsConditionCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ColumnsConditionCertificate":
-        partition = OrderedPartition.from_one_based(data["partition"])
-        witnesses = tuple(
-            tuple((int(term["column"]) - 1, rational(term["coeff"])) for term in terms)
-            for terms in data.get("witnesses", [])
-        )
+        """Inverse of to_json_dict; ValueError on a malformed document."""
+        try:
+            partition = OrderedPartition.from_one_based(data["partition"])
+            witnesses = tuple(
+                tuple((int(term["column"]) - 1, rational(term["coeff"])) for term in terms)
+                for terms in data.get("witnesses", [])
+            )
+        except (TypeError, KeyError) as err:
+            raise ValueError(f"malformed certificate: {err!r}") from None
         return ColumnsConditionCertificate(partition, witnesses)
 
 
@@ -244,55 +256,6 @@ def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> 
         return True
     except Exception:
         return False
-
-
-@dataclass(frozen=True)
-class EqualityEchelon:
-    """Fully reduced echelon form of affine equalities over scalar variables.
-
-    Each row (a_0, ..., a_{n-1}, c) states a . x + c == 0.  A row's pivot is
-    its first non-zero coefficient; it equals 1 and every other row is zero
-    there, so two echelons have the same solution set exactly when their
-    rows are equal.
-    """
-
-    nvars: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()
-    pivots: tuple[int, ...] = ()
-
-    def extend(self, equalities: Iterable[Sequence]) -> "EqualityEchelon | None":
-        """This echelon with `equalities` added, in the same row format.
-
-        Returns self when every equality is already implied, and None when
-        they contradict the echelon.
-        """
-        nvars = self.nvars
-        rows, pivots = list(self.rows), list(self.pivots)
-        for equality in equalities:
-            if not any(equality):
-                continue
-            work = list(equality)
-            for p, row in zip(pivots, rows):
-                f = work[p]
-                if f:
-                    work = [a - f * b for a, b in zip(work, row)]
-            pivot = next((i for i in range(nvars) if work[i]), None)
-            if pivot is None:
-                if work[nvars]:
-                    return None
-                continue
-            inv = Q(1) / work[pivot]
-            new = tuple(inv * a for a in work)
-            for i, row in enumerate(rows):
-                f = row[pivot]
-                if f:
-                    rows[i] = tuple(a - f * b for a, b in zip(row, new))
-            at = bisect.bisect(pivots, pivot)
-            rows.insert(at, new)
-            pivots.insert(at, pivot)
-        if len(rows) == len(self.rows):
-            return self
-        return EqualityEchelon(nvars, tuple(rows), tuple(pivots))
 
 
 def closure_search(

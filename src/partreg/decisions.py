@@ -21,7 +21,6 @@ from .columns import (
     CapExceeded,
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
-    EqualityEchelon,
     PartitionCapExceeded,
     check_partition,
     closure_search,
@@ -30,11 +29,11 @@ from .columns import (
 from .feasibility import (
     AffineSystem,
     LinearEquality,
+    PositiveSolution,
     ScalingTemplate,
-    build_system,
     feasible_positive,
 )
-from .linalg import Q, QMatrix, QVector
+from .linalg import EqualityEchelon, Q, QMatrix, QVector
 
 YES = "YES"
 NO = "NO"
@@ -79,17 +78,18 @@ class Decision:
         }
 
 
-def _has_positive_solution(echelon: EqualityEchelon) -> bool:
+def _positive_solution(echelon: EqualityEchelon) -> PositiveSolution | None:
     n = echelon.nvars
     equalities = tuple(LinearEquality(row[:n], row[n]) for row in echelon.rows)
-    return feasible_positive(AffineSystem(n, equalities, frozenset(range(n)))) is not None
+    return feasible_positive(AffineSystem(n, equalities, frozenset(range(n))))
 
 
 def _decide_scaled(
     template: ScalingTemplate, scalar_names: Sequence[str], cap: int | None
 ) -> Decision:
     search = closure_search(
-        template.columns, template.group_of, template.nvars, _has_positive_solution, cap
+        template.columns, template.group_of, template.nvars,
+        lambda echelon: _positive_solution(echelon) is not None, cap,
     )
     try:
         found = next(search, None)
@@ -97,8 +97,10 @@ def _decide_scaled(
         return Decision(UNDECIDED, cap=exceeded.cap)
     if found is None:
         return Decision(NO)
-    partition = found[0]
-    solution = feasible_positive(build_system(template, partition))
+    partition, echelon = found
+    # The echelon is the reduced form of build_system(template, partition),
+    # so it gives the same scalars without restating the redundant rows.
+    solution = _positive_solution(echelon)
     assert solution is not None, "closure search yielded an infeasible partition"
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)
@@ -153,23 +155,12 @@ def doubly_kpr(A: QMatrix, B: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) 
 
 def doubly_ipr_template(A: QMatrix) -> ScalingTemplate:
     """Columns of (A  -b*I) with A fixed and the identity block under one scalar."""
-    identity = QMatrix.identity(A.rows).scale(-1)
-    columns = tuple(A.columns()) + tuple(identity.columns())
-    groups = (None,) * A.cols + (0,) * A.rows
-    return ScalingTemplate(columns, groups, 1)
+    return multiply_kpr_template((A, QMatrix.identity(A.rows).scale(-1)))
 
 
 def doubly_ipr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
     """Doubly image partition regularity: is (A  -b*I) KPR for some b > 0?"""
-    decision = doubly_kpr(A, QMatrix.identity(A.rows).scale(-1), cap)
-    if not decision.is_yes:
-        return decision
-    return Decision(
-        YES,
-        (("b", decision.scalar("c_2")),),
-        decision.certificate,
-        decision.assembled,
-    )
+    return _decide_scaled(doubly_ipr_template(A), ("b",), cap)
 
 
 def is_ipr_template(A: QMatrix) -> ScalingTemplate:

@@ -13,8 +13,8 @@ The decision procedures and scalar_union_over_partitions do not walk
 partitions: they run the closure search of the columns module, which
 builds the same equalities block by block, largest blocks first.
 
-feasible_positive decides the system exactly: equalities are eliminated by
-Gaussian substitution, then Fourier-Motzkin elimination runs over the strict
+feasible_positive decides the system exactly: equalities are eliminated in
+linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
 inequalities x_i > 0 with strictness tracked through combinations - exact
 rational arithmetic makes that sound, no epsilons.  Infeasible systems come
 with a Farkas-style witness: a non-negative combination of the positivity
@@ -30,12 +30,11 @@ from typing import Iterator, Sequence
 
 from .columns import (
     DEFAULT_PARTITION_CAP,
-    EqualityEchelon,
     OrderedPartition,
     check_partition,
     closure_search,
 )
-from .linalg import Q, QMatrix, QVector, residual_functionals
+from .linalg import EqualityEchelon, Q, QMatrix, QVector, residual_functionals
 
 FIXED_ONE = None  # group tag for columns that carry no scalar
 
@@ -185,38 +184,22 @@ def solve_positive(
     pos = sorted(system.positivity)
     n_eq = len(system.equalities)
 
-    # --- stage 1: eliminate equalities by exact Gauss-Jordan substitution ---
-    # Each reduced row keeps the invariant: row form == sum(mu_l * equality_l).
-    reduced: list[list] = []  # items: [pivot, coeffs, const, mu]
-    for idx, eq in enumerate(system.equalities):
-        coeffs = list(eq.coeffs)
-        const = eq.const
-        mu = [Q(0)] * n_eq
-        mu[idx] = Q(1)
-        for p, pcoeffs, pconst, pmu in reduced:
-            f = coeffs[p]
-            if f != 0:
-                coeffs = [a - f * b for a, b in zip(coeffs, pcoeffs)]
-                const -= f * pconst
-                mu = [a - f * b for a, b in zip(mu, pmu)]
-        pivot = next((i for i, c in enumerate(coeffs) if c != 0), None)
-        if pivot is None:
-            if const != 0:
-                return None, FarkasWitness((Q(0),) * len(pos), tuple(mu))
-            continue
-        inv = Q(1) / coeffs[pivot]
-        coeffs = [inv * c for c in coeffs]
-        const *= inv
-        mu = [inv * m for m in mu]
-        for row in reduced:
-            f = row[1][pivot]
-            if f != 0:
-                row[1] = [a - f * b for a, b in zip(row[1], coeffs)]
-                row[2] = row[2] - f * const
-                row[3] = [a - f * b for a, b in zip(row[3], mu)]
-        reduced.append([pivot, coeffs, const, mu])
+    # --- stage 1: eliminate equalities in the shared echelon kernel ---
+    # Equality l carries the unit vector e_l as extra variables, so the middle
+    # entries mu of every reduced row satisfy: row == sum(mu_l * equality_l).
+    # The unit vectors keep the rows independent, so extend never fails.
+    width = nv + n_eq
+    echelon = EqualityEchelon(width).extend(
+        eq.coeffs + tuple(Q(int(i == l)) for i in range(n_eq)) + (eq.const,)
+        for l, eq in enumerate(system.equalities)
+    )
+    pivot_rows: dict[int, tuple] = {}  # pivot -> (coeffs, const, mu)
+    for p, row in zip(echelon.pivots, echelon.rows):
+        if p < nv:
+            pivot_rows[p] = (row[:nv], row[width], row[nv:width])
+        elif row[width]:
+            return None, FarkasWitness((Q(0),) * len(pos), row[nv:width])
 
-    pivot_rows = {p: (coeffs, const, mu) for p, coeffs, const, mu in reduced}
     free_vars = [i for i in range(nv) if i not in pivot_rows]
     nf = len(free_vars)
 

@@ -4,10 +4,16 @@ Everything is built on fractions.Fraction, so results are exact and
 canonical (lowest terms, positive denominator).  Floats are refused at
 construction time.  Matrices here are small and dense, which keeps plain
 Gauss-Jordan elimination the right tool.
+
+EqualityEchelon is the one elimination kernel: rref, the span and kernel
+helpers built on it, the closure search's scalar equalities and the
+equality stage of the positive-solution solver all reduce through its
+extend.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -179,33 +185,66 @@ class QMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-def rref(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form of M with first-nonzero pivoting.
+@dataclass(frozen=True)
+class EqualityEchelon:
+    """Fully reduced echelon form of affine equalities over scalar variables.
 
-    Returns (R, pivot columns, rank).  Pivots are scanned left to right, top
-    to bottom, so the output is deterministic; the row space is preserved
-    exactly.
+    Each row (a_0, ..., a_{n-1}, c) states a . x + c == 0.  A row's pivot is
+    its first non-zero coefficient; it equals 1 and every other row is zero
+    there, so two echelons have the same solution set exactly when their
+    rows are equal.
     """
-    grid = [list(row) for row in M.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(M.cols):
-        pivot_row = next((i for i in range(r, M.rows) if grid[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        inv = Q(1) / grid[r][c]
-        grid[r] = [inv * x for x in grid[r]]
-        for i in range(M.rows):
-            if i != r and grid[i][c] != 0:
-                f = grid[i][c]
-                grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-        if r == M.rows:
-            break
-    R = QMatrix(M.rows, M.cols, tuple(tuple(row) for row in grid))
-    return R, tuple(pivots), len(pivots)
+
+    nvars: int
+    rows: tuple[tuple[Fraction, ...], ...] = ()
+    pivots: tuple[int, ...] = ()
+
+    def extend(self, equalities: Iterable[Sequence]) -> "EqualityEchelon | None":
+        """This echelon with `equalities` added, in the same row format.
+
+        Returns self when every equality is already implied, and None when
+        they contradict the echelon.
+        """
+        nvars = self.nvars
+        rows, pivots = list(self.rows), list(self.pivots)
+        for equality in equalities:
+            if not any(equality):
+                continue
+            work = list(equality)
+            for p, row in zip(pivots, rows):
+                f = work[p]
+                if f:
+                    work = [a - f * b for a, b in zip(work, row)]
+            pivot = next((i for i in range(nvars) if work[i]), None)
+            if pivot is None:
+                if work[nvars]:
+                    return None
+                continue
+            inv = Q(1) / work[pivot]
+            new = tuple(inv * a for a in work)
+            for i, row in enumerate(rows):
+                f = row[pivot]
+                if f:
+                    rows[i] = tuple(a - f * b for a, b in zip(row, new))
+            at = bisect.bisect(pivots, pivot)
+            rows.insert(at, new)
+            pivots.insert(at, pivot)
+        if len(rows) == len(self.rows):
+            return self
+        return EqualityEchelon(nvars, tuple(rows), tuple(pivots))
+
+
+def rref(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form of M, padded with zero rows to M's shape.
+
+    Returns (R, pivot columns, rank).  R is the echelon of the homogeneous
+    equalities M x == 0; the reduced form of a row space is unique, so R
+    does not depend on the order or redundancy of M's rows.
+    """
+    echelon = EqualityEchelon(M.cols).extend(row + (Q(0),) for row in M.entries)
+    rank = len(echelon.rows)
+    grid = tuple(row[:-1] for row in echelon.rows) + ((Q(0),) * M.cols,) * (M.rows - rank)
+    return QMatrix(M.rows, M.cols, grid), echelon.pivots, rank
 
 
 def span_membership(basis: Sequence[QVector], target: QVector) -> list[Fraction] | None:

@@ -2,9 +2,10 @@
 
 This module validates decisions independently of the certificate machinery:
 rule-based colourings of the positive integers, bounded search for
-monochromatic solutions, exhaustive sweeps over all r-colourings of an
-initial segment, and backtracking search for witness colourings that admit
-no bounded solution.
+monochromatic solutions, and backtracking search for witness colourings
+that admit no bounded solution.  The sweep over all r-colourings of an
+initial segment is that witness search: every colouring admits a solution
+exactly when no witness exists.
 
 The bounded solution search never walks the full v-fold product space: the
 kernel of the assembled matrix is parametrised through its reduced row
@@ -16,7 +17,6 @@ are evidence up to their bound, never proofs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
@@ -392,21 +392,10 @@ def verify_all_colourings(
 ) -> bool:
     """True iff every `colours`-colouring of [1..bound] admits a bounded solution.
 
-    Exhaustive over all colours**bound assignments; oversized instances are
-    rejected up front.
+    The same question as search_witness_colouring finding no witness, and
+    answered by it; oversized instances are rejected up front.
     """
-    _guard_sweep_size(colours, bound)
-    solutions = _distinct_blocks(enumerate_bounded_solutions(matrices, bound))
-    if not solutions:
-        return False
-    for assignment in itertools.product(range(colours), repeat=bound):
-        admits = any(
-            all(len({assignment[x - 1] for x in block}) == 1 for block in sol)
-            for sol in solutions
-        )
-        if not admits:
-            return False
-    return True
+    return search_witness_colouring(matrices, colours, bound) is None
 
 
 def search_witness_colouring(

@@ -150,6 +150,21 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("document", [
+    "[1, 2]",
+    '{"partition": 5}',
+    '{"partition": [[1, 2], [3]], "witnesses": ["x"]}',
+])
+@pytest.mark.parametrize("command", ["certify", "first-entries"])
+def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, document):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    cert_path = write(tmp_path, "cert.json", document)
+    assert main([command, schur, cert_path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_scalars_command(tmp_path, capsys):
     matrix = write(tmp_path, "m23.txt", TWO_BY_THREE)
     assert main(["scalars", matrix, "--json"]) == EXIT_HOLDS

@@ -42,11 +42,15 @@ def brute_force_feasible(template) -> bool:
     )
 
 
-def assert_decided_like_brute_force(decision, expected_yes: bool) -> None:
+def assert_decided_like_brute_force(decision, expected_yes: bool, template=None) -> None:
     assert decision.verdict == (YES if expected_yes else NO)
     if expected_yes:
         assert all(value > 0 for _, value in decision.scalars)
         assert verify_certificate(decision.assembled, decision.certificate)
+        if template is not None:
+            # the scalars solve the whole system of the certified partition
+            system = build_system(template, decision.certificate.partition)
+            assert tuple(v for _, v in decision.scalars) == feasible_positive(system).assignment
 
 
 def test_is_kpr_matches_brute_force():
@@ -82,7 +86,7 @@ def test_scaled_procedures_match_brute_force():
         else:
             matrices = [random_matrix(rng, rows, c, max_num=3, max_den=2) for c in (1, 1, combined - 2)]
             decision, template = multiply_kpr(matrices), multiply_kpr_template(matrices)
-        assert_decided_like_brute_force(decision, brute_force_feasible(template))
+        assert_decided_like_brute_force(decision, brute_force_feasible(template), template)
         verdicts[decision.verdict] += 1
     assert min(verdicts.values()) >= 10, verdicts
 

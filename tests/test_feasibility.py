@@ -144,6 +144,57 @@ def test_random_systems_solution_or_witness():
             assert witness is not None and verify_farkas(system, witness)
 
 
+def random_equality(rng, nvars):
+    return LinearEquality(
+        tuple(F(rng.randint(-3, 3)) for _ in range(nvars)), F(rng.randint(-5, 5))
+    )
+
+
+def combine(a, x, b, y):
+    return LinearEquality(
+        tuple(a * p + b * q for p, q in zip(x.coeffs, y.coeffs)), a * x.const + b * y.const
+    )
+
+
+def test_solve_positive_depends_only_on_the_equality_row_space():
+    # duplicated, permuted or dependent equalities leave the assignment as it is
+    rng = random.Random(53)
+    solved = 0
+    for _ in range(120):
+        nvars = rng.randint(1, 3)
+        eqs = [random_equality(rng, nvars) for _ in range(rng.randint(1, 3))]
+        positivity = frozenset(range(nvars))
+        solution = feasible_positive(AffineSystem(nvars, tuple(eqs), positivity))
+        shuffled = eqs[:]
+        rng.shuffle(shuffled)
+        dependent = eqs + [combine(F(rng.randint(-2, 2)), rng.choice(eqs), F(1, 2), rng.choice(eqs))]
+        for variant in (eqs + eqs, shuffled, dependent):
+            system = AffineSystem(nvars, tuple(variant), positivity)
+            got, witness = solve_positive(system)
+            if solution is None:
+                assert got is None and verify_farkas(system, witness)
+            else:
+                assert got.assignment == solution.assignment
+        solved += solution is not None
+    assert solved > 20
+
+
+def test_contradictory_stacked_systems_carry_an_equality_witness():
+    rng = random.Random(59)
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        eqs = [random_equality(rng, nvars) for _ in range(rng.randint(1, 3))]
+        clash = rng.choice(eqs)
+        shifted = LinearEquality(clash.coeffs, clash.const + rng.choice((-1, 1, F(1, 2))))
+        stacked = eqs + [shifted]
+        rng.shuffle(stacked)
+        system = AffineSystem(nvars, tuple(stacked), frozenset(range(nvars)))
+        solution, witness = solve_positive(system)
+        assert solution is None
+        assert verify_farkas(system, witness)
+        assert not any(witness.ineq_multipliers)  # refuted by the equalities alone
+
+
 # ------------------------------------------------------------- scalar values
 
 def test_enumerate_feasible_scalars_requires_single_variable():

@@ -51,6 +51,22 @@ def test_rref_idempotent_on_random_matrices():
         assert (R2, pivots2, rank2) == (R, pivots, rank)
 
 
+def test_rref_ignores_row_order_and_redundant_rows():
+    rng = random.Random(19)
+    for _ in range(40):
+        M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+        R, pivots, rank = rref(M)
+        rows = list(M.entries)
+        rng.shuffle(rows)
+        assert rref(QMatrix.of(rows)) == (R, pivots, rank)
+        a, b, c = rng.choice(rows), rng.choice(rows), F(rng.randint(-2, 2))
+        combo = tuple(c * x + F(1, 3) * y for x, y in zip(a, b))
+        rows.insert(rng.randint(0, len(rows)), combo)
+        R2, pivots2, rank2 = rref(QMatrix.of(rows))
+        assert (R2.entries[:rank2], pivots2, rank2) == (R.entries[:rank], pivots, rank)
+        assert R2.rows == len(rows) and all(not any(row) for row in R2.entries[rank2:])
+
+
 def test_span_membership_full_plane():
     coeffs = span_membership(
         [QVector.of([4, 5]), QVector.of([2, 3])], QVector.of([F(-1, 2), 0])

@@ -154,8 +154,9 @@ def test_witness_colouring_text_format():
 
 
 def test_falsify_complements_sweep_and_matches_brute_force():
-    # two independent implementations must complement each other exactly;
-    # backtracking must also return the lexicographically first witness table
+    # the sweep is the witness search, so both are checked against this
+    # test's own walk over every colouring; backtracking must also return
+    # the lexicographically first witness table
     import itertools
 
     rng = random.Random(67)
@@ -187,6 +188,7 @@ def test_falsify_complements_sweep_and_matches_brute_force():
             None,
         )
         assert (witness.table if witness else None) == brute
+        assert sweep == all(admits(t) for t in itertools.product(range(colours), repeat=bound))
 
 
 # -------------------------------------------------------------------- dilation

@@ -257,7 +257,9 @@ def solve_positive(
             return None, FarkasWitness(contradiction[3], contradiction[4])
 
     # --- stage 4: back-substitute a concrete point, preferring the value 1 ---
-    free_values: dict[int, Fraction] = {}
+    # A variable that left every row before its own elimination is
+    # unconstrained by the projection, so 1 is as good as any value for it.
+    free_values: dict[int, Fraction] = {f: Q(1) for f in free_vars}
 
     def evaluate(row: _Ineq, skip: int) -> Fraction:
         coeffs, const, _, _, _ = row
@@ -299,9 +301,6 @@ def solve_positive(
             assert hi_bound is not None
             value = hi_bound[0] - 1
         free_values[free_vars[k]] = value
-
-    for f in free_vars:
-        free_values.setdefault(f, Q(1))
 
     assignment = [Q(0)] * nv
     for f in free_vars:

@@ -11,14 +11,19 @@ The bounded solution search never walks the full v-fold product space: the
 kernel of the assembled matrix is parametrised through its reduced row
 echelon form, whose free coordinates are literal entries of the solution
 vector.  Ranging those over [1..N] and checking every derived entry with
-exact arithmetic is therefore complete within the bound.  Negative results
-are evidence up to their bound, never proofs.
+exact integer arithmetic is therefore complete within the bound.  Nor does
+it scan [1..N] value by value: every colouring splits [1..N] into colour
+pieces that are arithmetic progressions, and the values an entry a*t may
+take are intersections of progressions, so the cost follows the number of
+colour pieces rather than N.  Negative results are evidence up to their
+bound, never proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import groupby
+from math import gcd, lcm
 from typing import Hashable, Sequence
 
 from .linalg import Q, QMatrix, rref
@@ -57,6 +62,45 @@ def gamma_colour(x: int, base: int = 10) -> tuple[int, int, int]:
     """
     g = leading_exponent(x, base)
     return (g % 2, digit_at(x, base, g), digit_at(x, base, g - 1))
+
+
+_EMPTY = range(1, 1)
+
+
+def _progression(a: int, r: range) -> range:
+    """The t >= 1 with a*t in the progression r (r has a positive step)."""
+    if a < 1 or not r:
+        return _EMPTY
+    g = gcd(a, r.step)
+    if r.start % g:
+        return _EMPTY
+    step = r.step // g
+    residue = r.start // g * pow(a // g, -1, step) % step
+    low = max(1, -(-r.start // a))
+    return range(low + (residue - low) % step, r[-1] // a + 1, step)
+
+
+def _intersect(x: range, y: range) -> range:
+    """Common members of two progressions with positive steps (Chinese remainders)."""
+    if not x or not y:
+        return _EMPTY
+    g = gcd(x.step, y.step)
+    gap = y.start - x.start
+    if gap % g:
+        return _EMPTY
+    ny = y.step // g
+    first = x.start + x.step * (gap // g * pow(x.step // g, -1, ny) % ny)
+    step = x.step * ny
+    low = max(x.start, y.start)
+    return range(low + (first - low) % step, min(x[-1], y[-1]) + 1, step)
+
+
+def _exponent_bands(base: int, bound: int):
+    """(t, base**t) for every exponent t with base**t <= bound."""
+    t, power = 0, 1
+    while power <= bound:
+        yield t, power
+        t, power = t + 1, power * base
 
 
 @dataclass(frozen=True)
@@ -112,6 +156,47 @@ class Colouring:
             return self.table_data[x - 1]
         raise ValueError(f"unknown colouring kind {self.kind!r}")
 
+    def pieces(self, bound: int) -> list[tuple[Hashable, range]]:
+        """Split [1..bound] into (colour, progression) pairs.
+
+        Every integer in [1..bound] lies in exactly one pair, and every
+        member of a pair has that pair's colour.  Residue classes for "mod",
+        one interval per exponent band for "start_parity", per exponent and
+        two leading digits for "gamma", per run of equal colours for "table".
+        """
+        b = self.param
+        if self.kind == "mod":
+            return [(r % b, range(r, bound + 1, b)) for r in range(1, min(b, bound) + 1)]
+        if self.kind == "start_parity":
+            return [
+                (t % 2, range(power, min(power * b, bound + 1)))
+                for t, power in _exponent_bands(b, bound)
+            ]
+        if self.kind == "gamma":
+            out = [((0, d, 0), range(d, d + 1)) for d in range(1, min(b - 1, bound) + 1)]
+            for t, power in _exponent_bands(b, bound):
+                if t == 0:
+                    continue  # single digits, listed above
+                step = power // b
+                for lead in range(b, b * b):  # the two leading digits
+                    low = lead * step
+                    if low > bound:
+                        break
+                    out.append(
+                        ((t % 2, lead // b, lead % b), range(low, min(low + step, bound + 1)))
+                    )
+            return out
+        if self.kind == "table":
+            if bound > len(self.table_data):
+                raise ValueError(f"table colouring undefined at {len(self.table_data) + 1}")
+            out, start = [], 1
+            for colour, run in groupby(self.table_data[:bound]):
+                end = start + len(list(run))
+                out.append((colour, range(start, end)))
+                start = end
+            return out
+        raise ValueError(f"unknown colouring kind {self.kind!r}")
+
     def spec_string(self) -> str:
         if self.kind == "mod":
             return f"mod:{self.param}"
@@ -131,6 +216,14 @@ class _DilatedColouring:
 
     def colour(self, x: int) -> Hashable:
         return self.base.colour(self.factor * x)
+
+    def pieces(self, bound: int) -> list[tuple[Hashable, range]]:
+        out = []
+        for colour, r in self.base.pieces(self.factor * bound):
+            pulled = _progression(self.factor, r)
+            if pulled:
+                out.append((colour, pulled))
+        return out
 
 
 @dataclass(frozen=True)
@@ -185,11 +278,18 @@ class WitnessColouring:
 class _KernelSearch:
     """Backtracking over the free coordinates of the assembled kernel.
 
-    Entries whose expression touches a single free coordinate are filtered
-    through cached per-colour-state domains, so huge bounds stay tractable
-    when the per-coordinate constraints already clash (the interesting
-    negative cases).  Values are tried in increasing order and free columns
-    in increasing index order, so the first hit is canonical.
+    At depth d the free coordinate is written scale[d]*t with t a positive
+    integer, where scale[d] clears the denominators of the entries that
+    depend on this coordinate alone; each such unary entry is then a*t with
+    a an integer.  Its admissible t form, per colour piece, an arithmetic
+    progression, so the candidates are groups (t-progression, colours of
+    the blocks they fix) built by intersecting progressions, never by
+    scanning [1..N].  A group whose colours leave the next depth with no
+    candidates is dropped: fixing more colours only shrinks a candidate set.
+    Entries depending on several coordinates are one integer denominator
+    over integer numerators, checked per candidate.  Values are tried in
+    increasing order and free columns in increasing index order, so the
+    first hit is canonical.
     """
 
     def __init__(self, matrices: Sequence[QMatrix], bound: int, colouring):
@@ -216,67 +316,111 @@ class _KernelSearch:
         R, pivots, _ = rref(combined)
         pivot_set = set(pivots)
         self.free = [c for c in range(self.n) if c not in pivot_set]
-        exprs: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
+        depth_of = {f: d for d, f in enumerate(self.free)}
+        exprs = [{} for _ in range(self.n)]
         for f in self.free:
-            exprs[f] = {f: Q(1)}
+            exprs[f] = {depth_of[f]: Q(1)}
         for ri, p in enumerate(pivots):
             row = R.entries[ri]
-            exprs[p] = {f: -row[f] for f in self.free if row[f] != 0}
-        self.exprs = exprs
-        self.viable = bool(self.free) and all(exprs[e] for e in range(self.n))
+            exprs[p] = {depth_of[f]: -row[f] for f in self.free if row[f] != 0}
+        self.results: list[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]] = []
+        self.viable = bool(self.free) and all(exprs)
+        if not self.viable:
+            return
 
-        depth_of = {f: d for d, f in enumerate(self.free)}
-        self.unary_at: list[list[tuple[int, Fraction]]] = [[] for _ in self.free]
-        self.multi_at: list[list[int]] = [[] for _ in self.free]
-        if self.viable:
-            for e in range(self.n):
-                support = list(exprs[e])
-                d = max(depth_of[f] for f in support)
-                if len(support) == 1:
-                    self.unary_at[d].append((e, exprs[e][support[0]]))
-                else:
-                    self.multi_at[d].append(e)
+        depths = len(self.free)
+        unary: list[list[tuple[int, Q]]] = [[] for _ in range(depths)]
+        for e, expr in enumerate(exprs):
+            if len(expr) == 1:
+                ((d, c),) = expr.items()
+                unary[d].append((e, c))
+        # the free value at depth d is scale[d] * t, so each unary entry is a * t
+        scale = [lcm(*(c.denominator for _, c in entries)) for entries in unary]
+        self.unary_at = [
+            [(e, (c * L).numerator) for e, c in entries]
+            for entries, L in zip(unary, scale)
+        ]
+        self.multi_at: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [
+            [] for _ in range(depths)
+        ]
+        for e, expr in enumerate(exprs):
+            if len(expr) > 1:
+                terms = {d: c * scale[d] for d, c in expr.items()}
+                den = lcm(*(c.denominator for c in terms.values()))
+                numerators = tuple((d, (c * den).numerator) for d, c in terms.items())
+                self.multi_at[max(terms)].append((e, den, numerators))
+        # the blocks whose colours a depth's candidates depend on
+        self.key_blocks = [
+            tuple(sorted({self.block_of[e] for e, _ in entries}))
+            for entries in self.unary_at
+        ]
+        pieces = (
+            [(None, range(1, bound + 1))] if colouring is None
+            else colouring.pieces(bound)
+        )
+        # per depth and unary entry: its key-block slot and colour -> t-progressions
+        self.entry_pieces: list[list[tuple[int, dict[Hashable, list[range]]]]] = []
+        for entries, blocks in zip(self.unary_at, self.key_blocks):
+            per_entry = []
+            for e, a in entries:
+                by_colour: dict[Hashable, list[range]] = {}
+                for colour, r in pieces:
+                    progression = _progression(a, r)
+                    if progression:
+                        by_colour.setdefault(colour, []).append(progression)
+                per_entry.append((blocks.index(self.block_of[e]), by_colour))
+            self.entry_pieces.append(per_entry)
 
         self.values = [0] * self.n
-        self.free_vals: dict[int, int] = {}
+        self.ts = [0] * depths
         self.colour_state: list[Hashable | None] = [None] * self.k
-        self.cand_cache: dict[tuple, list[int]] = {}
-        self.results: list[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]] = []
+        self.group_cache: dict[tuple, list[tuple[range, tuple]]] = {}
+        self.cand_cache: dict[tuple, list[tuple[int, tuple]]] = {}
 
-    def _candidates(self, depth: int) -> list[int]:
-        unary = self.unary_at[depth]
-        key_blocks = tuple(sorted({self.block_of[e] for e, _ in unary}))
-        key = (depth, tuple(self.colour_state[b] for b in key_blocks))
-        cached = self.cand_cache.get(key)
+    def _groups(self, depth: int, key: tuple) -> list[tuple[range, tuple]]:
+        """(t-progression, key-block colours) groups at `depth` under colours `key`."""
+        cached = self.group_cache.get((depth, key))
         if cached is not None:
             return cached
-        preset = {b: self.colour_state[b] for b in key_blocks}
-        out: list[int] = []
-        for val in range(1, self.bound + 1):
-            local: dict[int, Hashable] = {}
-            ok = True
-            for e, coeff in unary:
-                w = coeff * val
-                if w.denominator != 1:
-                    ok = False
-                    break
-                wi = int(w)
-                if wi < 1 or wi > self.bound:
-                    ok = False
-                    break
-                if self.colouring is not None:
-                    b = self.block_of[e]
-                    required = local.get(b, preset[b])
-                    col = self.colouring.colour(wi)
-                    if required is None:
-                        local[b] = col
-                    elif col != required:
-                        ok = False
-                        break
-            if ok:
-                out.append(val)
-        self.cand_cache[key] = out
-        return out
+        groups = [(range(1, self.bound + 1), key)]
+        for slot, by_colour in self.entry_pieces[depth]:
+            refined = []
+            for progression, colours in groups:
+                required = colours[slot]
+                if required is None:
+                    options = by_colour.items()
+                else:
+                    options = ((required, by_colour.get(required, ())),)
+                for colour, pieces in options:
+                    fixed = colours[:slot] + (colour,) + colours[slot + 1:]
+                    for piece in pieces:
+                        common = _intersect(progression, piece)
+                        if common:
+                            refined.append((common, fixed))
+            groups = refined
+        if depth + 1 < len(self.free):
+            blocks = self.key_blocks[depth]
+            after = self.key_blocks[depth + 1]
+            groups = [
+                group for group in groups
+                if self._groups(depth + 1, tuple(
+                    group[1][blocks.index(b)] if b in blocks else None for b in after
+                ))
+            ]
+        self.group_cache[(depth, key)] = groups
+        return groups
+
+    def _candidates(self, depth: int) -> list[tuple[int, tuple]]:
+        key = (depth, tuple(self.colour_state[b] for b in self.key_blocks[depth]))
+        cached = self.cand_cache.get(key)
+        if cached is None:
+            # groups are disjoint, so no two candidates share a t
+            cached = sorted(
+                (t, colours) for progression, colours in self._groups(*key)
+                for t in progression
+            )
+            self.cand_cache[key] = cached
+        return cached
 
     def run(self, find_all: bool = False):
         if self.viable:
@@ -291,51 +435,35 @@ class _KernelSearch:
             )
             self.results.append((vectors, tuple(self.colour_state)))
             return not find_all
-        fv = self.free[depth]
-        for val in self._candidates(depth):
-            self.free_vals[fv] = val
-            set_blocks: list[int] = []
+        state = self.colour_state
+        blocks = self.key_blocks[depth]
+        for t, colours in self._candidates(depth):
+            self.ts[depth] = t
+            for e, a in self.unary_at[depth]:
+                self.values[e] = a * t
+            set_blocks = [b for b in blocks if state[b] is None]
+            for b, colour in zip(blocks, colours):
+                state[b] = colour
             ok = True
-            for e, coeff in self.unary_at[depth]:
-                wi = int(coeff * val)
-                self.values[e] = wi
+            for e, den, numerators in self.multi_at[depth]:
+                w, rem = divmod(sum(c * self.ts[d] for d, c in numerators), den)
+                if rem or w < 1 or w > self.bound:
+                    ok = False
+                    break
+                self.values[e] = w
                 if self.colouring is not None:
                     b = self.block_of[e]
-                    col = self.colouring.colour(wi)
-                    if self.colour_state[b] is None:
-                        self.colour_state[b] = col
+                    col = self.colouring.colour(w)
+                    if state[b] is None:
+                        state[b] = col
                         set_blocks.append(b)
-                    elif self.colour_state[b] != col:
+                    elif state[b] != col:
                         ok = False
                         break
-            if ok:
-                for e in self.multi_at[depth]:
-                    w = sum(
-                        (c * self.free_vals[f] for f, c in self.exprs[e].items()),
-                        Q(0),
-                    )
-                    if w.denominator != 1:
-                        ok = False
-                        break
-                    wi = int(w)
-                    if wi < 1 or wi > self.bound:
-                        ok = False
-                        break
-                    self.values[e] = wi
-                    if self.colouring is not None:
-                        b = self.block_of[e]
-                        col = self.colouring.colour(wi)
-                        if self.colour_state[b] is None:
-                            self.colour_state[b] = col
-                            set_blocks.append(b)
-                        elif self.colour_state[b] != col:
-                            ok = False
-                            break
             if ok and self._dfs(depth + 1, find_all):
                 return True
             for b in set_blocks:
-                self.colour_state[b] = None
-        self.free_vals.pop(fv, None)
+                state[b] = None
         return False
 
 
@@ -345,7 +473,8 @@ def find_monochromatic_solution(
     """First bounded solution with each block monochromatic, or None.
 
     Blocks may carry different colours.  Absence says nothing beyond the
-    bound.
+    bound.  The colouring provides colour(x) and pieces(bound), as
+    Colouring does.
     """
     search = _KernelSearch(matrices, bound, colouring)
     results = search.run(find_all=False)

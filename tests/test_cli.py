@@ -213,3 +213,14 @@ def test_oracle_table_colouring_round_trip(tmp_path, capsys):
     ])
     assert code == EXIT_FAILS  # the witness colouring admits no bounded solution
     capsys.readouterr()
+
+
+def test_short_table_colouring_is_a_usage_error(tmp_path, capsys):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    table_path = write(tmp_path, "table.txt", "1 0\n2 1\n")
+    code = main([
+        "oracle", "solve", schur,
+        "--colouring", f"table:{table_path}", "--bound", "5",
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: table colouring undefined at 3\n"

@@ -98,6 +98,41 @@ def test_homogeneous_solutions_scale():
     assert all(v > 0 for v in x)
 
 
+def test_variable_dropped_by_fourier_motzkin_is_unconstrained():
+    # x0 = x1 - x2, so the only inequality is x1 - x2 > 0; eliminating x1
+    # drops it (no upper bound), x2 is never eliminated and 1 must do for it
+    system = AffineSystem(3, (LinearEquality((F(-2), F(2), F(-2)), F(0)),), frozenset({0}))
+    solution, witness = solve_positive(system)
+    assert witness is None
+    assert solution.assignment == (F(1), F(2), F(1))
+
+
+def test_random_systems_with_partial_positivity_are_answered():
+    rng = random.Random(71)
+    solved = refuted = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        equalities = tuple(
+            LinearEquality(
+                tuple(F(rng.randint(-2, 2)) for _ in range(nvars)), F(rng.randint(-2, 2))
+            )
+            for _ in range(rng.randint(0, 3))
+        )
+        positivity = frozenset(v for v in range(nvars) if rng.random() < 0.5)
+        system = AffineSystem(nvars, equalities, positivity)
+        solution, witness = solve_positive(system)
+        if solution is not None:
+            x = solution.assignment
+            for eq in equalities:
+                assert sum(c * v for c, v in zip(eq.coeffs, x)) + eq.const == 0
+            assert all(x[v] > 0 for v in positivity)
+            solved += 1
+        else:
+            assert witness is not None and verify_farkas(system, witness)
+            refuted += 1
+    assert solved > 50 and refuted > 50
+
+
 def test_feasibility_invariant_under_positive_constant_scaling():
     rng = random.Random(41)
     for _ in range(40):

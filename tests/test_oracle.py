@@ -1,8 +1,10 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import diag12, schur, fractional_b_matrix
+from conftest import diag12, schur, fractional_b_matrix, random_matrix, vdw
 from partreg import (
     Colouring,
     QMatrix,
@@ -15,6 +17,8 @@ from partreg import (
     search_witness_colouring,
     verify_all_colourings,
 )
+from partreg.linalg import rref
+from partreg.oracle import _DilatedColouring
 
 
 def minus_identity(n):
@@ -70,6 +74,37 @@ def test_colouring_kinds():
         Colouring.gamma(1)
 
 
+def every_colouring_kind(rng, bound):
+    kinds = [Colouring.mod(m) for m in range(1, 6)]
+    kinds += [Colouring.start_parity(b) for b in (2, 3, 4)]
+    kinds += [Colouring.gamma(b) for b in (2, 3, 10)]
+    kinds.append(Colouring.table([rng.randint(0, 2) for _ in range(4 * bound)]))
+    kinds.append(_DilatedColouring(Colouring.mod(rng.randint(2, 5)), rng.randint(2, 4)))
+    kinds.append(_DilatedColouring(Colouring.start_parity(rng.randint(2, 3)), rng.randint(2, 4)))
+    return kinds
+
+
+def test_colour_pieces_partition_the_bound():
+    rng = random.Random(73)
+    for bound in (1, 2, 9, 10, 11, 100, 1000, rng.randint(2, 3000)):
+        for colouring in every_colouring_kind(rng, bound):
+            covered = Counter()
+            for colour, piece in colouring.pieces(bound):
+                covered.update(piece)
+                assert all(colouring.colour(x) == colour for x in piece)
+            assert covered == Counter(range(1, bound + 1))
+
+
+def test_gamma_pieces_grow_with_the_exponent_not_the_bound():
+    assert len(Colouring.gamma(10).pieces(10**6 - 1)) == 9 + 5 * 90
+    assert len(Colouring.start_parity(2).pieces(2**30)) == 31
+
+
+def test_short_table_has_no_pieces_beyond_it():
+    with pytest.raises(ValueError, match="table colouring undefined at 3"):
+        Colouring.table([0, 1]).pieces(5)
+
+
 # ------------------------------------------------------------ bounded search
 
 def test_schur_single_colour_witness():
@@ -81,7 +116,7 @@ def test_schur_single_colour_witness():
 def test_diag_pair_has_no_start_parity_witness():
     matrices = [diag12(), minus_identity(2)]
     colouring = Colouring.start_parity(2)
-    for bound in (16, 256, 4096):
+    for bound in (16, 256, 4096, 2**20):  # 2**20 tops the oracle bound ladder
         assert find_monochromatic_solution(matrices, colouring, bound) is None
 
 
@@ -91,6 +126,21 @@ def test_counterexample_pair_mod_two_witness():
     assert witness is not None
     assert witness.vectors == ((2, 2, 2), (4, 6))
     assert witness.verify(matrices, Colouring.mod(2))
+
+
+def test_pinned_witnesses():
+    witness = find_monochromatic_solution([vdw()], Colouring.gamma(10), 2000)
+    assert witness.vectors == ((100, 101, 102, 103, 1),)
+    witness = find_monochromatic_solution(
+        [diag12(), minus_identity(2)], Colouring.mod(3), 100
+    )
+    assert witness.vectors == ((3, 3), (3, 6))
+    # the blocks take different colours (2 and 1), which the look-ahead from
+    # the first free coordinate to the second must keep apart
+    witness = find_monochromatic_solution(
+        [QMatrix.identity(2), QMatrix.identity(2).scale(-2)], Colouring.mod(3), 10
+    )
+    assert witness.vectors == ((2, 2), (1, 1))
 
 
 def test_trivial_kernel_has_no_witness():
@@ -114,10 +164,64 @@ def test_bounded_solutions_schur():
     }
 
 
+def test_bounded_solutions_with_coprime_denominators():
+    # x0 = x2/2 and x1 = x2/3: the free value must run over multiples of 6
+    solutions = enumerate_bounded_solutions([QMatrix.of([[2, 0, -1], [0, 3, -1]])], 20)
+    assert solutions == [((3, 2, 6),), ((6, 4, 12),), ((9, 6, 18),)]
+
+
 def test_witness_verify_rejects_tampering():
     witness = find_monochromatic_solution([schur()], Colouring.mod(1), 3)
     broken = SolutionWitness(((1, 1, 3),), witness.colours)
     assert not broken.verify([schur()], Colouring.mod(1))
+
+
+def brute_force_solutions(matrices, bound):
+    """Every solution in [1..bound]^n by walking the whole box, in box order."""
+    blocks = [M.cols for M in matrices]
+    n = sum(blocks)
+    rows = [
+        [e for M in matrices for e in M.entries[r]] for r in range(matrices[0].rows)
+    ]
+    out = []
+    for x in itertools.product(range(1, bound + 1), repeat=n):
+        if all(sum(c * v for c, v in zip(row, x)) == 0 for row in rows):
+            cut = [sum(blocks[:t]) for t in range(len(blocks) + 1)]
+            out.append(tuple(x[cut[t]:cut[t + 1]] for t in range(len(blocks))))
+    return out
+
+
+def test_kernel_search_matches_brute_force_walk():
+    rng = random.Random(79)
+    found = 0
+    for _ in range(60):
+        rows = rng.randint(1, 2)
+        widths = rng.choice([[2], [3], [4], [1, 1], [2, 1], [1, 2], [2, 2], [1, 1, 1]])
+        matrices = [random_matrix(rng, rows, w, max_num=3) for w in widths]
+        bound = rng.randint(1, 12 if sum(widths) < 4 else 7)
+        solutions = brute_force_solutions(matrices, bound)
+        assert set(enumerate_bounded_solutions(matrices, bound)) == set(solutions)
+
+        _, pivots, _ = rref(QMatrix.hstack(matrices))
+        free = [c for c in range(sum(widths)) if c not in pivots]
+
+        def free_key(sol):
+            flat = [v for vec in sol for v in vec]
+            return tuple(flat[f] for f in free)
+
+        for colouring in every_colouring_kind(rng, bound):
+            mono = [
+                sol for sol in solutions
+                if all(len({colouring.colour(v) for v in vec}) == 1 for vec in sol)
+            ]
+            witness = find_monochromatic_solution(matrices, colouring, bound)
+            if not mono:
+                assert witness is None
+                continue
+            found += 1
+            assert witness.vectors == min(mono, key=free_key)
+            assert witness.colours == tuple(colouring.colour(vec[0]) for vec in witness.vectors)
+    assert found > 100
 
 
 # ------------------------------------------------ colouring sweeps and search

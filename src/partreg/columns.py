@@ -4,7 +4,8 @@ An ordered partition (I_1, ..., I_m) of a matrix's column indices witnesses
 Rado's columns condition when the I_1 columns sum to zero exactly and each
 later block's column sum is a linear combination of all earlier columns.  By
 Rado's theorem this decides kernel partition regularity, so the search here
-is the core decision procedure; everything is exact rational arithmetic.
+is the core decision procedure; everything is exact, rational at the API and
+integer in the search's equalities.
 
 The search (closure_search) never walks ordered partitions.  Call a column
 set reachable when some chain of blocks covers it.  Reachable sets are
@@ -21,7 +22,6 @@ enumerate_ordered_partitions remains as the brute-force reference.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,12 +31,20 @@ from .linalg import (
     Q,
     QMatrix,
     QVector,
+    integer_row,
     rational,
     residual_functionals,
     span_membership,
 )
 
 DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
+
+
+def _column_index(value) -> int:
+    # JSON numbers like 1.5 and bools must not be truncated into indices.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"column index must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class OrderedPartition:
 
     @staticmethod
     def of(blocks: Iterable[Iterable[int]]) -> "OrderedPartition":
-        cleaned = tuple(tuple(sorted(set(int(i) for i in block))) for block in blocks)
+        cleaned = tuple(tuple(sorted(set(_column_index(i) for i in block))) for block in blocks)
         if not cleaned or any(not block for block in cleaned):
             raise ValueError("blocks must be non-empty")
         seen: set[int] = set()
@@ -62,7 +70,7 @@ class OrderedPartition:
 
     @staticmethod
     def from_one_based(blocks: Iterable[Iterable[int]]) -> "OrderedPartition":
-        return OrderedPartition.of([[i - 1 for i in block] for block in blocks])
+        return OrderedPartition.of([[_column_index(i) - 1 for i in block] for block in blocks])
 
     @property
     def block_count(self) -> int:
@@ -115,7 +123,10 @@ class ColumnsConditionCertificate:
         try:
             partition = OrderedPartition.from_one_based(data["partition"])
             witnesses = tuple(
-                tuple((int(term["column"]) - 1, rational(term["coeff"])) for term in terms)
+                tuple(
+                    (_column_index(term["column"]) - 1, rational(term["coeff"]))
+                    for term in terms
+                )
                 for terms in data.get("witnesses", [])
             )
         except (TypeError, KeyError) as err:
@@ -289,25 +300,27 @@ def closure_search(
     slot = [nvars if g is None else g for g in group_of]
     explored: set[tuple] = set()
     examined = 0
+    # One common multiplier for all columns keeps block sums proportional.
+    dim = columns[0].dim
+    flat = integer_row(x for col in columns for x in col.entries)
+    integral = [flat[at:at + dim] for at in range(0, len(flat), dim)]
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
-        # One equality per annihilator row, scaled to integers over `rest`.
+        # One integer equality per annihilator row of the placed columns.
         if placed:
-            functionals = residual_functionals(
-                [columns[i] for i in sorted(placed)], dim=columns[0].dim
-            ).entries
+            functionals = [
+                integer_row(row)
+                for row in residual_functionals(
+                    [columns[i] for i in sorted(placed)], dim=dim
+                ).entries
+            ]
             projected = {
-                j: [sum((f * x for f, x in zip(row, columns[j].entries)), Q(0))
-                    for row in functionals]
+                j: [sum(f * x for f, x in zip(row, integral[j])) for row in functionals]
                 for j in rest
             }
         else:
-            projected = {j: list(columns[j].entries) for j in rest}
+            projected = {j: integral[j] for j in rest}
         k = len(projected[rest[0]])
-        for s in range(k):
-            scale = math.lcm(*(projected[j][s].denominator for j in rest))
-            for j in rest:
-                projected[j][s] = int(projected[j][s] * scale)
 
         def equalities(block: tuple[int, ...]) -> list[list[int]]:
             sums = [[0] * (nvars + 1) for _ in range(k)]

@@ -34,7 +34,15 @@ from .columns import (
     check_partition,
     closure_search,
 )
-from .linalg import EqualityEchelon, Q, QMatrix, QVector, residual_functionals
+from .linalg import (
+    EqualityEchelon,
+    Q,
+    QMatrix,
+    QVector,
+    integer_row,
+    rational_row,
+    residual_functionals,
+)
 
 FIXED_ONE = None  # group tag for columns that carry no scalar
 
@@ -187,14 +195,17 @@ def solve_positive(
     # --- stage 1: eliminate equalities in the shared echelon kernel ---
     # Equality l carries the unit vector e_l as extra variables, so the middle
     # entries mu of every reduced row satisfy: row == sum(mu_l * equality_l).
+    # Clearing a row's denominators scales its unit vector too, so that holds
+    # for the integer rows, and for them read back with pivot 1.
     # The unit vectors keep the rows independent, so extend never fails.
     width = nv + n_eq
     echelon = EqualityEchelon(width).extend(
-        eq.coeffs + tuple(Q(int(i == l)) for i in range(n_eq)) + (eq.const,)
+        integer_row(eq.coeffs + tuple(int(i == l) for i in range(n_eq)) + (eq.const,))
         for l, eq in enumerate(system.equalities)
     )
     pivot_rows: dict[int, tuple] = {}  # pivot -> (coeffs, const, mu)
     for p, row in zip(echelon.pivots, echelon.rows):
+        row = rational_row(row, p)
         if p < nv:
             pivot_rows[p] = (row[:nv], row[width], row[nv:width])
         elif row[width]:
@@ -517,7 +528,8 @@ def scalar_union_over_partitions(
         template.columns, template.group_of, template.nvars, _pins_nonzero, cap
     ):
         if echelon.rows:
-            result = result.union(ScalarSet.finite((-echelon.rows[0][-1],)))
+            value = -rational_row(echelon.rows[0], echelon.pivots[0])[-1]
+            result = result.union(ScalarSet.finite((value,)))
         else:
             result = result.union(ScalarSet.all_except((Q(0),)))
     zero = template.scaled_matrix([Q(0)] * template.nvars)

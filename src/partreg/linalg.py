@@ -1,19 +1,22 @@
 """Exact rational vectors, matrices and the elimination kernel.
 
-Everything is built on fractions.Fraction, so results are exact and
-canonical (lowest terms, positive denominator).  Floats are refused at
-construction time.  Matrices here are small and dense, which keeps plain
-Gauss-Jordan elimination the right tool.
+The API is built on fractions.Fraction, so results are exact and canonical
+(lowest terms, positive denominator).  Floats are refused at construction
+time.  Matrices here are small and dense, which keeps plain Gauss-Jordan
+elimination the right tool.
 
 EqualityEchelon is the one elimination kernel: rref, the span and kernel
 helpers built on it, the closure search's scalar equalities and the
 equality stage of the positive-solution solver all reduce through its
-extend.
+extend.  It works fraction-free on integer rows; integer_row and
+rational_row convert at the boundary, so Fractions appear only where rows
+enter from or leave for the rational API.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -185,47 +188,71 @@ class QMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
+def integer_row(values: Iterable[Fraction | int]) -> list[int]:
+    """The values times the lcm of their denominators: integers, same ratios."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def rational_row(row: Sequence[int], pivot: int) -> tuple[Fraction, ...]:
+    """An integer row as Fractions divided by its entry at `pivot`."""
+    p = row[pivot]
+    return tuple(Fraction(x, p) for x in row)
+
+
+def _primitive(row: list[int], pivot: int) -> tuple[int, ...]:
+    g = math.gcd(*row)
+    if row[pivot] < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
 @dataclass(frozen=True)
 class EqualityEchelon:
-    """Fully reduced echelon form of affine equalities over scalar variables.
+    """Fully reduced echelon form of integer affine equalities over variables.
 
-    Each row (a_0, ..., a_{n-1}, c) states a . x + c == 0.  A row's pivot is
-    its first non-zero coefficient; it equals 1 and every other row is zero
-    there, so two echelons have the same solution set exactly when their
-    rows are equal.
+    Each row (a_0, ..., a_{n-1}, c) of integers states a . x + c == 0.  A
+    row's pivot is its first non-zero coefficient; it is positive, every
+    other row is zero there, and the row's entries have gcd 1.  That form is
+    unique for each solution set, so two echelons have the same solution set
+    exactly when their rows are equal.  rational_row reads a row back as
+    Fractions with pivot 1.
     """
 
     nvars: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()
+    rows: tuple[tuple[int, ...], ...] = ()
     pivots: tuple[int, ...] = ()
 
-    def extend(self, equalities: Iterable[Sequence]) -> "EqualityEchelon | None":
+    def extend(self, equalities: Iterable[Sequence[int]]) -> "EqualityEchelon | None":
         """This echelon with `equalities` added, in the same row format.
 
-        Returns self when every equality is already implied, and None when
-        they contradict the echelon.
+        The equalities must be integer rows (integer_row clears
+        denominators).  Returns self when every equality is already implied,
+        and None when they contradict the echelon.
         """
         nvars = self.nvars
         rows, pivots = list(self.rows), list(self.pivots)
         for equality in equalities:
             if not any(equality):
                 continue
-            work = list(equality)
+            work = equality
             for p, row in zip(pivots, rows):
                 f = work[p]
                 if f:
-                    work = [a - f * b for a, b in zip(work, row)]
+                    a = row[p]
+                    work = [a * x - f * y for x, y in zip(work, row)]
             pivot = next((i for i in range(nvars) if work[i]), None)
             if pivot is None:
                 if work[nvars]:
                     return None
                 continue
-            inv = Q(1) / work[pivot]
-            new = tuple(inv * a for a in work)
+            new = _primitive(work, pivot)
+            a = new[pivot]
             for i, row in enumerate(rows):
                 f = row[pivot]
                 if f:
-                    rows[i] = tuple(a - f * b for a, b in zip(row, new))
+                    rows[i] = _primitive([a * x - f * y for x, y in zip(row, new)], pivots[i])
             at = bisect.bisect(pivots, pivot)
             rows.insert(at, new)
             pivots.insert(at, pivot)
@@ -241,9 +268,11 @@ def rref(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     equalities M x == 0; the reduced form of a row space is unique, so R
     does not depend on the order or redundancy of M's rows.
     """
-    echelon = EqualityEchelon(M.cols).extend(row + (Q(0),) for row in M.entries)
+    echelon = EqualityEchelon(M.cols).extend(integer_row(row + (0,)) for row in M.entries)
     rank = len(echelon.rows)
-    grid = tuple(row[:-1] for row in echelon.rows) + ((Q(0),) * M.cols,) * (M.rows - rank)
+    grid = tuple(
+        rational_row(row[:-1], p) for p, row in zip(echelon.pivots, echelon.rows)
+    ) + ((Q(0),) * M.cols,) * (M.rows - rank)
     return QMatrix(M.rows, M.cols, grid), echelon.pivots, rank
 
 

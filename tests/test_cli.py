@@ -154,6 +154,12 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     "[1, 2]",
     '{"partition": 5}',
     '{"partition": [[1, 2], [3]], "witnesses": ["x"]}',
+    # Valid for x + y = z if the indices were truncated to integers.
+    '{"partition": [[1.5, 3.2], [2.9]], "witnesses": [[{"column": 1, "coeff": "1"}]]}',
+    '{"partition": [[true, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1"}]]}',
+    '{"partition": [["1", "3"], ["2"]], "witnesses": [[{"column": 1, "coeff": "1"}]]}',
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1.9, "coeff": "1"}]]}',
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": true, "coeff": "1"}]]}',
 ])
 @pytest.mark.parametrize("command", ["certify", "first-entries"])
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, document):

@@ -77,6 +77,11 @@ def test_ordered_partition_validation():
         OrderedPartition.of([[0], []])
     with pytest.raises(ValueError):
         OrderedPartition.of([])
+    for index in (0.5, 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            OrderedPartition.of([[index]])
+        with pytest.raises(ValueError):
+            OrderedPartition.from_one_based([[index]])
 
 
 # ------------------------------------------------------------ check_partition

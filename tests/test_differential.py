@@ -64,6 +64,22 @@ def test_is_kpr_matches_brute_force():
         verdicts[decision.verdict] += 1
     assert min(verdicts.values()) >= 10, verdicts
 
+    # Rational entries: the search clears denominators before it projects.
+    rng = random.Random(109)
+    verdicts = {YES: 0, NO: 0}
+    fractional = 0
+    for _ in range(60):
+        M = random_matrix(
+            rng, rng.randint(1, 3), rng.randint(1, 6), max_num=2, max_den=rng.randint(2, 3)
+        )
+        fractional += not M.is_integral()
+        expected = any(check_partition(M, p) is not None for p in all_partitions(M.cols))
+        decision = is_kpr(M)
+        assert_decided_like_brute_force(decision, expected)
+        verdicts[decision.verdict] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+    assert fractional >= 40, fractional
+
 
 def test_scaled_procedures_match_brute_force():
     rng = random.Random(103)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from partreg import (
     rref,
     span_membership,
 )
+from partreg.linalg import EqualityEchelon, integer_row, rational_row
 
 
 def test_rational_refuses_floats():
@@ -65,6 +67,101 @@ def test_rref_ignores_row_order_and_redundant_rows():
         R2, pivots2, rank2 = rref(QMatrix.of(rows))
         assert (R2.entries[:rank2], pivots2, rank2) == (R.entries[:rank], pivots, rank)
         assert R2.rows == len(rows) and all(not any(row) for row in R2.entries[rank2:])
+
+
+def gauss_jordan(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+    """Reference reduced row echelon form in Fraction arithmetic."""
+    rows = [list(row) for row in M.entries]
+    pivots: list[int] = []
+    for col in range(M.cols):
+        r = len(pivots)
+        pick = next((i for i in range(r, M.rows) if rows[i][col] != 0), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(M.rows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return QMatrix(M.rows, M.cols, tuple(tuple(row) for row in rows)), tuple(pivots), len(pivots)
+
+
+def test_rref_matches_fraction_gauss_jordan():
+    rng = random.Random(29)
+    for _ in range(80):
+        M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), max_den=rng.choice((1, 3, 7)))
+        assert rref(M) == gauss_jordan(M)
+
+
+def test_integer_row_and_rational_row():
+    assert integer_row([F(1, 2), F(-2, 3), 0, 5]) == [3, -4, 0, 30]
+    assert integer_row([F(0), F(0)]) == [0, 0]
+    assert rational_row((0, -6, 4, 3), 1) == (0, 1, F(-2, 3), F(-1, 2))
+
+
+def assert_canonical(echelon: EqualityEchelon) -> None:
+    assert list(echelon.pivots) == sorted(set(echelon.pivots))
+    for p, row in zip(echelon.pivots, echelon.rows):
+        assert len(row) == echelon.nvars + 1
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        assert row[p] > 0 and not any(row[:p])
+        for q, other in zip(echelon.pivots, echelon.rows):
+            assert q == p or other[p] == 0
+
+
+def test_integer_echelon_is_canonical():
+    rng = random.Random(31)
+    for _ in range(60):
+        nvars = rng.randint(1, 5)
+        point = [rng.randint(-3, 3) for _ in range(nvars)]  # keeps the rows consistent
+        base = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [rng.randint(-4, 4) for _ in range(nvars)]
+            base.append(coeffs + [-sum(a * x for a, x in zip(coeffs, point))])
+        echelon = EqualityEchelon(nvars).extend(base)
+        assert echelon is not None
+        assert_canonical(echelon)
+
+        combos = []
+        for _ in range(3):
+            u, v, a, b = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice(base), rng.choice(base)
+            combos.append([u * x + v * y for x, y in zip(a, b)])
+        assert echelon.extend(combos) is echelon  # implied equalities
+        assert echelon.extend(base) is echelon
+
+        shuffled = []
+        for row in base + combos:
+            k = rng.choice((-5, -3, -2, -1, 1, 2, 4))
+            shuffled.append([k * x for x in row])
+        rng.shuffle(shuffled)
+        rebuilt = EqualityEchelon(nvars)
+        for row in shuffled:  # one equality per call, then all at once
+            rebuilt = rebuilt.extend([row])
+        assert rebuilt.rows == echelon.rows and rebuilt.pivots == echelon.pivots
+        assert EqualityEchelon(nvars).extend(shuffled).rows == echelon.rows
+
+        # The same equality with its constant moved off the solution set.
+        if echelon.rows:
+            row = rng.choice(echelon.rows)
+            k = rng.choice((-2, 1, 3))
+            assert echelon.extend([[k * x for x in row[:-1]] + [k * (row[-1] + 1)]]) is None
+        assert echelon.extend([[0] * nvars + [1]]) is None
+
+
+def test_integer_echelon_rows_are_the_scaled_rref():
+    rng = random.Random(37)
+    for _ in range(40):
+        M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), max_den=5)
+        echelon = EqualityEchelon(M.cols - 1).extend(integer_row(row) for row in M.entries)
+        R, pivots, rank = gauss_jordan(M)
+        if pivots and pivots[-1] == M.cols - 1:  # a row 0 == 1: inconsistent
+            assert echelon is None
+            continue
+        assert echelon.pivots == pivots
+        assert tuple(rational_row(row, p) for p, row in zip(pivots, echelon.rows)) == R.entries[:rank]
 
 
 def test_span_membership_full_plane():

@@ -5,7 +5,7 @@ Rado's columns condition when the I_1 columns sum to zero exactly and each
 later block's column sum is a linear combination of all earlier columns.  By
 Rado's theorem this decides kernel partition regularity, so the search here
 is the core decision procedure; everything is exact, rational at the API and
-integer in the search's equalities.
+integer in the search's equalities and in the certificate checks.
 
 The search (closure_search) never walks ordered partitions.  Call a column
 set reachable when some chain of blocks covers it.  Reachable sets are
@@ -22,6 +22,7 @@ enumerate_ordered_partitions remains as the brute-force reference.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,9 +32,9 @@ from .linalg import (
     Q,
     QMatrix,
     QVector,
+    integer_kernel,
     integer_row,
     rational,
-    residual_functionals,
     span_membership,
 )
 
@@ -45,6 +46,13 @@ def _column_index(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"column index must be an integer, got {value!r}")
     return value
+
+
+def _coefficient(value) -> Fraction:
+    # JSON true and false must not be read as 1 and 0.
+    if isinstance(value, bool):
+        raise ValueError(f"coefficient must be a string or an integer, got {value!r}")
+    return rational(value)
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class ColumnsConditionCertificate:
             partition = OrderedPartition.from_one_based(data["partition"])
             witnesses = tuple(
                 tuple(
-                    (_column_index(term["column"]) - 1, rational(term["coeff"]))
+                    (_column_index(term["column"]) - 1, _coefficient(term["coeff"]))
                     for term in terms
                 )
                 for terms in data.get("witnesses", [])
@@ -235,12 +243,29 @@ def check_partition(
     return ColumnsConditionCertificate(partition, tuple(witnesses))
 
 
+def _integral_columns(A: QMatrix) -> list[list[int]]:
+    # One common multiplier for all columns keeps every combination of them
+    # proportional, so a combination vanishes exactly when it did before.
+    flat = integer_row(x for row in A.entries for x in row)
+    return [flat[j::A.cols] for j in range(A.cols)]
+
+
+def _combination(columns: list[list[int]], terms: Iterable[tuple[int, int]]) -> list[int]:
+    total = [0] * len(columns[0])
+    for i, m in terms:
+        if m:
+            total = [x + m * y for x, y in zip(total, columns[i])]
+    return total
+
+
 def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> bool:
     """Exact re-check of every certificate invariant against A.
 
     Independent of how the certificate was produced; never raises.  False on
     any structural defect (bad partition, out-of-range or non-earlier witness
-    columns) or any arithmetic violation.
+    columns) or any arithmetic violation.  The check runs on A's columns
+    scaled to integers: a clause whose coefficients have denominator lcm d
+    holds exactly when d times its block sum equals the integer combination.
     """
     try:
         partition = certificate.partition
@@ -248,19 +273,18 @@ def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> 
             return False
         if len(certificate.witnesses) != partition.block_count - 1:
             return False
-        cols = A.columns()
-        if not _block_sum(cols, partition.blocks[0]).is_zero():
+        cols = _integral_columns(A)
+        if any(_combination(cols, ((i, 1) for i in partition.blocks[0]))):
             return False
         earlier: set[int] = set(partition.blocks[0])
         for t in range(1, partition.block_count):
-            terms = certificate.witnesses[t - 1]
+            terms = [(i, rational(c)) for i, c in certificate.witnesses[t - 1]]
             used = [i for i, _ in terms]
             if len(set(used)) != len(used) or any(i not in earlier for i in used):
                 return False
-            target = _block_sum(cols, partition.blocks[t])
-            combo = QVector.zero(A.rows)
-            for i, c in terms:
-                combo = combo + cols[i].scale(c)
+            d = math.lcm(*(c.denominator for _, c in terms))
+            target = _combination(cols, ((i, d) for i in partition.blocks[t]))
+            combo = _combination(cols, ((i, c.numerator * (d // c.denominator)) for i, c in terms))
             if combo != target:
                 return False
             earlier.update(partition.blocks[t])
@@ -300,20 +324,14 @@ def closure_search(
     slot = [nvars if g is None else g for g in group_of]
     explored: set[tuple] = set()
     examined = 0
-    # One common multiplier for all columns keeps block sums proportional.
     dim = columns[0].dim
-    flat = integer_row(x for col in columns for x in col.entries)
-    integral = [flat[at:at + dim] for at in range(0, len(flat), dim)]
+    integral = _integral_columns(QMatrix.from_columns(columns))
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
         # One integer equality per annihilator row of the placed columns.
         if placed:
-            functionals = [
-                integer_row(row)
-                for row in residual_functionals(
-                    [columns[i] for i in sorted(placed)], dim=dim
-                ).entries
-            ]
+            span = EqualityEchelon(dim).extend(integral[i] + [0] for i in placed)
+            functionals = integer_kernel(span)
             projected = {
                 j: [sum(f * x for f, x in zip(row, integral[j])) for row in functionals]
                 for j in rest
@@ -442,8 +460,10 @@ def first_entries_from_certificate(
         for i, coeff in terms:
             grid[i][t] = -coeff
     G = QMatrix(A.cols, m, tuple(tuple(row) for row in grid))
-    product = A.matmul(G)
-    assert product.is_zero(), "construction violated A @ G == 0"
+    cols = _integral_columns(A)
+    for t in range(m):
+        column = integer_row(row[t] for row in grid)
+        assert not any(_combination(cols, enumerate(column))), "construction violated A @ G == 0"
     return FirstEntriesMatrix(G)
 
 

@@ -87,9 +87,16 @@ def _positive_solution(echelon: EqualityEchelon) -> PositiveSolution | None:
 def _decide_scaled(
     template: ScalingTemplate, scalar_names: Sequence[str], cap: int | None
 ) -> Decision:
+    solved: dict[tuple, PositiveSolution] = {}
+
+    def feasible(echelon: EqualityEchelon) -> bool:
+        solution = _positive_solution(echelon)
+        if solution is not None:
+            solved[echelon.rows] = solution
+        return solution is not None
+
     search = closure_search(
-        template.columns, template.group_of, template.nvars,
-        lambda echelon: _positive_solution(echelon) is not None, cap,
+        template.columns, template.group_of, template.nvars, feasible, cap
     )
     try:
         found = next(search, None)
@@ -99,8 +106,9 @@ def _decide_scaled(
         return Decision(NO)
     partition, echelon = found
     # The echelon is the reduced form of build_system(template, partition),
-    # so it gives the same scalars without restating the redundant rows.
-    solution = _positive_solution(echelon)
+    # so it gives the same scalars without restating the redundant rows.  Only
+    # the root echelon, which has no rows, reaches here without a solve.
+    solution = solved.get(echelon.rows) or _positive_solution(echelon)
     assert solution is not None, "closure search yielded an infeasible partition"
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)

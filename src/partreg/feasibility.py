@@ -15,8 +15,8 @@ builds the same equalities block by block, largest blocks first.
 
 feasible_positive decides the system exactly: equalities are eliminated in
 linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
-inequalities x_i > 0 with strictness tracked through combinations - exact
-rational arithmetic makes that sound, no epsilons.  Infeasible systems come
+inequalities x_i > 0 with strictness tracked through combinations, on integer
+rows divided by the gcd of their entries; no epsilons.  Infeasible systems come
 with a Farkas-style witness: a non-negative combination of the positivity
 constraints plus an arbitrary-sign combination of the equalities whose
 variables cancel and whose constant is contradictory.
@@ -24,6 +24,7 @@ variables cancel and whose constant is contradictory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -146,42 +147,35 @@ def verify_farkas(system: AffineSystem, witness: FarkasWitness) -> bool:
     return const != 0  # derived "const == 0" fails
 
 
-# Internal inequality representation: coeffs over the free variables,
-# constant, strictness, and provenance multipliers (lam over positivity
-# constraints, mu over original equalities).
-_Ineq = tuple[tuple[Fraction, ...], Fraction, bool, tuple[Fraction, ...], tuple[Fraction, ...]]
+# Internal inequality: one flat integer row, then its strictness.  The row
+# holds the coefficients over the free variables, the constant, and the
+# provenance (lam over the positivity constraints, then mu over the original
+# equalities); it states coeffs . x + const > 0, or >= 0 when not strict.
+_Ineq = tuple[tuple[int, ...], bool]
 
 
-def _prune(ineqs: list[_Ineq]) -> tuple[list[_Ineq], _Ineq | None]:
+def _prune(ineqs: list[_Ineq], nf: int) -> tuple[list[_Ineq], _Ineq | None]:
     """Drop tautologies and dominated rows; surface constant contradictions.
 
-    Rows are normalised by their first non-zero coefficient's absolute value
-    (a positive scaling, so provenance multipliers stay valid); among rows
-    with equal coefficients only the tightest constant survives.  Dominance
+    Rows whose coefficients are positive multiples of each other share the
+    primitive coefficient vector; among them only the tightest constant
+    (compared after dividing by the coefficients' gcd) survives.  Dominance
     never changes feasibility.
     """
-    best: dict[tuple[tuple[Fraction, ...], bool], _Ineq] = {}
-    order: list[tuple[tuple[Fraction, ...], bool]] = []
-    for coeffs, const, strict, lam, mu in ineqs:
-        lead = next((c for c in coeffs if c != 0), None)
-        if lead is None:
+    best: dict[tuple[tuple[int, ...], bool], tuple[int, _Ineq]] = {}
+    for ineq in ineqs:
+        row, strict = ineq
+        coeffs, const = row[:nf], row[nf]
+        if not any(coeffs):
             if const < 0 or (const == 0 and strict):
-                return [], (coeffs, const, strict, lam, mu)
+                return [], ineq
             continue  # tautology
-        scale = Q(1) / abs(lead)
-        if scale != 1:
-            coeffs = tuple(scale * c for c in coeffs)
-            const = scale * const
-            lam = tuple(scale * x for x in lam)
-            mu = tuple(scale * x for x in mu)
-        key = (coeffs, strict)
+        g = math.gcd(*coeffs)
+        key = (tuple(c // g for c in coeffs), strict)
         kept = best.get(key)
-        if kept is None:
-            best[key] = (coeffs, const, strict, lam, mu)
-            order.append(key)
-        elif const < kept[1]:
-            best[key] = (coeffs, const, strict, lam, mu)
-    return [best[k] for k in order], None
+        if kept is None or const * kept[0] < kept[1][0][nf] * g:
+            best[key] = (g, ineq)
+    return [ineq for _, ineq in best.values()], None
 
 
 def solve_positive(
@@ -190,111 +184,111 @@ def solve_positive(
     """Decide the system exactly; return (solution, None) or (None, witness)."""
     nv = system.nvars
     pos = sorted(system.positivity)
-    n_eq = len(system.equalities)
+    n_pos, n_eq = len(pos), len(system.equalities)
+
+    def witness(provenance: Sequence[int]) -> tuple[None, FarkasWitness]:
+        multipliers = [Q(x) for x in provenance]
+        return None, FarkasWitness(tuple(multipliers[:n_pos]), tuple(multipliers[n_pos:]))
 
     # --- stage 1: eliminate equalities in the shared echelon kernel ---
     # Equality l carries the unit vector e_l as extra variables, so the middle
     # entries mu of every reduced row satisfy: row == sum(mu_l * equality_l).
     # Clearing a row's denominators scales its unit vector too, so that holds
-    # for the integer rows, and for them read back with pivot 1.
-    # The unit vectors keep the rows independent, so extend never fails.
+    # for the integer rows.  The unit vectors keep the rows independent, so
+    # extend never fails.
     width = nv + n_eq
     echelon = EqualityEchelon(width).extend(
         integer_row(eq.coeffs + tuple(int(i == l) for i in range(n_eq)) + (eq.const,))
         for l, eq in enumerate(system.equalities)
     )
-    pivot_rows: dict[int, tuple] = {}  # pivot -> (coeffs, const, mu)
+    pivot_rows: dict[int, tuple[int, ...]] = {}
     for p, row in zip(echelon.pivots, echelon.rows):
-        row = rational_row(row, p)
         if p < nv:
-            pivot_rows[p] = (row[:nv], row[width], row[nv:width])
+            pivot_rows[p] = row
         elif row[width]:
-            return None, FarkasWitness((Q(0),) * len(pos), row[nv:width])
+            return witness((0,) * n_pos + row[nv:width])
 
     free_vars = [i for i in range(nv) if i not in pivot_rows]
     nf = len(free_vars)
 
     # --- stage 2: restate each positivity constraint over the free variables ---
+    # A pivot row a*x_p + sum(r_f * x_f) + c == 0 (a > 0) turns x_p > 0 into
+    # -sum(r_f * x_f) - c > 0, which is a*x_p minus the row: lam_j = a and
+    # mu = -(the row's mu).  The echelon rows are primitive, so these are too.
     ineqs: list[_Ineq] = []
     for j, p in enumerate(pos):
-        lam = tuple(Q(1) if i == j else Q(0) for i in range(len(pos)))
+        lam = [0] * n_pos
         if p in pivot_rows:
-            coeffs, const, mu = pivot_rows[p]
-            # x_p = -const - sum(coeffs_f * x_f) on the solution set
-            fcoeffs = tuple(-coeffs[f] for f in free_vars)
-            ineqs.append((fcoeffs, -const, True, lam, tuple(-m for m in mu)))
+            row = pivot_rows[p]
+            lam[j] = row[p]
+            coeffs = [-row[f] for f in free_vars] + [-row[width]]
+            mu = [-m for m in row[nv:width]]
         else:
-            fcoeffs = tuple(Q(1) if f == p else Q(0) for f in free_vars)
-            ineqs.append((fcoeffs, Q(0), True, lam, (Q(0),) * n_eq))
+            lam[j] = 1
+            coeffs = [int(f == p) for f in free_vars] + [0]
+            mu = [0] * n_eq
+        ineqs.append((tuple(coeffs + lam + mu), True))
 
-    ineqs, contradiction = _prune(ineqs)
+    ineqs, contradiction = _prune(ineqs, nf)
     if contradiction is not None:
-        return None, FarkasWitness(contradiction[3], contradiction[4])
+        return witness(contradiction[0][nf + 1:])
 
     # --- stage 3: Fourier-Motzkin over the free variables ---
+    # Every combination is divided by the gcd of all its entries, a positive
+    # scaling that leaves the bounds and the provenance's validity as they are.
     snapshots: list[tuple[int, list[_Ineq], list[_Ineq]]] = []
     while True:
-        occurring = [
-            k for k in range(nf) if any(row[0][k] != 0 for row in ineqs)
-        ]
+        occurring = [k for k in range(nf) if any(row[k] for row, _ in ineqs)]
         if not occurring:
             break
         # classic heuristic: eliminate the variable minimising lower*upper
         def cost(k: int, rows: list[_Ineq] = ineqs) -> tuple[int, int]:
-            lo = sum(1 for row in rows if row[0][k] > 0)
-            hi = sum(1 for row in rows if row[0][k] < 0)
+            lo = sum(1 for row, _ in rows if row[k] > 0)
+            hi = sum(1 for row, _ in rows if row[k] < 0)
             return (lo * hi, k)
 
         k = min(occurring, key=cost)
-        lowers = [row for row in ineqs if row[0][k] > 0]
-        uppers = [row for row in ineqs if row[0][k] < 0]
-        passthrough = [row for row in ineqs if row[0][k] == 0]
+        lowers = [ineq for ineq in ineqs if ineq[0][k] > 0]
+        uppers = [ineq for ineq in ineqs if ineq[0][k] < 0]
         snapshots.append((k, lowers, uppers))
-        combined: list[_Ineq] = list(passthrough)
-        for lo_row in lowers:
-            a = lo_row[0][k]
-            for up_row in uppers:
-                b = -up_row[0][k]
-                coeffs = tuple(
-                    b * x + a * y for x, y in zip(lo_row[0], up_row[0])
-                )
-                const = b * lo_row[1] + a * up_row[1]
-                strict = lo_row[2] or up_row[2]
-                lam = tuple(b * x + a * y for x, y in zip(lo_row[3], up_row[3]))
-                mu = tuple(b * x + a * y for x, y in zip(lo_row[4], up_row[4]))
-                combined.append((coeffs, const, strict, lam, mu))
-        ineqs, contradiction = _prune(combined)
+        combined = [ineq for ineq in ineqs if ineq[0][k] == 0]
+        for lo_row, lo_strict in lowers:
+            a = lo_row[k]
+            for up_row, up_strict in uppers:
+                b = -up_row[k]
+                row = [b * x + a * y for x, y in zip(lo_row, up_row)]
+                g = math.gcd(*row)  # lam > 0 somewhere, so g > 0
+                if g > 1:
+                    row = [x // g for x in row]
+                combined.append((tuple(row), lo_strict or up_strict))
+        ineqs, contradiction = _prune(combined, nf)
         if contradiction is not None:
-            return None, FarkasWitness(contradiction[3], contradiction[4])
+            return witness(contradiction[0][nf + 1:])
 
     # --- stage 4: back-substitute a concrete point, preferring the value 1 ---
     # A variable that left every row before its own elimination is
     # unconstrained by the projection, so 1 is as good as any value for it.
-    free_values: dict[int, Fraction] = {f: Q(1) for f in free_vars}
+    # Only these values are Fractions.
+    values: list[Fraction] = [Q(1)] * nf
 
-    def evaluate(row: _Ineq, skip: int) -> Fraction:
-        coeffs, const, _, _, _ = row
-        total = const
-        for k, c in enumerate(coeffs):
-            if k != skip and c != 0:
-                total += c * free_values[free_vars[k]]
-        return total
+    def bound(row: tuple[int, ...], k: int) -> Fraction:
+        total = Q(row[nf])
+        for i in range(nf):
+            if i != k and row[i]:
+                total += row[i] * values[i]
+        return -total / row[k]
 
     for k, lowers, uppers in reversed(snapshots):
         lo_bound: tuple[Fraction, bool] | None = None
-        for row in lowers:
-            bound = -evaluate(row, k) / row[0][k]
-            if lo_bound is None or bound > lo_bound[0] or (
-                bound == lo_bound[0] and row[2]
-            ):
-                lo_bound = (bound, row[2])
+        for row, strict in lowers:
+            b = bound(row, k)
+            if lo_bound is None or b > lo_bound[0] or (b == lo_bound[0] and strict):
+                lo_bound = (b, strict)
         hi_bound: tuple[Fraction, bool] | None = None
-        for row in uppers:
-            bound = -evaluate(row, k) / row[0][k]
-            if hi_bound is None or bound < hi_bound[0] or (
-                bound == hi_bound[0] and row[2]
-            ):
-                hi_bound = (bound, row[2])
+        for row, strict in uppers:
+            b = bound(row, k)
+            if hi_bound is None or b < hi_bound[0] or (b == hi_bound[0] and strict):
+                hi_bound = (b, strict)
         one = Q(1)
         ok_lo = lo_bound is None or one > lo_bound[0] or (one == lo_bound[0] and not lo_bound[1])
         ok_hi = hi_bound is None or one < hi_bound[0] or (one == hi_bound[0] and not hi_bound[1])
@@ -311,15 +305,14 @@ def solve_positive(
         else:
             assert hi_bound is not None
             value = hi_bound[0] - 1
-        free_values[free_vars[k]] = value
+        values[k] = value
 
     assignment = [Q(0)] * nv
-    for f in free_vars:
-        assignment[f] = free_values[f]
-    for p, (coeffs, const, _mu) in pivot_rows.items():
-        assignment[p] = -const - sum(
-            (coeffs[f] * free_values[f] for f in free_vars), Q(0)
-        )
+    for f, value in zip(free_vars, values):
+        assignment[f] = value
+    for p, row in pivot_rows.items():
+        total = sum((row[f] * value for f, value in zip(free_vars, values)), Q(row[width]))
+        assignment[p] = -total / row[p]
 
     for eq in system.equalities:
         total = sum((c * a for c, a in zip(eq.coeffs, assignment)), eq.const)

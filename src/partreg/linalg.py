@@ -6,11 +6,12 @@ time.  Matrices here are small and dense, which keeps plain Gauss-Jordan
 elimination the right tool.
 
 EqualityEchelon is the one elimination kernel: rref, the span and kernel
-helpers built on it, the closure search's scalar equalities and the
-equality stage of the positive-solution solver all reduce through its
-extend.  It works fraction-free on integer rows; integer_row and
-rational_row convert at the boundary, so Fractions appear only where rows
-enter from or leave for the rational API.
+helpers built on it (integer_kernel reads a kernel basis off an echelon),
+the closure search's scalar equalities and the equality stage of the
+positive-solution solver all reduce through its extend.  It works
+fraction-free on integer rows; integer_row and rational_row convert at the
+boundary, so Fractions appear only where rows enter from or leave for the
+rational API.
 """
 
 from __future__ import annotations
@@ -261,6 +262,10 @@ class EqualityEchelon:
         return EqualityEchelon(nvars, tuple(rows), tuple(pivots))
 
 
+def _homogeneous_echelon(dim: int, rows: Iterable[tuple[Fraction | int, ...]]) -> EqualityEchelon:
+    return EqualityEchelon(dim).extend(integer_row(row + (0,)) for row in rows)
+
+
 def rref(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Reduced row echelon form of M, padded with zero rows to M's shape.
 
@@ -268,7 +273,7 @@ def rref(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     equalities M x == 0; the reduced form of a row space is unique, so R
     does not depend on the order or redundancy of M's rows.
     """
-    echelon = EqualityEchelon(M.cols).extend(integer_row(row + (0,)) for row in M.entries)
+    echelon = _homogeneous_echelon(M.cols, M.entries)
     rank = len(echelon.rows)
     grid = tuple(
         rational_row(row[:-1], p) for p, row in zip(echelon.pivots, echelon.rows)
@@ -304,6 +309,28 @@ def span_membership(basis: Sequence[QVector], target: QVector) -> list[Fraction]
     return coeffs
 
 
+def integer_kernel(echelon: EqualityEchelon) -> list[tuple[int, ...]]:
+    """Integer basis of the kernel of the echelon's coefficients.
+
+    The constants are ignored: the vectors x satisfy a . x == 0 for every
+    row.  There is one vector per free (non-pivot) variable f, in increasing
+    order; it is primitive, positive at f and zero at the other free
+    variables.
+    """
+    n = echelon.nvars
+    pivots, rows = echelon.pivots, echelon.rows
+    basis: list[tuple[int, ...]] = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        scale = math.lcm(*(row[p] for p, row in zip(pivots, rows) if row[f]))
+        vector = [0] * n
+        vector[f] = scale
+        for p, row in zip(pivots, rows):
+            if row[f]:
+                vector[p] = -row[f] * (scale // row[p])
+        basis.append(_primitive(vector, f))
+    return basis
+
+
 def nullspace_basis(M: QMatrix) -> list[QVector]:
     """Rational basis of the kernel {x : Mx = 0}, one vector per free column.
 
@@ -311,18 +338,11 @@ def nullspace_basis(M: QMatrix) -> list[QVector]:
     columns, so the free coordinates of any kernel vector are literally its
     entries at those columns.
     """
-    R, pivots, _ = rref(M)
-    pivot_set = set(pivots)
-    basis: list[QVector] = []
-    for f in range(M.cols):
-        if f in pivot_set:
-            continue
-        entries = [Q(0)] * M.cols
-        entries[f] = Q(1)
-        for row_idx, p in enumerate(pivots):
-            entries[p] = -R.entries[row_idx][f]
-        basis.append(QVector(tuple(entries)))
-    return basis
+    echelon = _homogeneous_echelon(M.cols, M.entries)
+    frees = sorted(set(range(M.cols)) - set(echelon.pivots))
+    return [
+        QVector(rational_row(vector, f)) for f, vector in zip(frees, integer_kernel(echelon))
+    ]
 
 
 def residual_functionals(vectors: Sequence[QVector], dim: int | None = None) -> QMatrix:
@@ -342,11 +362,9 @@ def residual_functionals(vectors: Sequence[QVector], dim: int | None = None) -> 
         raise ValueError("residual_functionals: dim required for an empty set")
     else:
         u = dim
-    if not vectors:
-        return QMatrix.identity(u)
-    stacked = QMatrix(len(vectors), u, tuple(v.entries for v in vectors))
-    annihilator = nullspace_basis(stacked)
-    if not annihilator:
-        return QMatrix.empty(u)
-    R, _, _ = rref(QMatrix(len(annihilator), u, tuple(a.entries for a in annihilator)))
-    return R
+    kernel = integer_kernel(_homogeneous_echelon(u, (v.entries for v in vectors)))
+    annihilator = _homogeneous_echelon(u, kernel)
+    return QMatrix(
+        len(kernel), u,
+        tuple(rational_row(row[:-1], p) for p, row in zip(annihilator.pivots, annihilator.rows)),
+    )

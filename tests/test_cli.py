@@ -160,6 +160,9 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     '{"partition": [["1", "3"], ["2"]], "witnesses": [[{"column": 1, "coeff": "1"}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1.9, "coeff": "1"}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": true, "coeff": "1"}]]}',
+    # A JSON boolean is not a coefficient; true would read as a valid 1.
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": true}]]}',
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": false}]]}',
 ])
 @pytest.mark.parametrize("command", ["certify", "first-entries"])
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, document):

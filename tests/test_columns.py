@@ -27,6 +27,7 @@ from partreg import (
     enumerate_ordered_partitions,
     first_entries_from_certificate,
     is_first_entries_sufficient,
+    rational,
     verify_certificate,
 )
 
@@ -150,6 +151,83 @@ def test_verify_assembled_matrix_at_one_half():
     )
     assert cert is not None
     assert verify_certificate(assembled, cert)
+
+
+def fraction_certificate_holds(A: QMatrix, certificate) -> bool:
+    """Plain Fraction re-check of a certificate, coefficients coerced by rational."""
+    try:
+        blocks = certificate.partition.blocks
+        if not certificate.partition.covers(A.cols):
+            return False
+        if len(certificate.witnesses) != len(blocks) - 1:
+            return False
+
+        def block_sum(block):
+            return [sum((row[i] for i in block), F(0)) for row in A.entries]
+
+        if any(block_sum(blocks[0])):
+            return False
+        earlier = set(blocks[0])
+        for block, terms in zip(blocks[1:], certificate.witnesses):
+            used = [i for i, _ in terms]
+            if len(set(used)) != len(used) or not earlier.issuperset(used):
+                return False
+            combo = [sum((rational(c) * row[i] for i, c in terms), F(0)) for row in A.entries]
+            if combo != block_sum(block):
+                return False
+            earlier.update(block)
+        return True
+    except TypeError:  # a float coefficient
+        return False
+
+
+def tampered_certificates(rng, cert: ColumnsConditionCertificate):
+    """(label, certificate) variants of a valid certificate with two or more blocks."""
+    blocks, witnesses = cert.partition.blocks, cert.witnesses
+    t = rng.randrange(len(witnesses))
+    terms = list(witnesses[t])
+
+    def with_terms(new_terms):
+        changed = witnesses[:t] + (tuple(new_terms),) + witnesses[t + 1:]
+        return ColumnsConditionCertificate(cert.partition, changed)
+
+    k = rng.randrange(len(terms))
+    i, c = terms[k]
+    shifted = terms[:k] + [(i, c + rng.choice((1, -1, F(1, 2))))] + terms[k + 1:]
+    yield "shifted", with_terms(shifted)
+    a, b = rng.sample(range(len(blocks)), 2)
+    swapped = list(blocks)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    yield "swapped", ColumnsConditionCertificate(OrderedPartition(tuple(swapped)), witnesses)
+    later = rng.choice([j for block in blocks[t + 1:] for j in block])
+    yield "later", with_terms(terms + [(later, F(0))])
+    yield "str", with_terms([(j, str(x)) for j, x in terms])
+    yield "int", with_terms([(j, x.numerator) for j, x in terms])
+    yield "float", with_terms([(j, float(x)) for j, x in terms])
+
+
+def test_verify_agrees_with_a_fraction_recheck_on_tampered_certificates():
+    rng = random.Random(101)
+    seen: dict[tuple[str, bool], int] = {}
+    checked = 0
+    while checked < 150:
+        M = random_matrix(rng, rng.randint(1, 2), rng.randint(3, 5), max_num=2, max_den=1)
+        M = M.scale(F(rng.randint(1, 3), rng.randint(1, 3)))
+        cert = decide_columns_condition(M)
+        if not isinstance(cert, ColumnsConditionCertificate) or cert.partition.block_count < 2:
+            continue
+        checked += 1
+        assert verify_certificate(M, cert) and fraction_certificate_holds(M, cert)
+        for label, variant in tampered_certificates(rng, cert):
+            verdict = verify_certificate(M, variant)
+            assert verdict == fraction_certificate_holds(M, variant), label
+            if label == "float":
+                assert verdict is False
+            if label == "str":
+                assert verdict is True
+            seen[label, verdict] = seen.get((label, verdict), 0) + 1
+    for label in ("shifted", "swapped", "later", "int"):
+        assert seen.get((label, False), 0) > 0, label
 
 
 def test_certificate_json_round_trip():

@@ -129,6 +129,33 @@ def test_doubly_ipr_schur_image_matrix():
     assert is_first_entries_sufficient(schur_image()) == 1
 
 
+def test_each_scalar_system_is_solved_once_per_decision(monkeypatch):
+    # The final scalars reuse the solution the search's feasibility check
+    # already found for the yielded equalities.
+    import partreg.decisions as decisions
+
+    solved = []
+    feasible_positive = decisions.feasible_positive
+
+    def recording(system):
+        solved.append(system.equalities)
+        return feasible_positive(system)
+
+    monkeypatch.setattr(decisions, "feasible_positive", recording)
+    rng = random.Random(103)
+    queries = [lambda: doubly_ipr(fractional_b_matrix()), lambda: is_ipr(vdw_image())]
+    for _ in range(30):
+        A = QMatrix.of([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+        queries.append(lambda A=A: doubly_ipr(A))
+    constrained_yes = 0
+    for query in queries:
+        solved.clear()
+        decision = query()
+        assert len(solved) == len(set(solved))
+        constrained_yes += decision.is_yes and any(solved)
+    assert constrained_yes >= 2
+
+
 def test_doubly_ipr_matches_doubly_kpr_with_negated_identity():
     for M in (fractional_b_matrix(), diag12(), schur_image()):
         assert doubly_ipr(M).verdict == doubly_kpr(M, minus_identity(M.rows)).verdict

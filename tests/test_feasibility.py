@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import diag12, schur, fractional_b_matrix
+from fm_reference import reference_solve_positive
 from partreg import (
     AffineSystem,
     LinearEquality,
@@ -131,6 +132,40 @@ def test_random_systems_with_partial_positivity_are_answered():
             assert witness is not None and verify_farkas(system, witness)
             refuted += 1
     assert solved > 50 and refuted > 50
+
+
+def test_integer_fourier_motzkin_matches_the_fraction_reference():
+    # Rows scaled to gcd-normalised integers are positive multiples of the
+    # reference's rows, so every bound and hence every assignment is the
+    # same, and every Farkas witness is a positive multiple of the reference's.
+    rng = random.Random(83)
+    solved = refuted = 0
+    for _ in range(500):
+        nvars = rng.randint(1, 5)
+        equalities = tuple(
+            LinearEquality(
+                tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(nvars)),
+                F(rng.randint(-3, 3), rng.choice((1, 2))),
+            )
+            for _ in range(rng.randint(0, 3))
+        )
+        positivity = frozenset(v for v in range(nvars) if rng.random() < 0.7)
+        system = AffineSystem(nvars, equalities, positivity)
+        solution, witness = solve_positive(system)
+        expected, expected_witness = reference_solve_positive(system)
+        assert (solution is None) == (expected is None)
+        if solution is not None:
+            assert solution.assignment == expected.assignment
+            assert all(type(x) is F for x in solution.assignment)
+            solved += 1
+            continue
+        assert verify_farkas(system, witness) and verify_farkas(system, expected_witness)
+        got = witness.ineq_multipliers + witness.eq_multipliers
+        want = expected_witness.ineq_multipliers + expected_witness.eq_multipliers
+        ratio = next(x / y for x, y in zip(got, want) if y)
+        assert ratio > 0 and got == tuple(ratio * y for y in want)
+        refuted += 1
+    assert solved >= 100 and refuted >= 100
 
 
 def test_feasibility_invariant_under_positive_constant_scaling():

@@ -14,7 +14,7 @@ from partreg import (
     rref,
     span_membership,
 )
-from partreg.linalg import EqualityEchelon, integer_row, rational_row
+from partreg.linalg import EqualityEchelon, integer_kernel, integer_row, rational_row
 
 
 def test_rational_refuses_floats():
@@ -258,3 +258,48 @@ def test_nullspace_vectors_are_exact_and_independent():
         if basis:
             stacked = QMatrix(len(basis), M.cols, tuple(v.entries for v in basis))
             assert rref(stacked)[2] == len(basis)
+
+
+def test_integer_kernel_is_an_independent_annihilating_basis():
+    rng = random.Random(89)
+    for _ in range(60):
+        M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), max_den=rng.choice((1, 3)))
+        echelon = EqualityEchelon(M.cols).extend(integer_row(row + (0,)) for row in M.entries)
+        kernel = integer_kernel(echelon)
+        _, pivots, rank = gauss_jordan(M)
+        assert len(kernel) == M.cols - rank
+        free = [f for f in range(M.cols) if f not in pivots]
+        for f, vector in zip(free, kernel):
+            assert all(type(x) is int for x in vector) and math.gcd(*vector) == 1
+            assert vector[f] > 0 and not any(vector[g] for g in free if g != f)
+            assert M.matvec(QVector.of(vector)).is_zero()
+        if kernel:
+            assert rref(QMatrix.of(kernel))[2] == len(kernel)
+
+
+def gauss_jordan_kernel(M: QMatrix) -> list[QVector]:
+    """Reference kernel basis: 1 at each free column, read off gauss_jordan."""
+    R, pivots, _ = gauss_jordan(M)
+    basis = []
+    for f in (f for f in range(M.cols) if f not in pivots):
+        entries = [F(0)] * M.cols
+        entries[f] = F(1)
+        for row, p in zip(R.entries, pivots):
+            entries[p] = -row[f]
+        basis.append(QVector(tuple(entries)))
+    return basis
+
+
+def test_nullspace_and_residual_match_fraction_gauss_jordan():
+    rng = random.Random(97)
+    for _ in range(60):
+        M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), max_den=rng.choice((1, 3, 7)))
+        assert nullspace_basis(M) == gauss_jordan_kernel(M)
+        vectors = [M.row(i) for i in range(M.rows)]
+        annihilator = gauss_jordan_kernel(M)
+        if annihilator:
+            R, _, rank = gauss_jordan(QMatrix.of([v.entries for v in annihilator]))
+            expected = QMatrix(rank, M.cols, R.entries[:rank])
+        else:
+            expected = QMatrix.empty(M.cols)
+        assert residual_functionals(vectors) == expected

@@ -258,6 +258,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cap = args.cap
+    if cap < 0:
+        raise ValueError(f"--cap must be a non-negative number of candidate blocks, got {cap}")
     if args.command == "kpr":
         return _report_decision(is_kpr(load_matrix(args.file), cap), args.json)
     if args.command == "ipr":

@@ -5,7 +5,10 @@ Rado's columns condition when the I_1 columns sum to zero exactly and each
 later block's column sum is a linear combination of all earlier columns.  By
 Rado's theorem this decides kernel partition regularity, so the search here
 is the core decision procedure; everything is exact, rational at the API and
-integer in the search's equalities and in the certificate checks.
+integer in the search's equalities.  Building a certificate, verifying it
+and turning it into a first-entries matrix all run on the matrix's cached
+integer view (QMatrix.integer_columns), so a matrix is scaled to integers
+once for the whole audit round trip.
 
 The search (closure_search) never walks ordered partitions.  Call a column
 set reachable when some chain of blocks covers it.  Reachable sets are
@@ -35,7 +38,7 @@ from .linalg import (
     integer_kernel,
     integer_row,
     rational,
-    span_membership,
+    span_coefficients,
 )
 
 DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
@@ -208,15 +211,6 @@ def enumerate_ordered_partitions(
             yield OrderedPartition(tuple(blocks[i] for i in perm))
 
 
-def _block_sum(cols: list[QVector], block: tuple[int, ...]) -> QVector:
-    acc = list(cols[block[0]].entries)
-    for i in block[1:]:
-        entries = cols[i].entries
-        for r in range(len(acc)):
-            acc[r] += entries[r]
-    return QVector(tuple(acc))
-
-
 def check_partition(
     A: QMatrix, partition: OrderedPartition
 ) -> ColumnsConditionCertificate | None:
@@ -224,18 +218,19 @@ def check_partition(
 
     Witness coefficients come from the canonical exact solve against the
     earlier columns in increasing index order (free coefficients pinned to
-    zero); certificates are not unique, only validity is contractual.
+    zero); certificates are not unique, only validity is contractual.  The
+    solves run on A's integer columns.
     """
     if not partition.covers(A.cols):
         raise ValueError("partition does not cover the matrix's column indices")
-    cols = A.columns()
-    if not _block_sum(cols, partition.blocks[0]).is_zero():
+    cols = A.integer_columns
+    if any(_combination(cols, ((i, 1) for i in partition.blocks[0]))):
         return None
     witnesses: list[WitnessTerms] = []
     earlier: list[int] = sorted(partition.blocks[0])
     for t in range(1, partition.block_count):
-        target = _block_sum(cols, partition.blocks[t])
-        coeffs = span_membership([cols[i] for i in earlier], target)
+        target = _combination(cols, ((i, 1) for i in partition.blocks[t]))
+        coeffs = span_coefficients([cols[i] for i in earlier], target)
         if coeffs is None:
             return None
         witnesses.append(tuple(zip(earlier, coeffs)))
@@ -243,19 +238,19 @@ def check_partition(
     return ColumnsConditionCertificate(partition, tuple(witnesses))
 
 
-def _integral_columns(A: QMatrix) -> list[list[int]]:
-    # One common multiplier for all columns keeps every combination of them
-    # proportional, so a combination vanishes exactly when it did before.
-    flat = integer_row(x for row in A.entries for x in row)
-    return [flat[j::A.cols] for j in range(A.cols)]
-
-
-def _combination(columns: list[list[int]], terms: Iterable[tuple[int, int]]) -> list[int]:
+def _combination(columns: Sequence[Sequence[int]], terms: Iterable[tuple[int, int]]) -> list[int]:
     total = [0] * len(columns[0])
     for i, m in terms:
         if m:
             total = [x + m * y for x, y in zip(total, columns[i])]
     return total
+
+
+def _annihilates(columns: Sequence[Sequence[int]], terms: Sequence[tuple[int, Fraction | int]]) -> bool:
+    # sum(c_i * column_i) == 0, checked in integers after scaling by the lcm
+    # d of the coefficients' denominators
+    d = math.lcm(*(c.denominator for _, c in terms))
+    return not any(_combination(columns, ((i, c.numerator * (d // c.denominator)) for i, c in terms)))
 
 
 def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> bool:
@@ -273,7 +268,7 @@ def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> 
             return False
         if len(certificate.witnesses) != partition.block_count - 1:
             return False
-        cols = _integral_columns(A)
+        cols = A.integer_columns
         if any(_combination(cols, ((i, 1) for i in partition.blocks[0]))):
             return False
         earlier: set[int] = set(partition.blocks[0])
@@ -282,10 +277,7 @@ def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> 
             used = [i for i, _ in terms]
             if len(set(used)) != len(used) or any(i not in earlier for i in used):
                 return False
-            d = math.lcm(*(c.denominator for _, c in terms))
-            target = _combination(cols, ((i, d) for i in partition.blocks[t]))
-            combo = _combination(cols, ((i, c.numerator * (d // c.denominator)) for i, c in terms))
-            if combo != target:
+            if not _annihilates(cols, terms + [(i, -1) for i in partition.blocks[t]]):
                 return False
             earlier.update(partition.blocks[t])
         return True
@@ -325,7 +317,9 @@ def closure_search(
     explored: set[tuple] = set()
     examined = 0
     dim = columns[0].dim
-    integral = _integral_columns(QMatrix.from_columns(columns))
+    # One common multiplier keeps every combination of the columns proportional.
+    flat = integer_row(x for column in columns for x in column.entries)
+    integral = [flat[j * dim:(j + 1) * dim] for j in range(len(columns))]
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
         # One integer equality per annihilator row of the placed columns.
@@ -459,12 +453,11 @@ def first_entries_from_certificate(
     for t, terms in enumerate(certificate.witnesses, start=1):
         for i, coeff in terms:
             grid[i][t] = -coeff
-    G = QMatrix(A.cols, m, tuple(tuple(row) for row in grid))
-    cols = _integral_columns(A)
+    cols = A.integer_columns
     for t in range(m):
-        column = integer_row(row[t] for row in grid)
-        assert not any(_combination(cols, enumerate(column))), "construction violated A @ G == 0"
-    return FirstEntriesMatrix(G)
+        column = [(i, row[t]) for i, row in enumerate(grid) if row[t]]
+        assert _annihilates(cols, column), "construction violated A @ G == 0"
+    return FirstEntriesMatrix(QMatrix(A.cols, m, tuple(tuple(row) for row in grid)))
 
 
 def is_first_entries_sufficient(A: QMatrix) -> Fraction | None:

@@ -26,13 +26,7 @@ from .columns import (
     closure_search,
     decide_columns_condition,
 )
-from .feasibility import (
-    AffineSystem,
-    LinearEquality,
-    PositiveSolution,
-    ScalingTemplate,
-    feasible_positive,
-)
+from .feasibility import PositiveSolution, ScalingTemplate, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix, QVector
 
 YES = "YES"
@@ -79,9 +73,9 @@ class Decision:
 
 
 def _positive_solution(echelon: EqualityEchelon) -> PositiveSolution | None:
-    n = echelon.nvars
-    equalities = tuple(LinearEquality(row[:n], row[n]) for row in echelon.rows)
-    return feasible_positive(AffineSystem(n, equalities, frozenset(range(n))))
+    # The search's echelon is already reduced and consistent: no stage 1.
+    solution, _ = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))
+    return solution
 
 
 def _decide_scaled(
@@ -198,15 +192,12 @@ def zero_column_subset_exists(A: QMatrix) -> tuple[int, ...] | None:
     """Some non-empty set of columns summing exactly to zero, if any.
 
     Subsets are scanned by increasing size, then lexicographically, so the
-    returned witness is canonical.
+    returned witness is canonical.  The sums run on A's integer columns.
     """
-    cols = A.columns()
+    cols = A.integer_columns
     for size in range(1, A.cols + 1):
         for subset in itertools.combinations(range(A.cols), size):
-            total = cols[subset[0]]
-            for i in subset[1:]:
-                total = total + cols[i]
-            if total.is_zero():
+            if not any(map(sum, zip(*(cols[i] for i in subset)))):
                 return subset
     return None
 

@@ -19,7 +19,10 @@ inequalities x_i > 0 with strictness tracked through combinations, on integer
 rows divided by the gcd of their entries; no epsilons.  Infeasible systems come
 with a Farkas-style witness: a non-negative combination of the positivity
 constraints plus an arbitrary-sign combination of the equalities whose
-variables cancel and whose constant is contradictory.
+variables cancel and whose constant is contradictory.  The elimination is
+stage 1 of solve_positive; stages 2-4 are solve_positive_echelon, which the
+decision procedures call directly on the closure search's echelon, already
+reduced and in integers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .columns import (
     DEFAULT_PARTITION_CAP,
@@ -183,8 +186,7 @@ def solve_positive(
 ) -> tuple[PositiveSolution | None, FarkasWitness | None]:
     """Decide the system exactly; return (solution, None) or (None, witness)."""
     nv = system.nvars
-    pos = sorted(system.positivity)
-    n_pos, n_eq = len(pos), len(system.equalities)
+    n_pos, n_eq = len(system.positivity), len(system.equalities)
 
     def witness(provenance: Sequence[int]) -> tuple[None, FarkasWitness]:
         multipliers = [Q(x) for x in provenance]
@@ -201,13 +203,34 @@ def solve_positive(
         integer_row(eq.coeffs + tuple(int(i == l) for i in range(n_eq)) + (eq.const,))
         for l, eq in enumerate(system.equalities)
     )
-    pivot_rows: dict[int, tuple[int, ...]] = {}
     for p, row in zip(echelon.pivots, echelon.rows):
-        if p < nv:
-            pivot_rows[p] = row
-        elif row[width]:
+        if p >= nv and row[width]:
             return witness((0,) * n_pos + row[nv:width])
 
+    solution, provenance = solve_positive_echelon(echelon, nv, system.positivity)
+    if solution is None:
+        return witness(provenance)
+    for eq in system.equalities:
+        total = sum((c * a for c, a in zip(eq.coeffs, solution.assignment)), eq.const)
+        assert total == 0, "back-substitution broke an equality"
+    return solution, None
+
+
+def solve_positive_echelon(
+    echelon: EqualityEchelon, nvars: int, positivity: Iterable[int]
+) -> tuple[PositiveSolution | None, tuple[int, ...] | None]:
+    """Stages 2-4 of solve_positive on a consistent, reduced equality echelon.
+
+    The echelon's first `nvars` variables are the unknowns; any later ones
+    carry provenance mu over original equalities, as stage 1 builds them.
+    Returns (solution, None), strictly positive on `positivity`, or (None,
+    provenance): the integer multipliers of a Farkas-style contradiction,
+    lam over the sorted positivity set, then mu.
+    """
+    nv, width = nvars, echelon.nvars
+    pos = sorted(positivity)
+    n_pos = len(pos)
+    pivot_rows = {p: row for p, row in zip(echelon.pivots, echelon.rows) if p < nv}
     free_vars = [i for i in range(nv) if i not in pivot_rows]
     nf = len(free_vars)
 
@@ -226,12 +249,12 @@ def solve_positive(
         else:
             lam[j] = 1
             coeffs = [int(f == p) for f in free_vars] + [0]
-            mu = [0] * n_eq
+            mu = [0] * (width - nv)
         ineqs.append((tuple(coeffs + lam + mu), True))
 
     ineqs, contradiction = _prune(ineqs, nf)
     if contradiction is not None:
-        return witness(contradiction[0][nf + 1:])
+        return None, contradiction[0][nf + 1:]
 
     # --- stage 3: Fourier-Motzkin over the free variables ---
     # Every combination is divided by the gcd of all its entries, a positive
@@ -263,7 +286,7 @@ def solve_positive(
                 combined.append((tuple(row), lo_strict or up_strict))
         ineqs, contradiction = _prune(combined, nf)
         if contradiction is not None:
-            return witness(contradiction[0][nf + 1:])
+            return None, contradiction[0][nf + 1:]
 
     # --- stage 4: back-substitute a concrete point, preferring the value 1 ---
     # A variable that left every row before its own elimination is
@@ -314,8 +337,8 @@ def solve_positive(
         total = sum((row[f] * value for f, value in zip(free_vars, values)), Q(row[width]))
         assignment[p] = -total / row[p]
 
-    for eq in system.equalities:
-        total = sum((c * a for c, a in zip(eq.coeffs, assignment)), eq.const)
+    for row in echelon.rows:
+        total = sum((c * a for c, a in zip(row, assignment)), Q(row[width]))
         assert total == 0, "back-substitution broke an equality"
     assert all(assignment[p] > 0 for p in pos), "back-substitution lost positivity"
     return PositiveSolution(tuple(assignment)), None

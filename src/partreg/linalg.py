@@ -11,7 +11,10 @@ the closure search's scalar equalities and the equality stage of the
 positive-solution solver all reduce through its extend.  It works
 fraction-free on integer rows; integer_row and rational_row convert at the
 boundary, so Fractions appear only where rows enter from or leave for the
-rational API.
+rational API.  Each QMatrix caches one integer view of itself,
+integer_columns, so the certificate steps scale a matrix once between them;
+span_coefficients, the one clause solver, runs on such integer columns and
+span_membership wraps it for QVectors.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -185,6 +189,17 @@ class QMatrix:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
+    @cached_property
+    def integer_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns times one common multiplier: integers, computed once.
+
+        One multiplier for all columns keeps every combination of them
+        proportional, so a combination vanishes exactly when it did before
+        and span coefficients are unchanged.
+        """
+        flat = integer_row(x for row in self.entries for x in row)
+        return tuple(tuple(flat[j::self.cols]) for j in range(self.cols))
+
     def to_lines(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
@@ -281,6 +296,28 @@ def rref(M: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     return QMatrix(M.rows, M.cols, grid), echelon.pivots, rank
 
 
+def span_coefficients(
+    columns: Sequence[Sequence[int]], target: Sequence[int]
+) -> list[Fraction] | None:
+    """Exact coefficients with sum(coeff_i * columns_i) == target, or None.
+
+    The vectors are integer; scaling them all by one multiplier leaves the
+    coefficients as they are.  The solve is the echelon of the equalities
+    columns . x + target == 0, so x = -coeff; free coordinates are pinned
+    to 0, which makes the combination canonical for a fixed column order.
+    """
+    n = len(columns)
+    echelon = EqualityEchelon(n).extend(
+        [c[r] for c in columns] + [target[r]] for r in range(len(target))
+    )
+    if echelon is None:
+        return None
+    coeffs = [Q(0)] * n
+    for p, row in zip(echelon.pivots, echelon.rows):
+        coeffs[p] = Fraction(row[n], row[p])
+    return coeffs
+
+
 def span_membership(basis: Sequence[QVector], target: QVector) -> list[Fraction] | None:
     """Exact coefficients with sum(coeff_i * basis_i) == target, or None.
 
@@ -290,23 +327,10 @@ def span_membership(basis: Sequence[QVector], target: QVector) -> list[Fraction]
     """
     if any(b.dim != target.dim for b in basis):
         raise ValueError("span_membership: dimension mismatch")
-    if not basis:
-        return [] if target.is_zero() else None
-    n = len(basis)
-    aug = QMatrix(
-        target.dim, n + 1,
-        tuple(
-            tuple([b.entries[i] for b in basis] + [target.entries[i]])
-            for i in range(target.dim)
-        ),
-    )
-    R, pivots, _ = rref(aug)
-    if n in pivots:
-        return None
-    coeffs = [Q(0)] * n
-    for row_idx, p in enumerate(pivots):
-        coeffs[p] = R.entries[row_idx][n]
-    return coeffs
+    dim = target.dim
+    flat = integer_row(x for v in (*basis, target) for x in v.entries)
+    scaled = [flat[k * dim:(k + 1) * dim] for k in range(len(basis) + 1)]
+    return span_coefficients(scaled[:-1], scaled[-1])
 
 
 def integer_kernel(echelon: EqualityEchelon) -> list[tuple[int, ...]]:

@@ -108,6 +108,17 @@ def test_undecided_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_cap_is_a_usage_error(tmp_path, capsys):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    assert main(["kpr", schur, "--cap", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "-1" in captured.err
+    assert main(["kpr", schur, "--cap", "0", "--json"]) == EXIT_UNDECIDED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "UNDECIDED" and doc["cap"] == 0
+
+
 def test_multiply_kpr_and_doubly_kpr(tmp_path, capsys):
     a = write(tmp_path, "a.txt", "1 1\n")
     b = write(tmp_path, "b.txt", "-1\n")

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from certificate_reference import reference_check_partition, reference_first_entries
 from conftest import (
     brute_force_ordered_partitions,
     four_seven,
     ordered_bell,
     random_matrix,
+    random_rational,
     schur,
     schur_image,
     fractional_b_matrix,
@@ -228,6 +230,69 @@ def test_verify_agrees_with_a_fraction_recheck_on_tampered_certificates():
             seen[label, verdict] = seen.get((label, verdict), 0) + 1
     for label in ("shifted", "swapped", "later", "int"):
         assert seen.get((label, False), 0) > 0, label
+
+
+def random_ordered_partition(rng, v: int) -> OrderedPartition:
+    labels = [rng.randrange(rng.randint(1, v)) for _ in range(v)]
+    blocks = [[i for i in range(v) if labels[i] == b] for b in sorted(set(labels))]
+    rng.shuffle(blocks)
+    return OrderedPartition.of(blocks)
+
+
+def certifying_matrix(rng, rows: int, partition: OrderedPartition) -> QMatrix:
+    """Random columns, the last of each block set so that its clause holds."""
+    cols: dict[int, list[F]] = {}
+    earlier: list[int] = []
+    for block in partition.blocks:
+        weights = {i: rng.choice((0, 1, random_rational(rng))) for i in earlier}
+        *free, last = block
+        for i in free:
+            if earlier and rng.random() < 0.3:  # dependent columns leave free coefficients
+                source = rng.choice(earlier)
+                cols[i] = [rng.randint(-2, 2) * x for x in cols[source]]
+            else:
+                cols[i] = [random_rational(rng) for _ in range(rows)]
+        cols[last] = [
+            sum((weights[i] * cols[i][r] for i in earlier), F(0))
+            - sum((cols[i][r] for i in free), F(0))
+            for r in range(rows)
+        ]
+        earlier += block
+    v = len(cols)
+    return QMatrix.of([[cols[j][r] for j in range(v)] for r in range(rows)])
+
+
+def test_integer_certificates_match_the_fraction_reference():
+    # The integer clause solve gives the reference's canonical witnesses, and
+    # first_entries_from_certificate the reference's G.  Every third matrix
+    # is random, every third certifies, and every third certifies before one
+    # entry outside the first block is shifted, which breaks a later clause.
+    rng = random.Random(131)
+    certified = refused = refused_later = 0
+    for case in range(450):
+        rows, v = rng.randint(1, 3), rng.randint(1, 6)
+        partition = random_ordered_partition(rng, v)
+        if case % 3 == 0:
+            M = random_matrix(rng, rows, v, max_num=2, max_den=2)
+        else:
+            M = certifying_matrix(rng, rows, partition)
+        if case % 3 == 2 and partition.block_count > 1:
+            grid = [list(row) for row in M.entries]
+            j = rng.choice([i for block in partition.blocks[1:] for i in block])
+            grid[rng.randrange(rows)][j] += rng.choice((1, -1, F(1, 2)))
+            M = QMatrix.of(grid)
+        cert = check_partition(M, partition)
+        expected = reference_check_partition(M, partition)
+        assert cert == expected
+        if cert is None:
+            refused += 1
+            first_sum = [sum((row[i] for i in partition.blocks[0]), F(0)) for row in M.entries]
+            refused_later += not any(first_sum)
+            continue
+        certified += 1
+        assert cert.to_json_dict() == expected.to_json_dict()
+        assert first_entries_from_certificate(M, cert).matrix == reference_first_entries(M, cert)
+    assert certified >= 150 and refused >= 150 and refused_later >= 50
 
 
 def test_certificate_json_round_trip():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -135,13 +136,13 @@ def test_each_scalar_system_is_solved_once_per_decision(monkeypatch):
     import partreg.decisions as decisions
 
     solved = []
-    feasible_positive = decisions.feasible_positive
+    solve_positive_echelon = decisions.solve_positive_echelon
 
-    def recording(system):
-        solved.append(system.equalities)
-        return feasible_positive(system)
+    def recording(echelon, *args):
+        solved.append(echelon.rows)
+        return solve_positive_echelon(echelon, *args)
 
-    monkeypatch.setattr(decisions, "feasible_positive", recording)
+    monkeypatch.setattr(decisions, "solve_positive_echelon", recording)
     rng = random.Random(103)
     queries = [lambda: doubly_ipr(fractional_b_matrix()), lambda: is_ipr(vdw_image())]
     for _ in range(30):
@@ -198,6 +199,28 @@ def test_zero_column_subset():
     assert zero_column_subset_exists(fractional_b_matrix()) == (0, 1)
     assert zero_column_subset_exists(diag12()) is None
     assert zero_column_subset_exists(QMatrix.of([[1, 0], [2, 0]])) == (1,)
+
+
+def test_zero_column_subset_matches_brute_force():
+    # The canonical witness: the smallest zero-sum subset, ties broken
+    # lexicographically, taken here as the minimum of all zero-sum subsets.
+    rng = random.Random(107)
+    found = 0
+    for _ in range(300):
+        rows, v = rng.randint(1, 3), rng.randint(1, 6)
+        A = QMatrix.of([[rng.randint(-2, 2) for _ in range(v)] for _ in range(rows)])
+        zero_sums = [
+            subset
+            for size in range(1, v + 1)
+            for subset in itertools.combinations(range(v), size)
+            if all(sum(row[i] for i in subset) == 0 for row in A.entries)
+        ]
+        expected = min(zero_sums, key=lambda s: (len(s), s), default=None)
+        assert zero_column_subset_exists(A) == expected
+        scaled = A.scale(F(rng.randint(1, 5), rng.randint(1, 5)))
+        assert zero_column_subset_exists(scaled) == expected
+        found += expected is not None
+    assert 50 <= found <= 250
 
 
 # --------------------------------------------------------- integer_b_analysis

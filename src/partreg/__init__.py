@@ -2,7 +2,6 @@
 kernel/image partition regularity of rational matrices."""
 
 from .columns import (
-    CapExceeded,
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
     FirstEntriesMatrix,

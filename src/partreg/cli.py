@@ -90,7 +90,8 @@ def load_matrix(path: str) -> QMatrix:
         with open(path, encoding="utf-8") as handle:
             return parse_matrix(handle.read())
     except MatrixParseError as err:
-        raise MatrixParseError(err.line, f"{path}: {err}") from err
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def parse_colouring_spec(spec: str) -> Colouring:
@@ -177,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
                         help="max candidate blocks the search examines before reporting UNDECIDED")
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; execution is sequential and results are "
-                        "canonical regardless of this value")
 
     parser = argparse.ArgumentParser(
         prog="partreg",

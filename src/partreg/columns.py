@@ -10,12 +10,17 @@ and turning it into a first-entries matrix all run on the matrix's cached
 integer view (QMatrix.integer_columns), so a matrix is scaled to integers
 once for the whole audit round trip.
 
-The search (closure_search) never walks ordered partitions.  Call a column
-set reachable when some chain of blocks covers it.  Reachable sets are
-closed under union: append the second chain's blocks minus what is already
-placed; each leftover sum is a block sum minus placed columns, so it stays
-in the larger span.  So the search state is the set of placed columns plus
-the equalities that the unknown scalars of a scaled matrix must meet so far,
+The search (closure_search) takes one input, a ScalingTemplate: a matrix
+whose columns are grouped under unknown scalars or fixed at 1.  Plain
+kernel partition regularity is the template with no scalars, and
+decide_columns_condition is that search plus its certificate.  The search
+reads the matrix's integer view, the same one the certificate steps use,
+and it never walks ordered partitions.  Call a column set reachable when
+some chain of blocks covers it.  Reachable sets are closed under union:
+append the second chain's blocks minus what is already placed; each
+leftover sum is a block sum minus placed columns, so it stays in the larger
+span.  So the search state is the set of placed columns plus the
+equalities that the unknown scalars of a scaled matrix must meet so far,
 and a block that adds no equality can be taken without branching.  Blocks
 are tried largest first, then in lexicographic order.  The equalities are
 kept in linalg's EqualityEchelon, the package's one elimination kernel.
@@ -34,14 +39,13 @@ from .linalg import (
     EqualityEchelon,
     Q,
     QMatrix,
-    QVector,
     integer_kernel,
-    integer_row,
     rational,
     span_coefficients,
 )
 
 DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
+FIXED_ONE = None  # group tag for columns that carry no scalar
 
 
 def _column_index(value) -> int:
@@ -115,10 +119,6 @@ class ColumnsConditionCertificate:
     partition: OrderedPartition
     witnesses: tuple[WitnessTerms, ...]
 
-    def witness_map(self, t: int) -> dict[int, Fraction]:
-        """Coefficient map for 0-based block index t >= 1."""
-        return dict(self.witnesses[t - 1])
-
     def to_json_dict(self) -> dict:
         return {
             "partition": self.partition.to_one_based(),
@@ -140,7 +140,7 @@ class ColumnsConditionCertificate:
                 )
                 for terms in data.get("witnesses", [])
             )
-        except (TypeError, KeyError) as err:
+        except (TypeError, KeyError, ZeroDivisionError) as err:
             raise ValueError(f"malformed certificate: {err!r}") from None
         return ColumnsConditionCertificate(partition, witnesses)
 
@@ -151,13 +151,6 @@ class PartitionCapExceeded(Exception):
     def __init__(self, cap: int):
         super().__init__(f"search capped at {cap}")
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class CapExceeded:
-    """Decision outcome: the search was truncated, the question is open."""
-
-    cap: int
 
 
 def _set_partitions(v: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -285,21 +278,56 @@ def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> 
         return False
 
 
+@dataclass(frozen=True)
+class ScalingTemplate:
+    """An assembled matrix whose columns are grouped under scalar variables.
+
+    group_of[j] is the variable id scaling column j, or FIXED_ONE (None) for
+    columns fixed at 1.  Columns sharing a variable are scaled together.  A
+    template with no variables asks for the columns condition of the matrix
+    itself.
+    """
+
+    matrix: QMatrix
+    group_of: tuple[int | None, ...]
+    nvars: int
+
+    def __post_init__(self) -> None:
+        if len(self.group_of) != self.matrix.cols:
+            raise ValueError("one group tag per column required")
+        used = {g for g in self.group_of if g is not None}
+        if used != set(range(self.nvars)):
+            raise ValueError("every variable id in 0..nvars-1 must scale some column")
+
+    def scaled_matrix(self, assignment: Sequence[Fraction]) -> QMatrix:
+        """The matrix with each column multiplied by its scalar."""
+        if len(assignment) != self.nvars:
+            raise ValueError("assignment size does not match variable count")
+        if not self.nvars:
+            return self.matrix
+        scales = [None if g is None else assignment[g] for g in self.group_of]
+        grid = tuple(
+            tuple(x if c is None else c * x for c, x in zip(scales, row))
+            for row in self.matrix.entries
+        )
+        return QMatrix(self.matrix.rows, self.matrix.cols, grid)
+
+
 def closure_search(
-    columns: Sequence[QVector],
-    group_of: Sequence[int | None],
-    nvars: int,
+    template: ScalingTemplate,
     feasible: Callable[[EqualityEchelon], bool] | None = None,
     cap: int | None = DEFAULT_PARTITION_CAP,
 ) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
-    """Yield ordered partitions that witness the scaled columns condition.
+    """Yield ordered partitions that witness the template's scaled columns condition.
 
     Column j is scaled by variable group_of[j], or fixed at 1 when that is
-    None.  Each yielded partition comes with the echelon of its equalities:
-    the scalars, all non-zero, for which it is a certificate.  For non-zero
-    scalars the scaled and unscaled earlier columns span the same space, so
-    a later block's condition is linear: the annihilators of the unscaled
-    earlier columns kill its scaled sum.
+    FIXED_ONE.  Each yielded partition comes with the echelon of its
+    equalities: the scalars, all non-zero, for which it is a certificate.
+    For non-zero scalars the scaled and unscaled earlier columns span the
+    same space, so a later block's condition is linear: the annihilators of
+    the unscaled earlier columns kill its scaled sum.  The search reads the
+    matrix's integer view, so a template shares it with the certificate
+    check of its unscaled matrix.
 
     The state is (placed columns, echelon).  A block whose equalities are
     already implied is taken without branching; by the union lemma this
@@ -312,19 +340,17 @@ def closure_search(
     counts against `cap`; reaching it with blocks left raises
     PartitionCapExceeded.
     """
-    full = frozenset(range(len(columns)))
-    slot = [nvars if g is None else g for g in group_of]
+    integral = template.matrix.integer_columns
+    dim, nvars = template.matrix.rows, template.nvars
+    full = frozenset(range(template.matrix.cols))
+    slot = [nvars if g is None else g for g in template.group_of]
     explored: set[tuple] = set()
     examined = 0
-    dim = columns[0].dim
-    # One common multiplier keeps every combination of the columns proportional.
-    flat = integer_row(x for column in columns for x in column.entries)
-    integral = [flat[j * dim:(j + 1) * dim] for j in range(len(columns))]
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
         # One integer equality per annihilator row of the placed columns.
         if placed:
-            span = EqualityEchelon(dim).extend(integral[i] + [0] for i in placed)
+            span = EqualityEchelon(dim).extend(integral[i] + (0,) for i in placed)
             functionals = integer_kernel(span)
             projected = {
                 j: [sum(f * x for f, x in zip(row, integral[j])) for row in functionals]
@@ -381,18 +407,15 @@ def closure_search(
 
 def decide_columns_condition(
     A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP
-) -> ColumnsConditionCertificate | None | CapExceeded:
+) -> ColumnsConditionCertificate | None:
     """A certificate for the columns condition of A, if one exists.
 
-    The partition is the first that closure_search finds (largest blocks
-    first).  None is returned only when the search is exhausted; a
-    truncated search returns CapExceeded instead of guessing.
+    This is the closure search of the template with no scalars: the
+    partition is the first it finds (largest blocks first).  None is
+    returned only when the search is exhausted; a truncated search raises
+    PartitionCapExceeded instead of guessing.
     """
-    search = closure_search(A.columns(), (None,) * A.cols, 0, cap=cap)
-    try:
-        found = next(search, None)
-    except PartitionCapExceeded as exceeded:
-        return CapExceeded(exceeded.cap)
+    found = next(closure_search(ScalingTemplate(A, (FIXED_ONE,) * A.cols, 0), cap=cap), None)
     if found is None:
         return None
     certificate = check_partition(A, found[0])

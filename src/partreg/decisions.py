@@ -1,13 +1,15 @@
 """User-facing decision procedures for partition regularity questions.
 
-Every decision reduces to one search: assemble the candidate columns under a
+Every decision reduces to one search: stack the candidate matrices into a
 scaling template (some columns fixed at 1, the rest under unknown positive
 scalars), then run the closure search of the columns module, which places
 blocks largest first and enters a branch only while the scalar equalities
-gathered so far keep a strictly positive solution.  YES verdicts carry the
-scalars, the assembled scaled matrix and a certificate that re-verifies
-independently; NO verdicts are issued only after the search was exhausted;
-a truncated search is reported UNDECIDED, never guessed.
+gathered so far keep a strictly positive solution.  All five procedures go
+through _decide_scaled; is_kpr is the template with no scalars.  YES
+verdicts carry the scalars, the assembled scaled matrix and a certificate
+that re-verifies independently; NO verdicts are issued only after the
+search was exhausted; a truncated search is reported UNDECIDED, never
+guessed.
 """
 
 from __future__ import annotations
@@ -18,16 +20,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .columns import (
-    CapExceeded,
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
+    FIXED_ONE,
     PartitionCapExceeded,
+    ScalingTemplate,
     check_partition,
     closure_search,
-    decide_columns_condition,
 )
-from .feasibility import PositiveSolution, ScalingTemplate, solve_positive_echelon
-from .linalg import EqualityEchelon, Q, QMatrix, QVector
+from .feasibility import PositiveSolution, solve_positive_echelon
+from .linalg import EqualityEchelon, Q, QMatrix
 
 YES = "YES"
 NO = "NO"
@@ -72,38 +74,31 @@ class Decision:
         }
 
 
-def _positive_solution(echelon: EqualityEchelon) -> PositiveSolution | None:
-    # The search's echelon is already reduced and consistent: no stage 1.
-    solution, _ = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))
-    return solution
-
-
 def _decide_scaled(
     template: ScalingTemplate, scalar_names: Sequence[str], cap: int | None
 ) -> Decision:
-    solved: dict[tuple, PositiveSolution] = {}
+    # The root echelon has no rows, and stage 4 of the positive solver would
+    # return the all-ones point for it, so it is taken without a solve.
+    solved = {(): PositiveSolution((Q(1),) * template.nvars)}
 
     def feasible(echelon: EqualityEchelon) -> bool:
-        solution = _positive_solution(echelon)
+        # The search's echelon is already reduced and consistent: no stage 1.
+        solution, _ = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))
         if solution is not None:
             solved[echelon.rows] = solution
         return solution is not None
 
-    search = closure_search(
-        template.columns, template.group_of, template.nvars, feasible, cap
-    )
     try:
-        found = next(search, None)
+        found = next(closure_search(template, feasible, cap), None)
     except PartitionCapExceeded as exceeded:
         return Decision(UNDECIDED, cap=exceeded.cap)
     if found is None:
         return Decision(NO)
     partition, echelon = found
     # The echelon is the reduced form of build_system(template, partition),
-    # so it gives the same scalars without restating the redundant rows.  Only
-    # the root echelon, which has no rows, reaches here without a solve.
-    solution = solved.get(echelon.rows) or _positive_solution(echelon)
-    assert solution is not None, "closure search yielded an infeasible partition"
+    # so its solution gives the same scalars without restating the
+    # redundant rows.
+    solution = solved[echelon.rows]
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)
     assert certificate is not None, "feasible partition must certify"
@@ -112,29 +107,22 @@ def _decide_scaled(
 
 
 def is_kpr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
-    """Kernel partition regularity of A, decided via the columns condition."""
-    result = decide_columns_condition(A, cap)
-    if isinstance(result, CapExceeded):
-        return Decision(UNDECIDED, cap=result.cap)
-    if result is None:
-        return Decision(NO)
-    return Decision(YES, (), result, A)
+    """Kernel partition regularity of A: the template with no scalars.
+
+    The search and the certificate share A's integer view, and a YES
+    decision's assembled matrix is A itself.
+    """
+    return _decide_scaled(ScalingTemplate(A, (FIXED_ONE,) * A.cols, 0), (), cap)
 
 
 def multiply_kpr_template(matrices: Sequence[QMatrix]) -> ScalingTemplate:
     """Columns of (A_1 A_2 ... A_k) with A_1 fixed and one scalar per later block."""
     if len(matrices) < 2:
         raise ValueError("need at least two matrices")
-    rows = matrices[0].rows
-    if any(M.rows != rows for M in matrices):
-        raise ValueError("matrices must share their row count")
-    columns: list[QVector] = []
-    groups: list[int | None] = []
-    for t, M in enumerate(matrices):
-        for j in range(M.cols):
-            columns.append(M.column(j))
-            groups.append(None if t == 0 else t - 1)
-    return ScalingTemplate(tuple(columns), tuple(groups), len(matrices) - 1)
+    groups = tuple(
+        FIXED_ONE if t == 0 else t - 1 for t, M in enumerate(matrices) for _ in range(M.cols)
+    )
+    return ScalingTemplate(QMatrix.hstack(matrices), groups, len(matrices) - 1)
 
 
 def multiply_kpr(
@@ -167,10 +155,8 @@ def doubly_ipr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
 
 def is_ipr_template(A: QMatrix) -> ScalingTemplate:
     """Columns of (A*diag(e)  -I) with one scalar per A-column, identity fixed."""
-    identity = QMatrix.identity(A.rows).scale(-1)
-    columns = tuple(A.columns()) + tuple(identity.columns())
-    groups = tuple(range(A.cols)) + (None,) * A.rows
-    return ScalingTemplate(columns, groups, A.cols)
+    matrix = QMatrix.hstack([A, QMatrix.identity(A.rows).scale(-1)])
+    return ScalingTemplate(matrix, tuple(range(A.cols)) + (FIXED_ONE,) * A.rows, A.cols)
 
 
 def is_ipr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:

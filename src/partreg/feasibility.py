@@ -1,6 +1,7 @@
 """Scaled columns-condition feasibility over unknown positive scalars.
 
-A ScalingTemplate groups the columns of an assembled matrix under unknown
+A ScalingTemplate (defined beside the search in the columns module, and
+exported here too) groups the columns of an assembled matrix under unknown
 strictly positive scalars (or fixes them at 1).  For a candidate ordered
 partition, build_system linearises the columns condition of the scaled
 matrix into an affine system: multiplying columns by positive scalars never
@@ -10,8 +11,9 @@ is what keeps the system affine rather than polynomial; it is valid for any
 nonzero scalar values, and the places where scalar value 0 could sneak in
 (the sign-unconstrained scalar sets) check 0 directly against the matrix.
 The decision procedures and scalar_union_over_partitions do not walk
-partitions: they run the closure search of the columns module, which
-builds the same equalities block by block, largest blocks first.
+partitions: they run the closure search of the columns module on the
+template, which builds the same equalities block by block, largest blocks
+first; the union decides the value 0 with decide_columns_condition.
 
 feasible_positive decides the system exactly: equalities are eliminated in
 linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
@@ -34,61 +36,20 @@ from typing import Iterable, Iterator, Sequence
 
 from .columns import (
     DEFAULT_PARTITION_CAP,
+    FIXED_ONE,  # re-exported with ScalingTemplate
     OrderedPartition,
+    ScalingTemplate,
     check_partition,
     closure_search,
+    decide_columns_condition,
 )
 from .linalg import (
     EqualityEchelon,
     Q,
-    QMatrix,
-    QVector,
     integer_row,
     rational_row,
     residual_functionals,
 )
-
-FIXED_ONE = None  # group tag for columns that carry no scalar
-
-
-@dataclass(frozen=True)
-class ScalingTemplate:
-    """Columns of an assembled matrix, grouped under scalar variables.
-
-    group_of[j] is the variable id scaling column j, or FIXED_ONE (None) for
-    columns fixed at 1.  Columns sharing a variable are scaled together.
-    """
-
-    columns: tuple[QVector, ...]
-    group_of: tuple[int | None, ...]
-    nvars: int
-
-    def __post_init__(self) -> None:
-        if not self.columns:
-            raise ValueError("template needs at least one column")
-        dim = self.columns[0].dim
-        if any(c.dim != dim for c in self.columns):
-            raise ValueError("columns differ in dimension")
-        if len(self.group_of) != len(self.columns):
-            raise ValueError("one group tag per column required")
-        used = {g for g in self.group_of if g is not None}
-        if used != set(range(self.nvars)):
-            raise ValueError("every variable id in 0..nvars-1 must scale some column")
-
-    @property
-    def dim(self) -> int:
-        return self.columns[0].dim
-
-    def scaled_matrix(self, assignment: Sequence[Fraction]) -> QMatrix:
-        """Assembled matrix with each column multiplied by its scalar."""
-        if len(assignment) != self.nvars:
-            raise ValueError("assignment size does not match variable count")
-        scaled = [
-            col if g is None else col.scale(assignment[g])
-            for col, g in zip(self.columns, self.group_of)
-        ]
-        return QMatrix.from_columns(scaled)
-
 
 @dataclass(frozen=True)
 class LinearEquality:
@@ -359,10 +320,10 @@ def iter_system_equalities(
     later block the annihilator rows of the earlier unscaled columns applied
     to the block's scaled sum.
     """
-    if not partition.covers(len(template.columns)):
+    if not partition.covers(template.matrix.cols):
         raise ValueError("partition does not cover the template's columns")
-    cols = template.columns
-    u = template.dim
+    cols = template.matrix.columns()
+    u = template.matrix.rows
     nvars = template.nvars
     group_of = template.group_of
 
@@ -540,15 +501,13 @@ def scalar_union_over_partitions(
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
     result = ScalarSet.empty()
-    for _, echelon in closure_search(
-        template.columns, template.group_of, template.nvars, _pins_nonzero, cap
-    ):
+    for _, echelon in closure_search(template, _pins_nonzero, cap):
         if echelon.rows:
             value = -rational_row(echelon.rows[0], echelon.pivots[0])[-1]
             result = result.union(ScalarSet.finite((value,)))
         else:
             result = result.union(ScalarSet.all_except((Q(0),)))
     zero = template.scaled_matrix([Q(0)] * template.nvars)
-    if next(closure_search(zero.columns(), (None,) * zero.cols, 0, cap=cap), None):
+    if decide_columns_condition(zero, cap) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))
     return result

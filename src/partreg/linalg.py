@@ -71,10 +71,6 @@ class QVector:
         c = rational(c)
         return QVector(tuple(c * a for a in self.entries))
 
-    def dot(self, other: "QVector") -> Fraction:
-        self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Q(0))
-
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")

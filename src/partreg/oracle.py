@@ -197,15 +197,6 @@ class Colouring:
             return out
         raise ValueError(f"unknown colouring kind {self.kind!r}")
 
-    def spec_string(self) -> str:
-        if self.kind == "mod":
-            return f"mod:{self.param}"
-        if self.kind == "gamma":
-            return f"gamma:{self.param}"
-        if self.kind == "start_parity":
-            return f"startparity:{self.param}"
-        return f"table[{len(self.table_data)}]"
-
 
 class _DilatedColouring:
     """colour(x) = base colouring of factor*x; the pullback used by dilation."""

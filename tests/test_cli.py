@@ -97,7 +97,7 @@ def test_json_output_is_byte_stable(tmp_path, capsys):
     matrix = write(tmp_path, "m23.txt", TWO_BY_THREE)
     main(["doubly-ipr", matrix, "--json"])
     first = capsys.readouterr().out
-    main(["doubly-ipr", matrix, "--json", "--threads", "4"])
+    main(["doubly-ipr", matrix, "--json"])
     second = capsys.readouterr().out
     assert first == second
 
@@ -132,8 +132,13 @@ def test_multiply_kpr_and_doubly_kpr(tmp_path, capsys):
 
 def test_usage_errors(tmp_path, capsys):
     assert main(["kpr", str(tmp_path / "missing.txt")]) == EXIT_USAGE
+    capsys.readouterr()
     ragged = write(tmp_path, "ragged.txt", "1 2\n3\n")
     assert main(["kpr", ragged]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {ragged}: line 2: row has 1 entries, expected 2\n"
+    zero = write(tmp_path, "z.txt", "1 1/0 -1\n")
+    assert main(["kpr", zero]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {zero}: line 1: zero denominator in '1/0'\n"
     assert main(["no-such-command"]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -174,6 +179,7 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     # A JSON boolean is not a coefficient; true would read as a valid 1.
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": true}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": false}]]}',
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1/0"}]]}',
 ])
 @pytest.mark.parametrize("command", ["certify", "first-entries"])
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, document):

@@ -17,7 +17,6 @@ from conftest import (
     vdw,
 )
 from partreg import (
-    CapExceeded,
     ColumnsConditionCertificate,
     FirstEntriesMatrix,
     OrderedPartition,
@@ -324,8 +323,9 @@ def test_decide_no_zero_sum_subset_is_definitive():
 
 
 def test_decide_reports_cap():
-    result = decide_columns_condition(vdw(), cap=1)
-    assert result == CapExceeded(1)
+    with pytest.raises(PartitionCapExceeded) as exceeded:
+        decide_columns_condition(vdw(), cap=1)
+    assert exceeded.value.cap == 1
 
 
 def test_decide_is_sound_on_random_matrices():

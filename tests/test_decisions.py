@@ -17,10 +17,13 @@ from partreg import (
     Colouring,
     NO,
     OrderedPartition,
+    PartitionCapExceeded,
     QMatrix,
     UNDECIDED,
     YES,
+    decide_columns_condition,
     doubly_ipr,
+    doubly_ipr_template,
     doubly_kpr,
     find_monochromatic_solution,
     first_entries_from_certificate,
@@ -29,9 +32,11 @@ from partreg import (
     is_ipr,
     is_kpr,
     multiply_kpr,
+    scalar_union_over_partitions,
     verify_certificate,
     zero_column_subset_exists,
 )
+from partreg import columns, decisions, feasibility, linalg
 
 
 def minus_identity(n):
@@ -56,6 +61,36 @@ def test_is_kpr_no_zero_sum():
 def test_is_kpr_cap_gives_undecided():
     decision = is_kpr(vdw(), cap=1)
     assert decision.verdict == UNDECIDED and decision.cap == 1
+
+
+def test_every_entry_point_reports_the_same_cap():
+    # is_kpr is the 0-scalar template, so it is cut off like the scaled ones
+    for decision in (is_kpr(vdw(), cap=1), doubly_ipr(diag12(), cap=1)):
+        assert decision.verdict == UNDECIDED and decision.cap == 1
+    with pytest.raises(PartitionCapExceeded) as exceeded:
+        decide_columns_condition(vdw(), cap=1)
+    assert exceeded.value.cap == 1
+    with pytest.raises(PartitionCapExceeded) as exceeded:
+        scalar_union_over_partitions(doubly_ipr_template(diag12()), cap=1)
+    assert exceeded.value.cap == 1
+
+
+def test_is_kpr_scales_its_matrix_to_integers_once(monkeypatch):
+    # The search and the certificate share the matrix's one integer view.
+    calls = []
+    original = linalg.integer_row
+
+    def counting(values):
+        calls.append(1)
+        return original(values)
+
+    for module in (linalg, columns, feasibility, decisions):
+        if hasattr(module, "integer_row"):
+            monkeypatch.setattr(module, "integer_row", counting)
+    A = four_seven()
+    decision = is_kpr(A)
+    assert decision.verdict == YES and decision.assembled is A
+    assert len(calls) == 1
 
 
 def test_is_kpr_long_row_without_zero_sum_is_no():

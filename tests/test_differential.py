@@ -38,7 +38,7 @@ def all_partitions(v: int) -> tuple[OrderedPartition, ...]:
 def brute_force_feasible(template) -> bool:
     return any(
         feasible_positive(build_system(template, p)) is not None
-        for p in all_partitions(len(template.columns))
+        for p in all_partitions(template.matrix.cols)
     )
 
 
@@ -115,7 +115,7 @@ def test_scalar_union_matches_brute_force():
         A = random_matrix(rng, rows, rng.randint(1, 5 - rows), max_num=3, max_den=2)
         template = doubly_ipr_template(A)
         expected = ScalarSet.empty()
-        for p in all_partitions(len(template.columns)):
+        for p in all_partitions(template.matrix.cols):
             expected = expected.union(enumerate_feasible_scalars(template, p))
         union = scalar_union_over_partitions(template)
         assert union == expected, A

@@ -28,18 +28,15 @@ from partreg import (
 
 def one_var_template():
     """Columns (1), (1), (-1) with the last one under a single scalar."""
-    return ScalingTemplate(
-        (QVector.of([1]), QVector.of([1]), QVector.of([-1])),
-        (None, None, 0),
-        1,
-    )
+    return ScalingTemplate(QMatrix.of([[1, 1, -1]]), (None, None, 0), 1)
 
 
 def test_template_validation():
     with pytest.raises(ValueError):
-        ScalingTemplate((QVector.of([1]),), (1,), 1)  # variable 0 unused
-    with pytest.raises(ValueError):
-        ScalingTemplate((QVector.of([1]), QVector.of([1, 2])), (None, None), 0)
+        ScalingTemplate(QMatrix.of([[1]]), (1,), 1)  # variable 0 unused
+    with pytest.raises(ValueError):  # ragged columns
+        ragged = [QVector.of([1]), QVector.of([1, 2])]
+        ScalingTemplate(QMatrix.from_columns(ragged), (None, None), 0)
 
 
 def test_build_system_single_equality():
@@ -268,9 +265,7 @@ def test_contradictory_stacked_systems_carry_an_equality_witness():
 # ------------------------------------------------------------- scalar values
 
 def test_enumerate_feasible_scalars_requires_single_variable():
-    template = ScalingTemplate(
-        (QVector.of([1]), QVector.of([1])), (0, 1), 2
-    )
+    template = ScalingTemplate(QMatrix.of([[1, 1]]), (0, 1), 2)
     with pytest.raises(ValueError):
         enumerate_feasible_scalars(template, OrderedPartition.of([[0, 1]]))
 
@@ -300,7 +295,7 @@ def test_scalar_zero_candidate_is_rechecked_against_the_matrix():
 
 
 def test_scalar_set_without_variables_is_vacuous():
-    template = ScalingTemplate(tuple(schur().columns()), (None, None, None), 0)
+    template = ScalingTemplate(schur(), (None, None, None), 0)
     assert enumerate_feasible_scalars(
         template, OrderedPartition.from_one_based([[1, 3], [2]])
     ) == ScalarSet.all_rationals()
@@ -384,7 +379,7 @@ def test_positive_solutions_round_trip_through_the_certificate_check():
         remap = {g: i for i, g in enumerate(used)}
         groups = [None if g is None else remap[g] for g in groups]
         template = ScalingTemplate(
-            tuple(QVector.of([rng.randint(-3, 3) for _ in range(u)]) for _ in range(ncols)),
+            QMatrix.from_columns([QVector.of([rng.randint(-3, 3) for _ in range(u)]) for _ in range(ncols)]),
             tuple(groups),
             len(used),
         )

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .columns import (
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
+    PartitionCapExceeded,
     first_entries_from_certificate,
     verify_certificate,
 )
@@ -302,7 +303,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "scalars":
         matrix = load_matrix(args.file)
         template = doubly_ipr_template(matrix)
-        scalar_set = scalar_union_over_partitions(template, cap)
+        try:
+            scalar_set = scalar_union_over_partitions(template, cap)
+        except PartitionCapExceeded as exceeded:
+            sys.stderr.write(f"search cap of {exceeded.cap} candidate blocks exceeded\n")
+            return EXIT_UNDECIDED
         if args.json:
             _emit(scalar_set.to_json_dict())
         else:

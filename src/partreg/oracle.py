@@ -8,25 +8,27 @@ initial segment is that witness search: every colouring admits a solution
 exactly when no witness exists.
 
 The bounded solution search never walks the full v-fold product space: the
-kernel of the assembled matrix is parametrised through its reduced row
-echelon form, whose free coordinates are literal entries of the solution
-vector.  Ranging those over [1..N] and checking every derived entry with
-exact integer arithmetic is therefore complete within the bound.  Nor does
-it scan [1..N] value by value: every colouring splits [1..N] into colour
-pieces that are arithmetic progressions, and the values an entry a*t may
-take are intersections of progressions, so the cost follows the number of
-colour pieces rather than N.  Negative results are evidence up to their
-bound, never proofs.
+kernel of the assembled matrix is parametrised by its nullspace basis, one
+vector per free column with 1 there and 0 at the other free columns, so the
+free coordinates are literal entries of the solution vector.  Ranging those
+over [1..N] and checking every derived entry with exact integer arithmetic
+is therefore complete within the bound.  Nor does it scan [1..N] value by
+value: every colouring splits [1..N] into colour pieces that are arithmetic
+progressions, and the values an entry a*t may take are intersections of
+progressions, merged lazily in increasing order, so time and memory follow
+the number of colour pieces rather than N.  Negative results are evidence
+up to their bound, never proofs.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from math import gcd, lcm
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
-from .linalg import Q, QMatrix, rref
+from .linalg import Q, QMatrix, nullspace_basis
 
 COLOURING_SWEEP_LIMIT = 10_000_000
 
@@ -275,8 +277,9 @@ class _KernelSearch:
     a an integer.  Its admissible t form, per colour piece, an arithmetic
     progression, so the candidates are groups (t-progression, colours of
     the blocks they fix) built by intersecting progressions, never by
-    scanning [1..N].  A group whose colours leave the next depth with no
-    candidates is dropped: fixing more colours only shrinks a candidate set.
+    scanning [1..N], and merged lazily in increasing t.  A group whose
+    colours leave the next depth with no candidates is dropped: fixing more
+    colours only shrinks a candidate set.
     Entries depending on several coordinates are one integer denominator
     over integer numerators, checked per candidate.  Values are tried in
     increasing order and free columns in increasing index order, so the
@@ -304,22 +307,18 @@ class _KernelSearch:
         ]
         self.k = len(matrices)
 
-        R, pivots, _ = rref(combined)
-        pivot_set = set(pivots)
-        self.free = [c for c in range(self.n) if c not in pivot_set]
-        depth_of = {f: d for d, f in enumerate(self.free)}
-        exprs = [{} for _ in range(self.n)]
-        for f in self.free:
-            exprs[f] = {depth_of[f]: Q(1)}
-        for ri, p in enumerate(pivots):
-            row = R.entries[ri]
-            exprs[p] = {depth_of[f]: -row[f] for f in self.free if row[f] != 0}
+        basis = nullspace_basis(combined)
+        # basis[d] is 1 at the d-th free column and 0 at the others
+        exprs = [
+            {d: vector.entries[e] for d, vector in enumerate(basis) if vector.entries[e]}
+            for e in range(self.n)
+        ]
         self.results: list[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]] = []
-        self.viable = bool(self.free) and all(exprs)
+        self.depths = depths = len(basis)
+        self.viable = bool(basis) and all(exprs)
         if not self.viable:
             return
 
-        depths = len(self.free)
         unary: list[list[tuple[int, Q]]] = [[] for _ in range(depths)]
         for e, expr in enumerate(exprs):
             if len(expr) == 1:
@@ -366,7 +365,6 @@ class _KernelSearch:
         self.ts = [0] * depths
         self.colour_state: list[Hashable | None] = [None] * self.k
         self.group_cache: dict[tuple, list[tuple[range, tuple]]] = {}
-        self.cand_cache: dict[tuple, list[tuple[int, tuple]]] = {}
 
     def _groups(self, depth: int, key: tuple) -> list[tuple[range, tuple]]:
         """(t-progression, key-block colours) groups at `depth` under colours `key`."""
@@ -389,7 +387,7 @@ class _KernelSearch:
                         if common:
                             refined.append((common, fixed))
             groups = refined
-        if depth + 1 < len(self.free):
+        if depth + 1 < self.depths:
             blocks = self.key_blocks[depth]
             after = self.key_blocks[depth + 1]
             groups = [
@@ -401,17 +399,16 @@ class _KernelSearch:
         self.group_cache[(depth, key)] = groups
         return groups
 
-    def _candidates(self, depth: int) -> list[tuple[int, tuple]]:
-        key = (depth, tuple(self.colour_state[b] for b in self.key_blocks[depth]))
-        cached = self.cand_cache.get(key)
-        if cached is None:
-            # groups are disjoint, so no two candidates share a t
-            cached = sorted(
-                (t, colours) for progression, colours in self._groups(*key)
-                for t in progression
-            )
-            self.cand_cache[key] = cached
-        return cached
+    def _candidates(self, depth: int) -> Iterator[tuple[int, tuple]]:
+        """(t, key-block colours) at `depth` in increasing t, merged lazily."""
+        key = tuple(self.colour_state[b] for b in self.key_blocks[depth])
+        streams = [
+            zip(progression, repeat(colours))
+            for progression, colours in self._groups(depth, key)
+        ]
+        # groups are disjoint, so no two candidates share a t; one group
+        # skips the merge's per-candidate generator step
+        return streams[0] if len(streams) == 1 else heapq.merge(*streams)
 
     def run(self, find_all: bool = False):
         if self.viable:
@@ -419,7 +416,7 @@ class _KernelSearch:
         return self.results
 
     def _dfs(self, depth: int, find_all: bool) -> bool:
-        if depth == len(self.free):
+        if depth == self.depths:
             vectors = tuple(
                 tuple(self.values[self.offsets[t]:self.offsets[t + 1]])
                 for t in range(self.k)
@@ -501,7 +498,8 @@ def _distinct_blocks(
 def _guard_sweep_size(colours: int, bound: int) -> None:
     if colours < 1 or bound < 1:
         raise ValueError("need at least one colour and a positive bound")
-    if colours**bound > COLOURING_SWEEP_LIMIT:
+    # the limit is below 2**64, so capping the exponent keeps the verdict
+    if colours ** min(bound, 64) > COLOURING_SWEEP_LIMIT:
         raise ValueError(
             f"{colours}^{bound} colourings exceed the sweep limit of {COLOURING_SWEEP_LIMIT}"
         )
@@ -523,8 +521,9 @@ def search_witness_colouring(
 ) -> WitnessColouring | None:
     """Colouring of [1..bound] admitting no bounded monochromatic solution.
 
-    Backtracking in increasing integer order with the colour of 1 fixed to 0
-    (colour names are interchangeable).  Before colouring n, every solution
+    Backtracking in increasing integer order on an explicit stack, so the
+    bound is not limited by the recursion depth, with the colour of 1 fixed
+    to 0 (colour names are interchangeable).  Before colouring n, every solution
     whose largest value is n and whose other values are already consistently
     coloured forbids the colour that would complete it; a solution forcing
     every colour kills the branch.  Absence means every colouring of
@@ -562,22 +561,23 @@ def search_witness_colouring(
                 return None
         return forbidden
 
-    def dfs(n: int) -> bool:
-        if n > bound:
-            return True
+    def untried(n: int) -> list[int]:
+        """n's allowed colours, largest first, so that pop() takes the smallest."""
         forbidden = forbidden_for(n)
         if forbidden is None:
-            return False
-        for c in range(1 if n == 1 else colours):
-            if c in forbidden:
-                continue
-            table[n - 1] = c
-            if dfs(n + 1):
-                return True
-        return False
+            return []
+        return [c for c in range(0 if n == 1 else colours - 1, -1, -1) if c not in forbidden]
 
-    if dfs(1):
-        return WitnessColouring(bound, colours, tuple(table))
+    stack = [untried(1)]  # stack[n - 1]: the colours of n still to try
+    while stack:
+        if not stack[-1]:
+            stack.pop()
+            continue
+        n = len(stack)
+        table[n - 1] = stack[-1].pop()
+        if n == bound:
+            return WitnessColouring(bound, colours, tuple(table))
+        stack.append(untried(n + 1))
     return None
 
 

@@ -198,6 +198,14 @@ def test_scalars_command(tmp_path, capsys):
     assert doc == {"kind": "finite", "values": ["-2", "-2/5", "1/2"], "excluded": []}
 
 
+def test_capped_scalars_are_undecided(tmp_path, capsys):
+    matrix = write(tmp_path, "m24.txt", "1 2 -3 1\n2 -1 1 1\n")
+    assert main(["scalars", matrix, "--cap", "1"]) == EXIT_UNDECIDED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "search cap of 1 candidate blocks exceeded\n"
+
+
 # --------------------------------------------------------------------- oracle
 
 def test_oracle_solve(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from partreg import (
     verify_all_colourings,
 )
 from partreg.linalg import rref
-from partreg.oracle import _DilatedColouring
+from partreg.oracle import _DilatedColouring, _KernelSearch
 
 
 def minus_identity(n):
@@ -224,6 +225,30 @@ def test_kernel_search_matches_brute_force_walk():
     assert found > 100
 
 
+def test_lazy_candidates_match_a_scan_of_the_bound():
+    # one block whose next free coordinate is an entry of its own, so the
+    # look-ahead drops no colour and depth 0 takes every t with a*t <= N
+    rng = random.Random(83)
+    bound = 2000
+    for matrix in (schur(), vdw()):
+        for colouring in every_colouring_kind(rng, bound):
+            search = _KernelSearch([matrix], bound, colouring)
+            ((_, a),) = search.unary_at[0]
+            scan = [(t, (colouring.colour(a * t),)) for t in range(1, bound // a + 1)]
+            assert list(search._candidates(0)) == scan
+
+
+def test_candidate_memory_follows_the_pieces_not_the_bound():
+    tracemalloc.start()
+    try:
+        witness = find_monochromatic_solution([schur()], Colouring.mod(1), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness.vectors == ((1, 1, 2),)
+    assert peak < 5 * 2**20
+
+
 # ------------------------------------------------ colouring sweeps and search
 
 def test_schur_sweep_thresholds():
@@ -237,6 +262,8 @@ def test_sweep_rejects_oversized_instances():
         verify_all_colourings([schur()], 2, 40)
     with pytest.raises(ValueError):
         search_witness_colouring([schur()], 2, 40)
+    with pytest.raises(ValueError):
+        search_witness_colouring([schur()], 3, 10**9)
 
 
 def test_schur_witness_colouring_class():
@@ -250,6 +277,9 @@ def test_schur_witness_colouring_class():
 def test_unsolvable_system_any_colouring_works():
     witness = search_witness_colouring([QMatrix.of([[1, 1]])], 1, 10)
     assert witness.table == (0,) * 10
+    # one integer per step, not per stack frame
+    witness = search_witness_colouring([QMatrix.of([[1, 1]])], 1, 5000)
+    assert witness.table == (0,) * 5000
 
 
 def test_witness_colouring_text_format():

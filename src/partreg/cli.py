@@ -13,6 +13,7 @@ strings, byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -174,11 +175,22 @@ def _witness_json(witness) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every main().
+
+    Parsing does not change the parser, so one instance serves any number of
+    calls in a process; it is not built at import, which would charge every
+    importer for it.
+    """
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
+                     help="max candidate blocks the search examines before reporting UNDECIDED")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
-                        help="max candidate blocks the search examines before reporting UNDECIDED")
     common.add_argument("--json", action="store_true", help="canonical JSON output")
+    # certify and first-entries run no search, so they take no --cap; the
+    # oracle commands accept it for a search budget still to come
+    capped = [cap, common]
 
     parser = argparse.ArgumentParser(
         prog="partreg",
@@ -192,16 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("ipr", "image partition regularity of FILE"),
         ("doubly-ipr", "doubly image partition regularity of FILE"),
     ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text, parents=capped)
         p.add_argument("file")
 
     p = sub.add_parser("doubly-kpr", help="doubly kernel partition regularity of a pair",
-                       parents=[common])
+                       parents=capped)
     p.add_argument("file_a")
     p.add_argument("file_b")
 
     p = sub.add_parser("multiply-kpr", help="multiply kernel partition regularity of a tuple",
-                       parents=[common])
+                       parents=capped)
     p.add_argument("files", nargs="+")
 
     p = sub.add_parser("certify", help="verify a certificate against a matrix",
@@ -215,26 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate")
 
     p = sub.add_parser("scalars", help="all scalar values admitted by the doubly-IPR template",
-                       parents=[common])
+                       parents=capped)
     p.add_argument("file")
 
     oracle = sub.add_parser("oracle", help="finite-scale colouring oracles")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
 
     p = oracle_sub.add_parser("solve", help="search a bounded monochromatic solution",
-                              parents=[common])
+                              parents=capped)
     p.add_argument("files", nargs="+")
     p.add_argument("--colouring", required=True, help="mod:M | gamma:P | startparity:B | table:FILE")
     p.add_argument("--bound", type=int, required=True)
 
     p = oracle_sub.add_parser("sweep", help="check every r-colouring of [1..N] admits a solution",
-                              parents=[common])
+                              parents=capped)
     p.add_argument("files", nargs="+")
     p.add_argument("--colours", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
 
     p = oracle_sub.add_parser("falsify", help="search a colouring of [1..N] with no bounded solution",
-                              parents=[common])
+                              parents=capped)
     p.add_argument("files", nargs="+")
     p.add_argument("--colours", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
@@ -256,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    cap = args.cap
-    if cap < 0:
+    cap = getattr(args, "cap", None)
+    if cap is not None and cap < 0:
         raise ValueError(f"--cap must be a non-negative number of candidate blocks, got {cap}")
     if args.command == "kpr":
         return _report_decision(is_kpr(load_matrix(args.file), cap), args.json)

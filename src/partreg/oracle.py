@@ -522,14 +522,24 @@ def search_witness_colouring(
     """Colouring of [1..bound] admitting no bounded monochromatic solution.
 
     Backtracking in increasing integer order on an explicit stack, so the
-    bound is not limited by the recursion depth, with the colour of 1 fixed
-    to 0 (colour names are interchangeable).  Before colouring n, every solution
-    whose largest value is n and whose other values are already consistently
-    coloured forbids the colour that would complete it; a solution forcing
-    every colour kills the branch.  Absence means every colouring of
-    [1..bound] admits a bounded solution.
+    bound is not limited by the recursion depth.  Colour names are
+    interchangeable, so n may take at most one colour above the largest used
+    on 1..n-1, and 1 takes colour 0: relabelling a witness by order of first
+    use gives a witness that is lexicographically no larger, so the first
+    witness found is still the lexicographically first of all.  Before
+    colouring n, every solution whose largest value is n and whose other
+    values are already consistently coloured forbids the colour that would
+    complete it; a branch dies when a solution is completed by any colour
+    or no allowed colour is left.  With one colour the all-zero table is the
+    witness exactly when no bounded solution exists, which one kernel search
+    under `mod:1` decides without listing the solutions.  Absence means
+    every colouring of [1..bound] admits a bounded solution.
     """
     _guard_sweep_size(colours, bound)
+    if colours == 1:
+        if find_monochromatic_solution(matrices, Colouring.mod(1), bound) is None:
+            return WitnessColouring(bound, 1, (0,) * bound)
+        return None
     solutions = _distinct_blocks(enumerate_bounded_solutions(matrices, bound))
     by_max: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in range(bound + 1)]
     for sol in solutions:
@@ -561,23 +571,29 @@ def search_witness_colouring(
                 return None
         return forbidden
 
-    def untried(n: int) -> list[int]:
-        """n's allowed colours, largest first, so that pop() takes the smallest."""
+    def untried(n: int, top: int) -> list[int]:
+        """n's allowed colours, largest first, so that pop() takes the smallest.
+
+        `top` is the largest colour on 1..n-1, -1 before any is used.
+        """
         forbidden = forbidden_for(n)
         if forbidden is None:
             return []
-        return [c for c in range(0 if n == 1 else colours - 1, -1, -1) if c not in forbidden]
+        return [c for c in range(min(top + 1, colours - 1), -1, -1) if c not in forbidden]
 
-    stack = [untried(1)]  # stack[n - 1]: the colours of n still to try
+    # stack[n - 1]: the largest colour on 1..n-1, and the colours of n still to try
+    stack = [(-1, untried(1, -1))]
     while stack:
-        if not stack[-1]:
+        top, options = stack[-1]
+        if not options:
             stack.pop()
             continue
         n = len(stack)
-        table[n - 1] = stack[-1].pop()
+        table[n - 1] = options.pop()
         if n == bound:
             return WitnessColouring(bound, colours, tuple(table))
-        stack.append(untried(n + 1))
+        top = max(top, table[n - 1])
+        stack.append((top, untried(n + 1, top)))
     return None
 
 

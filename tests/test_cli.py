@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import partreg
 from partreg import QMatrix
 from partreg.cli import (
     EXIT_FAILS,
@@ -9,6 +13,7 @@ from partreg.cli import (
     EXIT_UNDECIDED,
     EXIT_USAGE,
     MatrixParseError,
+    build_parser,
     main,
     parse_colouring_spec,
     parse_matrix,
@@ -158,6 +163,13 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     assert fe["first_entries"] == [["1", "-1"], ["0", "1"], ["1", "0"]]
     assert fe["unital"] is True
 
+    # neither command searches, so neither takes a cap
+    for command in ("certify", "first-entries"):
+        assert main([command, schur, cert_path, "--cap", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cap 5" in captured.err
+
     tampered = doc["certificate"]
     tampered["witnesses"][0][0]["coeff"] = "9"
     bad_path = write(tmp_path, "bad.json", json.dumps(tampered))
@@ -258,3 +270,38 @@ def test_short_table_colouring_is_a_usage_error(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: table colouring undefined at 3\n"
+
+
+# ------------------------------------------------------------- parser reuse
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_matches_one_process_per_call(tmp_path, capsys, monkeypatch):
+    # help and usage text wrap at COLUMNS, so both sides get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    matrix = write(tmp_path, "m23.txt", TWO_BY_THREE)
+    argvs = [
+        (["kpr"], EXIT_USAGE),
+        (["--help"], EXIT_HOLDS),
+        (["kpr", schur, "--cap", "-1"], EXIT_USAGE),
+        (["oracle", "solve", schur, "--colouring", "mod:2", "--bound", "10", "--json"], EXIT_HOLDS),
+        (["doubly-ipr", matrix, "--json"], EXIT_HOLDS),
+    ]
+    in_process = []
+    for argv, expected in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expected, argv
+        in_process.append((code, captured.out, captured.err))
+
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(partreg.__file__))
+    for (argv, _), result in zip(argvs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "partreg.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv

@@ -257,6 +257,18 @@ def test_schur_sweep_thresholds():
     assert verify_all_colourings([schur()], 1, 3) is True
 
 
+def test_one_colour_sweep_does_not_list_the_solutions():
+    # about N^2/4 Schur solutions exist; one kernel search under mod:1 finds the first
+    tracemalloc.start()
+    try:
+        holds = verify_all_colourings([schur()], 1, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert holds is True
+    assert peak < 5 * 2**20
+
+
 def test_sweep_rejects_oversized_instances():
     with pytest.raises(ValueError):
         verify_all_colourings([schur()], 2, 40)
@@ -300,29 +312,30 @@ def test_falsify_complements_sweep_and_matches_brute_force():
         matrices = [
             QMatrix.of([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
         ]
-        colours, bound = 2, rng.randint(2, 6)
-        witness = search_witness_colouring(matrices, colours, bound)
-        sweep = verify_all_colourings(matrices, colours, bound)
-        assert (witness is None) == sweep
+        bound = rng.randint(2, 6)
+        for colours in (1, 2, 3):
+            witness = search_witness_colouring(matrices, colours, bound)
+            sweep = verify_all_colourings(matrices, colours, bound)
+            assert (witness is None) == sweep
 
-        solutions = enumerate_bounded_solutions(matrices, bound)
+            solutions = enumerate_bounded_solutions(matrices, bound)
 
-        def admits(table):
-            return any(
-                all(len({table[x - 1] for x in vec}) == 1 for vec in sol)
-                for sol in solutions
+            def admits(table):
+                return any(
+                    all(len({table[x - 1] for x in vec}) == 1 for vec in sol)
+                    for sol in solutions
+                )
+
+            brute = next(
+                (
+                    t
+                    for t in itertools.product(range(colours), repeat=bound)
+                    if t[0] == 0 and not admits(t)
+                ),
+                None,
             )
-
-        brute = next(
-            (
-                t
-                for t in itertools.product(range(colours), repeat=bound)
-                if t[0] == 0 and not admits(t)
-            ),
-            None,
-        )
-        assert (witness.table if witness else None) == brute
-        assert sweep == all(admits(t) for t in itertools.product(range(colours), repeat=bound))
+            assert (witness.table if witness else None) == brute
+            assert sweep == all(admits(t) for t in itertools.product(range(colours), repeat=bound))
 
 
 # -------------------------------------------------------------------- dilation

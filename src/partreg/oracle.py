@@ -14,10 +14,12 @@ free coordinates are literal entries of the solution vector.  Ranging those
 over [1..N] and checking every derived entry with exact integer arithmetic
 is therefore complete within the bound.  Nor does it scan [1..N] value by
 value: every colouring splits [1..N] into colour pieces that are arithmetic
-progressions, and the values an entry a*t may take are intersections of
-progressions, merged lazily in increasing order, so time and memory follow
-the number of colour pieces rather than N.  Negative results are evidence
-up to their bound, never proofs.
+progressions.  Each entry is (a*t + offset)/den in the free value t chosen
+last, the offset being fixed by the earlier ones, so the t that put it in a
+piece form a progression too; candidates are intersections of these, merged
+lazily in increasing order, so time and memory follow the number of colour
+pieces rather than N.  Negative results are evidence up to their bound,
+never proofs.
 """
 
 from __future__ import annotations
@@ -69,17 +71,24 @@ def gamma_colour(x: int, base: int = 10) -> tuple[int, int, int]:
 _EMPTY = range(1, 1)
 
 
-def _progression(a: int, r: range) -> range:
-    """The t >= 1 with a*t in the progression r (r has a positive step)."""
-    if a < 1 or not r:
+def _progression(a: int, r: range, offset: int = 0, den: int = 1) -> range:
+    """The t >= 1 with (a*t + offset)/den in the progression r.
+
+    a is nonzero, den positive and r has a positive step.  a*t must run over
+    den*r - offset, reflected when a < 0 so that t still increases.
+    """
+    if not r:
         return _EMPTY
-    g = gcd(a, r.step)
-    if r.start % g:
+    low, high, step = den * r.start - offset, den * r[-1] - offset, den * r.step
+    if a < 0:
+        a, low, high = -a, -high, -low
+    g = gcd(a, step)
+    if low % g:
         return _EMPTY
-    step = r.step // g
-    residue = r.start // g * pow(a // g, -1, step) % step
-    low = max(1, -(-r.start // a))
-    return range(low + (residue - low) % step, r[-1] // a + 1, step)
+    step //= g
+    residue = low // g * pow(a // g, -1, step) % step
+    first = max(1, -(-low // a))
+    return range(first + (residue - first) % step, high // a + 1, step)
 
 
 def _intersect(x: range, y: range) -> range:
@@ -268,22 +277,42 @@ class WitnessColouring:
         return "\n".join(f"{i + 1} {c}" for i, c in enumerate(self.table)) + "\n"
 
 
+def _refine(groups: list[tuple[range, tuple]], slot: int, by_colour: dict) -> list:
+    """Split (t-progression, colours) groups by one entry's colour -> t-progressions.
+
+    A group whose colour at `slot` is fixed keeps it; an unfixed one tries each.
+    """
+    refined = []
+    for progression, colours in groups:
+        required = colours[slot]
+        if required is None:
+            options = by_colour.items()
+        else:
+            options = ((required, by_colour.get(required, ())),)
+        for colour, pieces in options:
+            fixed = colours[:slot] + (colour,) + colours[slot + 1:]
+            for piece in pieces:
+                common = _intersect(progression, piece)
+                if common:
+                    refined.append((common, fixed))
+    return refined
+
+
 class _KernelSearch:
     """Backtracking over the free coordinates of the assembled kernel.
 
-    At depth d the free coordinate is written scale[d]*t with t a positive
-    integer, where scale[d] clears the denominators of the entries that
-    depend on this coordinate alone; each such unary entry is then a*t with
-    a an integer.  Its admissible t form, per colour piece, an arithmetic
+    At depth d the free value t is chosen, and each entry whose last free
+    coordinate is d is (a*t + offset)/den, integers with a != 0 and the
+    offset fixed by the earlier free values.  Per colour piece its t form a
     progression, so the candidates are groups (t-progression, colours of
     the blocks they fix) built by intersecting progressions, never by
-    scanning [1..N], and merged lazily in increasing t.  A group whose
-    colours leave the next depth with no candidates is dropped: fixing more
-    colours only shrinks a candidate set.
-    Entries depending on several coordinates are one integer denominator
-    over integer numerators, checked per candidate.  Values are tried in
-    increasing order and free columns in increasing index order, so the
-    first hit is canonical.
+    scanning [1..N], and merged lazily in increasing t.  Offset-free
+    entries are intersected once per depth and colours and cached; an
+    entry with an offset only for the current offset, in its groups'
+    colours.  A group whose colours leave the next depth's offset-free
+    entries no candidates is dropped: fixing more colours only shrinks a
+    candidate set.  Values are tried in increasing order and free columns
+    in increasing index order, so the first hit is canonical.
     """
 
     def __init__(self, matrices: Sequence[QMatrix], bound: int, colouring):
@@ -295,7 +324,6 @@ class _KernelSearch:
         if any(M.rows != rows for M in matrices):
             raise ValueError("matrices must share their row count")
         self.bound = bound
-        self.colouring = colouring
         combined = QMatrix.hstack(list(matrices))
         self.n = combined.cols
         offsets = [0]
@@ -319,74 +347,54 @@ class _KernelSearch:
         if not self.viable:
             return
 
-        unary: list[list[tuple[int, Q]]] = [[] for _ in range(depths)]
+        self.pieces_by_colour: dict[Hashable, list[range]] = {}
+        for colour, r in (
+            [(None, range(1, bound + 1))] if colouring is None else colouring.pieces(bound)
+        ):
+            self.pieces_by_colour.setdefault(colour, []).append(r)
+        # entry e joins the depth of its last free coordinate as (a*t + offset)/den
+        at_depth: list[list[tuple]] = [[] for _ in range(depths)]
         for e, expr in enumerate(exprs):
-            if len(expr) == 1:
-                ((d, c),) = expr.items()
-                unary[d].append((e, c))
-        # the free value at depth d is scale[d] * t, so each unary entry is a * t
-        scale = [lcm(*(c.denominator for _, c in entries)) for entries in unary]
-        self.unary_at = [
-            [(e, (c * L).numerator) for e, c in entries]
-            for entries, L in zip(unary, scale)
-        ]
-        self.multi_at: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [
-            [] for _ in range(depths)
-        ]
-        for e, expr in enumerate(exprs):
-            if len(expr) > 1:
-                terms = {d: c * scale[d] for d, c in expr.items()}
-                den = lcm(*(c.denominator for c in terms.values()))
-                numerators = tuple((d, (c * den).numerator) for d, c in terms.items())
-                self.multi_at[max(terms)].append((e, den, numerators))
+            den = lcm(*(c.denominator for c in expr.values()))
+            *earlier, (d, a) = sorted((d, (c * den).numerator) for d, c in expr.items())
+            at_depth[d].append((e, a, den, tuple(earlier)))
         # the blocks whose colours a depth's candidates depend on
         self.key_blocks = [
-            tuple(sorted({self.block_of[e] for e, _ in entries}))
-            for entries in self.unary_at
+            tuple(sorted({self.block_of[e] for e, *_ in entries})) for entries in at_depth
         ]
-        pieces = (
-            [(None, range(1, bound + 1))] if colouring is None
-            else colouring.pieces(bound)
-        )
-        # per depth and unary entry: its key-block slot and colour -> t-progressions
-        self.entry_pieces: list[list[tuple[int, dict[Hashable, list[range]]]]] = []
-        for entries, blocks in zip(self.unary_at, self.key_blocks):
-            per_entry = []
-            for e, a in entries:
-                by_colour: dict[Hashable, list[range]] = {}
-                for colour, r in pieces:
-                    progression = _progression(a, r)
-                    if progression:
-                        by_colour.setdefault(colour, []).append(progression)
-                per_entry.append((blocks.index(self.block_of[e]), by_colour))
-            self.entry_pieces.append(per_entry)
-
-        self.values = [0] * self.n
+        # per depth: (column, key-block slot, a, den, earlier (depth, coefficient)
+        # terms, colour -> t-progressions if offset-free, else None)
+        self.entries = [
+            [
+                (e, blocks.index(self.block_of[e]), a, den, earlier,
+                 None if earlier else self._by_colour(a, 0, den, self.pieces_by_colour))
+                for e, a, den, earlier in entries
+            ]
+            for entries, blocks in zip(at_depth, self.key_blocks)
+        ]
         self.ts = [0] * depths
         self.colour_state: list[Hashable | None] = [None] * self.k
         self.group_cache: dict[tuple, list[tuple[range, tuple]]] = {}
 
+    def _by_colour(self, a: int, offset: int, den: int, colours) -> dict[Hashable, list[range]]:
+        """colour -> the t with (a*t + offset)/den in that colour's pieces."""
+        out = {}
+        for colour in colours:
+            pieces = self.pieces_by_colour.get(colour, ())
+            pulled = (_progression(a, r, offset, den) for r in pieces)
+            if progressions := [p for p in pulled if p]:
+                out[colour] = progressions
+        return out
+
     def _groups(self, depth: int, key: tuple) -> list[tuple[range, tuple]]:
-        """(t-progression, key-block colours) groups at `depth` under colours `key`."""
+        """Groups at `depth` under colours `key`, from its offset-free entries."""
         cached = self.group_cache.get((depth, key))
         if cached is not None:
             return cached
         groups = [(range(1, self.bound + 1), key)]
-        for slot, by_colour in self.entry_pieces[depth]:
-            refined = []
-            for progression, colours in groups:
-                required = colours[slot]
-                if required is None:
-                    options = by_colour.items()
-                else:
-                    options = ((required, by_colour.get(required, ())),)
-                for colour, pieces in options:
-                    fixed = colours[:slot] + (colour,) + colours[slot + 1:]
-                    for piece in pieces:
-                        common = _intersect(progression, piece)
-                        if common:
-                            refined.append((common, fixed))
-            groups = refined
+        for _, slot, _, _, _, by_colour in self.entries[depth]:
+            if by_colour is not None:
+                groups = _refine(groups, slot, by_colour)
         if depth + 1 < self.depths:
             blocks = self.key_blocks[depth]
             after = self.key_blocks[depth + 1]
@@ -402,10 +410,15 @@ class _KernelSearch:
     def _candidates(self, depth: int) -> Iterator[tuple[int, tuple]]:
         """(t, key-block colours) at `depth` in increasing t, merged lazily."""
         key = tuple(self.colour_state[b] for b in self.key_blocks[depth])
-        streams = [
-            zip(progression, repeat(colours))
-            for progression, colours in self._groups(depth, key)
-        ]
+        groups = self._groups(depth, key)
+        for _, slot, a, den, earlier, by_colour in self.entries[depth]:
+            if by_colour is None:
+                offset = sum(c * self.ts[d] for d, c in earlier)
+                wanted = {colours[slot] for _, colours in groups}
+                if None in wanted:
+                    wanted = self.pieces_by_colour
+                groups = _refine(groups, slot, self._by_colour(a, offset, den, wanted))
+        streams = [zip(progression, repeat(colours)) for progression, colours in groups]
         # groups are disjoint, so no two candidates share a t; one group
         # skips the merge's per-candidate generator step
         return streams[0] if len(streams) == 1 else heapq.merge(*streams)
@@ -416,42 +429,27 @@ class _KernelSearch:
         return self.results
 
     def _dfs(self, depth: int, find_all: bool) -> bool:
+        ts, state = self.ts, self.colour_state
         if depth == self.depths:
+            values = [0] * self.n
+            for t, entries in zip(ts, self.entries):
+                for e, _, a, den, earlier, _ in entries:
+                    values[e] = (a * t + sum(c * ts[d] for d, c in earlier)) // den
             vectors = tuple(
-                tuple(self.values[self.offsets[t]:self.offsets[t + 1]])
-                for t in range(self.k)
+                tuple(values[self.offsets[b]:self.offsets[b + 1]]) for b in range(self.k)
             )
-            self.results.append((vectors, tuple(self.colour_state)))
+            self.results.append((vectors, tuple(state)))
             return not find_all
-        state = self.colour_state
         blocks = self.key_blocks[depth]
+        unset = [b for b in blocks if state[b] is None]
         for t, colours in self._candidates(depth):
-            self.ts[depth] = t
-            for e, a in self.unary_at[depth]:
-                self.values[e] = a * t
-            set_blocks = [b for b in blocks if state[b] is None]
+            ts[depth] = t
             for b, colour in zip(blocks, colours):
                 state[b] = colour
-            ok = True
-            for e, den, numerators in self.multi_at[depth]:
-                w, rem = divmod(sum(c * self.ts[d] for d, c in numerators), den)
-                if rem or w < 1 or w > self.bound:
-                    ok = False
-                    break
-                self.values[e] = w
-                if self.colouring is not None:
-                    b = self.block_of[e]
-                    col = self.colouring.colour(w)
-                    if state[b] is None:
-                        state[b] = col
-                        set_blocks.append(b)
-                    elif state[b] != col:
-                        ok = False
-                        break
-            if ok and self._dfs(depth + 1, find_all):
+            if self._dfs(depth + 1, find_all):
                 return True
-            for b in set_blocks:
-                state[b] = None
+        for b in unset:
+            state[b] = None
         return False
 
 

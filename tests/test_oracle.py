@@ -19,7 +19,7 @@ from partreg import (
     verify_all_colourings,
 )
 from partreg.linalg import rref
-from partreg.oracle import _DilatedColouring, _KernelSearch
+from partreg.oracle import _DilatedColouring, _KernelSearch, _progression
 
 
 def minus_identity(n):
@@ -142,6 +142,10 @@ def test_pinned_witnesses():
         [QMatrix.identity(2), QMatrix.identity(2).scale(-2)], Colouring.mod(3), 10
     )
     assert witness.vectors == ((2, 2), (1, 1))
+    # z = x + y has an offset at y's depth: its colour is intersected, not
+    # checked per candidate, so the bound does not set the time
+    witness = find_monochromatic_solution([schur()], Colouring.mod(3), 3 * 10**6)
+    assert witness.vectors == ((3, 3, 6),)
 
 
 def test_trivial_kernel_has_no_witness():
@@ -195,6 +199,7 @@ def brute_force_solutions(matrices, bound):
 def test_kernel_search_matches_brute_force_walk():
     rng = random.Random(79)
     found = 0
+    negative_step = fractional_offset = False
     for _ in range(60):
         rows = rng.randint(1, 2)
         widths = rng.choice([[2], [3], [4], [1, 1], [2, 1], [1, 2], [2, 2], [1, 1, 1]])
@@ -202,6 +207,10 @@ def test_kernel_search_matches_brute_force_walk():
         bound = rng.randint(1, 12 if sum(widths) < 4 else 7)
         solutions = brute_force_solutions(matrices, bound)
         assert set(enumerate_bounded_solutions(matrices, bound)) == set(solutions)
+        search = _KernelSearch(matrices, bound, None)
+        for _, _, a, den, earlier, _ in sum(search.entries, []) if search.viable else ():
+            negative_step |= a < 0
+            fractional_offset |= den > 1 and bool(earlier)
 
         _, pivots, _ = rref(QMatrix.hstack(matrices))
         free = [c for c in range(sum(widths)) if c not in pivots]
@@ -223,6 +232,8 @@ def test_kernel_search_matches_brute_force_walk():
             assert witness.vectors == min(mono, key=free_key)
             assert witness.colours == tuple(colouring.colour(vec[0]) for vec in witness.vectors)
     assert found > 100
+    # entries (a*t + offset)/den with a < 0, and with den > 1 and earlier terms
+    assert negative_step and fractional_offset
 
 
 def test_lazy_candidates_match_a_scan_of_the_bound():
@@ -233,9 +244,61 @@ def test_lazy_candidates_match_a_scan_of_the_bound():
     for matrix in (schur(), vdw()):
         for colouring in every_colouring_kind(rng, bound):
             search = _KernelSearch([matrix], bound, colouring)
-            ((_, a),) = search.unary_at[0]
+            ((_, _, a, *_),) = search.entries[0]
             scan = [(t, (colouring.colour(a * t),)) for t in range(1, bound // a + 1)]
             assert list(search._candidates(0)) == scan
+
+
+def test_progression_with_offset_and_denominator():
+    def walk(a, r, offset, den):
+        # |a*t + offset| <= 4*60 + 20 bounds every t that can land in r
+        return [t for t in range(1, 300) if (a * t + offset) % den == 0
+                and (a * t + offset) // den in r]
+
+    rng = random.Random(97)
+    fixed = [range(5, 5), range(1, 50, 2), range(-40, 61), range(7, 8), range(3, 60, 6)]
+    sizes = Counter()
+    for a in [s * m for m in range(1, 6) for s in (1, -1)]:
+        for den in range(1, 5):
+            for offset in range(-20, 21):
+                start = rng.randint(-40, 60)
+                random_range = range(start, rng.randint(start - 1, 61), rng.randint(1, 7))
+                for r in (*fixed, random_range):
+                    got = _progression(a, r, offset, den)
+                    assert list(got) == walk(a, r, offset, den)
+                    assert got.step > 0
+                    sizes[bool(got)] += 1
+    assert sizes[False] > 1000 and sizes[True] > 1000
+
+
+class PiecesOnly:
+    """A colouring read only through its pieces: colour() raises."""
+
+    def __init__(self, colouring):
+        self.colouring = colouring
+
+    def colour(self, x):
+        raise AssertionError(f"colour({x}) called")
+
+    def pieces(self, bound):
+        return self.colouring.pieces(bound)
+
+
+def test_kernel_search_reads_colours_only_from_pieces():
+    # Schur's z and the vdW entries depend on two free coordinates
+    rng = random.Random(89)
+    bound = 300
+    for matrix in (schur(), vdw()):
+        for colouring in every_colouring_kind(rng, bound):
+            results = _KernelSearch([matrix], bound, PiecesOnly(colouring)).run()
+            witness = find_monochromatic_solution([matrix], colouring, bound)
+            assert results == ([] if witness is None else [(witness.vectors, witness.colours)])
+    # colour-blind, the groups of z = x + y are never cached under an offset
+    search = _KernelSearch([schur()], 200, None)
+    assert len(search.run(find_all=True)) == 199 * 200 // 2
+    assert set(search.group_cache) == {
+        (d, (None,) * len(search.key_blocks[d])) for d in range(search.depths)
+    }
 
 
 def test_candidate_memory_follows_the_pieces_not_the_bound():

@@ -163,7 +163,11 @@ def _report_decision(decision: Decision, as_json: bool) -> int:
 
 def _load_certificate(path: str) -> ColumnsConditionCertificate:
     with open(path, encoding="utf-8") as handle:
-        return ColumnsConditionCertificate.from_json_dict(json.load(handle))
+        try:
+            document = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return ColumnsConditionCertificate.from_json_dict(document)
 
 
 def _witness_json(witness) -> dict:
@@ -188,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max candidate blocks the search examines before reporting UNDECIDED")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    # certify and first-entries run no search, so they take no --cap; the
-    # oracle commands accept it for a search budget still to come
+    # --cap bounds the partition search; certify and first-entries run none,
+    # and the oracle searches have no budget yet, so they take no --cap
     capped = [cap, common]
 
     parser = argparse.ArgumentParser(
@@ -234,19 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
 
     p = oracle_sub.add_parser("solve", help="search a bounded monochromatic solution",
-                              parents=capped)
+                              parents=[common])
     p.add_argument("files", nargs="+")
     p.add_argument("--colouring", required=True, help="mod:M | gamma:P | startparity:B | table:FILE")
     p.add_argument("--bound", type=int, required=True)
 
     p = oracle_sub.add_parser("sweep", help="check every r-colouring of [1..N] admits a solution",
-                              parents=capped)
+                              parents=[common])
     p.add_argument("files", nargs="+")
     p.add_argument("--colours", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
 
     p = oracle_sub.add_parser("falsify", help="search a colouring of [1..N] with no bounded solution",
-                              parents=capped)
+                              parents=[common])
     p.add_argument("files", nargs="+")
     p.add_argument("--colours", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)

@@ -70,7 +70,7 @@ class OrderedPartition:
 
     @staticmethod
     def of(blocks: Iterable[Iterable[int]]) -> "OrderedPartition":
-        cleaned = tuple(tuple(sorted(set(_column_index(i) for i in block))) for block in blocks)
+        cleaned = tuple(tuple(sorted(_column_index(i) for i in block)) for block in blocks)
         if not cleaned or any(not block for block in cleaned):
             raise ValueError("blocks must be non-empty")
         seen: set[int] = set()
@@ -79,7 +79,7 @@ class OrderedPartition:
                 if i < 0:
                     raise ValueError("column indices must be non-negative")
                 if i in seen:
-                    raise ValueError(f"column {i} appears in two blocks")
+                    raise ValueError(f"column {i} appears more than once")
                 seen.add(i)
         return OrderedPartition(cleaned)
 

@@ -312,17 +312,14 @@ class _KernelSearch:
     colours.  A group whose colours leave the next depth's offset-free
     entries no candidates is dropped: fixing more colours only shrinks a
     candidate set.  Values are tried in increasing order and free columns
-    in increasing index order, so the first hit is canonical.
+    in increasing index order, so solutions() yields (vectors, block
+    colours) in canonical order, lazily: callers take the first with next
+    or read the stream in full.  A search serves one stream.
     """
 
     def __init__(self, matrices: Sequence[QMatrix], bound: int, colouring):
         if bound < 1:
             raise ValueError("bound must be at least 1")
-        if not matrices:
-            raise ValueError("need at least one matrix")
-        rows = matrices[0].rows
-        if any(M.rows != rows for M in matrices):
-            raise ValueError("matrices must share their row count")
         self.bound = bound
         combined = QMatrix.hstack(list(matrices))
         self.n = combined.cols
@@ -341,7 +338,6 @@ class _KernelSearch:
             {d: vector.entries[e] for d, vector in enumerate(basis) if vector.entries[e]}
             for e in range(self.n)
         ]
-        self.results: list[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]] = []
         self.depths = depths = len(basis)
         self.viable = bool(basis) and all(exprs)
         if not self.viable:
@@ -423,12 +419,11 @@ class _KernelSearch:
         # skips the merge's per-candidate generator step
         return streams[0] if len(streams) == 1 else heapq.merge(*streams)
 
-    def run(self, find_all: bool = False):
+    def solutions(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]]:
         if self.viable:
-            self._dfs(0, find_all)
-        return self.results
+            yield from self._dfs(0)
 
-    def _dfs(self, depth: int, find_all: bool) -> bool:
+    def _dfs(self, depth: int):
         ts, state = self.ts, self.colour_state
         if depth == self.depths:
             values = [0] * self.n
@@ -438,19 +433,17 @@ class _KernelSearch:
             vectors = tuple(
                 tuple(values[self.offsets[b]:self.offsets[b + 1]]) for b in range(self.k)
             )
-            self.results.append((vectors, tuple(state)))
-            return not find_all
+            yield vectors, tuple(state)
+            return
         blocks = self.key_blocks[depth]
         unset = [b for b in blocks if state[b] is None]
         for t, colours in self._candidates(depth):
             ts[depth] = t
             for b, colour in zip(blocks, colours):
                 state[b] = colour
-            if self._dfs(depth + 1, find_all):
-                return True
+            yield from self._dfs(depth + 1)
         for b in unset:
             state[b] = None
-        return False
 
 
 def find_monochromatic_solution(
@@ -462,12 +455,10 @@ def find_monochromatic_solution(
     bound.  The colouring provides colour(x) and pieces(bound), as
     Colouring does.
     """
-    search = _KernelSearch(matrices, bound, colouring)
-    results = search.run(find_all=False)
-    if not results:
+    first = next(_KernelSearch(matrices, bound, colouring).solutions(), None)
+    if first is None:
         return None
-    vectors, colours = results[0]
-    witness = SolutionWitness(vectors, colours)
+    witness = SolutionWitness(*first)
     assert witness.verify(matrices, colouring)
     return witness
 
@@ -476,21 +467,7 @@ def enumerate_bounded_solutions(
     matrices: Sequence[QMatrix], bound: int
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every solution with all entries in [1..bound], colour-blind."""
-    search = _KernelSearch(matrices, bound, None)
-    return [vectors for vectors, _ in search.run(find_all=True)]
-
-
-def _distinct_blocks(
-    solutions: list[tuple[tuple[int, ...], ...]]
-) -> list[tuple[tuple[int, ...], ...]]:
-    seen = set()
-    out = []
-    for vectors in solutions:
-        key = tuple(tuple(sorted(set(vec))) for vec in vectors)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+    return [vectors for vectors, _ in _KernelSearch(matrices, bound, None).solutions()]
 
 
 def _guard_sweep_size(colours: int, bound: int) -> None:
@@ -538,10 +515,11 @@ def search_witness_colouring(
         if find_monochromatic_solution(matrices, Colouring.mod(1), bound) is None:
             return WitnessColouring(bound, 1, (0,) * bound)
         return None
-    solutions = _distinct_blocks(enumerate_bounded_solutions(matrices, bound))
-    by_max: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in range(bound + 1)]
-    for sol in solutions:
-        by_max[max(max(block) for block in sol)].append(sol)
+    # per largest value, each solution's distinct block value-sets in first-seen order
+    by_max: list[dict[tuple[tuple[int, ...], ...], None]] = [{} for _ in range(bound + 1)]
+    for vectors in enumerate_bounded_solutions(matrices, bound):
+        sol = tuple(tuple(sorted(set(vec))) for vec in vectors)
+        by_max[max(max(block) for block in sol)][sol] = None
     table = [0] * bound
 
     def forbidden_for(n: int) -> set[int] | None:

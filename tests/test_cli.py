@@ -192,6 +192,10 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": true}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": false}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1/0"}]]}',
+    # A repeated column inside one block is not merged away.
+    '{"partition": [[1, 1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1"}, {"column": 3, "coeff": "0"}]]}',
+    # Nesting deeper than the JSON parser recurses.
+    pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
 ])
 @pytest.mark.parametrize("command", ["certify", "first-entries"])
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, document):
@@ -247,6 +251,15 @@ def test_oracle_sweep_and_falsify(tmp_path, capsys):
     assert out == "1 0\n2 1\n3 1\n4 0\n"
     assert main(["oracle", "falsify", schur, "--colours", "2", "--bound", "5"]) == EXIT_HOLDS
     capsys.readouterr()
+
+    # the oracle searches have no budget, so they take no --cap
+    for command in (["solve", "--colouring", "mod:1"], ["sweep", "--colours", "2"],
+                    ["falsify", "--colours", "2"]):
+        argv = ["oracle", command[0], schur, *command[1:], "--bound", "4", "--cap", "5"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cap 5" in captured.err
 
 
 def test_oracle_table_colouring_round_trip(tmp_path, capsys):

@@ -76,6 +76,8 @@ def test_ordered_partition_validation():
     with pytest.raises(ValueError):
         OrderedPartition.of([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
+        OrderedPartition.of([[0, 0, 2], [1]])
+    with pytest.raises(ValueError):
         OrderedPartition.of([[0], []])
     with pytest.raises(ValueError):
         OrderedPartition.of([])

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -206,7 +207,6 @@ def test_kernel_search_matches_brute_force_walk():
         matrices = [random_matrix(rng, rows, w, max_num=3) for w in widths]
         bound = rng.randint(1, 12 if sum(widths) < 4 else 7)
         solutions = brute_force_solutions(matrices, bound)
-        assert set(enumerate_bounded_solutions(matrices, bound)) == set(solutions)
         search = _KernelSearch(matrices, bound, None)
         for _, _, a, den, earlier, _ in sum(search.entries, []) if search.viable else ():
             negative_step |= a < 0
@@ -219,6 +219,8 @@ def test_kernel_search_matches_brute_force_walk():
             flat = [v for vec in sol for v in vec]
             return tuple(flat[f] for f in free)
 
+        # the canonical order: increasing free values, earlier free columns first
+        assert enumerate_bounded_solutions(matrices, bound) == sorted(solutions, key=free_key)
         for colouring in every_colouring_kind(rng, bound):
             mono = [
                 sol for sol in solutions
@@ -290,12 +292,12 @@ def test_kernel_search_reads_colours_only_from_pieces():
     bound = 300
     for matrix in (schur(), vdw()):
         for colouring in every_colouring_kind(rng, bound):
-            results = _KernelSearch([matrix], bound, PiecesOnly(colouring)).run()
+            results = list(islice(_KernelSearch([matrix], bound, PiecesOnly(colouring)).solutions(), 1))
             witness = find_monochromatic_solution([matrix], colouring, bound)
             assert results == ([] if witness is None else [(witness.vectors, witness.colours)])
     # colour-blind, the groups of z = x + y are never cached under an offset
     search = _KernelSearch([schur()], 200, None)
-    assert len(search.run(find_all=True)) == 199 * 200 // 2
+    assert len(list(search.solutions())) == 199 * 200 // 2
     assert set(search.group_cache) == {
         (d, (None,) * len(search.key_blocks[d])) for d in range(search.depths)
     }

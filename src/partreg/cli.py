@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .columns import (
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
     PartitionCapExceeded,
+    RATIONAL_TOKEN,
     first_entries_from_certificate,
     verify_certificate,
 )
@@ -51,8 +51,6 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
-_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
-
 
 class MatrixParseError(ValueError):
     def __init__(self, line: int, message: str):
@@ -70,7 +68,7 @@ def parse_matrix(text: str) -> QMatrix:
             continue
         entries: list[Fraction] = []
         for token in line.split():
-            if not _TOKEN.match(token):
+            if not RATIONAL_TOKEN.fullmatch(token):
                 raise MatrixParseError(lineno, f"malformed entry {token!r}")
             if "/" in token and token.split("/")[1].lstrip("0") == "":
                 raise MatrixParseError(lineno, f"zero denominator in {token!r}")
@@ -266,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except (MatrixParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -46,6 +47,7 @@ from .linalg import (
 
 DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
 FIXED_ONE = None  # group tag for columns that carry no scalar
+RATIONAL_TOKEN = re.compile(r"[+-]?\d+(/\d+)?")  # an integer or p/q
 
 
 def _column_index(value) -> int:
@@ -56,10 +58,13 @@ def _column_index(value) -> int:
 
 
 def _coefficient(value) -> Fraction:
-    # JSON true and false must not be read as 1 and 0.
-    if isinstance(value, bool):
-        raise ValueError(f"coefficient must be a string or an integer, got {value!r}")
-    return rational(value)
+    # JSON true and false must not be read as 1 and 0, and a string in
+    # exponent notation ("1e3000000") must not be expanded.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Q(value)
+    if isinstance(value, str) and RATIONAL_TOKEN.fullmatch(value):
+        return Fraction(value)
+    raise ValueError(f"coefficient must be an integer or a string p/q, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -316,7 +321,7 @@ class ScalingTemplate:
 def closure_search(
     template: ScalingTemplate,
     feasible: Callable[[EqualityEchelon], bool] | None = None,
-    cap: int | None = DEFAULT_PARTITION_CAP,
+    cap: int = DEFAULT_PARTITION_CAP,
 ) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
     """Yield ordered partitions that witness the template's scaled columns condition.
 
@@ -336,9 +341,9 @@ def closure_search(
     scalars succeed depends on the echelon alone, so each echelon is
     explored once: the first partition is found by the first next(), and
     exhausting the iterator finds every echelon that succeeds.  Blocks are
-    tried largest first, then in lexicographic order.  Each candidate block
-    counts against `cap`; reaching it with blocks left raises
-    PartitionCapExceeded.
+    tried largest first, then in lexicographic order.  Every search runs
+    under a budget: each candidate block counts against `cap`, and reaching
+    it with blocks left raises PartitionCapExceeded.
     """
     integral = template.matrix.integer_columns
     dim, nvars = template.matrix.rows, template.nvars
@@ -379,7 +384,7 @@ def closure_search(
             taken = None
             for size in range(len(rest), 0, -1):
                 for block in itertools.combinations(rest, size):
-                    if cap is not None and examined >= cap:
+                    if examined >= cap:
                         raise PartitionCapExceeded(cap)
                     examined += 1
                     extended = echelon.extend(equalities(block))
@@ -406,7 +411,7 @@ def closure_search(
 
 
 def decide_columns_condition(
-    A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP
+    A: QMatrix, cap: int = DEFAULT_PARTITION_CAP
 ) -> ColumnsConditionCertificate | None:
     """A certificate for the columns condition of A, if one exists.
 

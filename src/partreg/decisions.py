@@ -8,8 +8,8 @@ gathered so far keep a strictly positive solution.  All five procedures go
 through _decide_scaled; is_kpr is the template with no scalars.  YES
 verdicts carry the scalars, the assembled scaled matrix and a certificate
 that re-verifies independently; NO verdicts are issued only after the
-search was exhausted; a truncated search is reported UNDECIDED, never
-guessed.
+search was exhausted.  Every search runs under `cap` candidate blocks, and
+one that reaches it is reported UNDECIDED, never guessed.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class Decision:
 
 
 def _decide_scaled(
-    template: ScalingTemplate, scalar_names: Sequence[str], cap: int | None
+    template: ScalingTemplate, scalar_names: Sequence[str], cap: int
 ) -> Decision:
     # The root echelon has no rows, and stage 4 of the positive solver would
     # return the all-ones point for it, so it is taken without a solve.
@@ -106,7 +106,7 @@ def _decide_scaled(
     return Decision(YES, scalars, certificate, assembled)
 
 
-def is_kpr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
+def is_kpr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     """Kernel partition regularity of A: the template with no scalars.
 
     The search and the certificate share A's integer view, and a YES
@@ -126,7 +126,7 @@ def multiply_kpr_template(matrices: Sequence[QMatrix]) -> ScalingTemplate:
 
 
 def multiply_kpr(
-    matrices: Sequence[QMatrix], cap: int | None = DEFAULT_PARTITION_CAP
+    matrices: Sequence[QMatrix], cap: int = DEFAULT_PARTITION_CAP
 ) -> Decision:
     """Whether the tuple admits positive scalars making the assembly KPR.
 
@@ -138,7 +138,7 @@ def multiply_kpr(
     return _decide_scaled(template, names, cap)
 
 
-def doubly_kpr(A: QMatrix, B: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
+def doubly_kpr(A: QMatrix, B: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     """multiply_kpr specialised to a pair."""
     return multiply_kpr((A, B), cap)
 
@@ -148,7 +148,7 @@ def doubly_ipr_template(A: QMatrix) -> ScalingTemplate:
     return multiply_kpr_template((A, QMatrix.identity(A.rows).scale(-1)))
 
 
-def doubly_ipr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
+def doubly_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     """Doubly image partition regularity: is (A  -b*I) KPR for some b > 0?"""
     return _decide_scaled(doubly_ipr_template(A), ("b",), cap)
 
@@ -159,7 +159,7 @@ def is_ipr_template(A: QMatrix) -> ScalingTemplate:
     return ScalingTemplate(matrix, tuple(range(A.cols)) + (FIXED_ONE,) * A.rows, A.cols)
 
 
-def is_ipr(A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP) -> Decision:
+def is_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     """Image partition regularity via per-column positive rescaling.
 
     YES iff (A*diag(e) - I) is KPR for some strictly positive e_1..e_v; the
@@ -218,7 +218,7 @@ class IntegerScalarReport:
 
 
 def integer_b_analysis(
-    A: QMatrix, cap: int | None = DEFAULT_PARTITION_CAP
+    A: QMatrix, cap: int = DEFAULT_PARTITION_CAP
 ) -> IntegerScalarReport:
     """Integrality report for the doubly-IPR scalar of an integer matrix."""
     if not A.is_integral():

@@ -17,7 +17,7 @@ first; the union decides the value 0 with decide_columns_condition.
 
 feasible_positive decides the system exactly: equalities are eliminated in
 linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
-inequalities x_i > 0 with strictness tracked through combinations, on integer
+inequalities x_i > 0, whose positive combinations are all strict, on integer
 rows divided by the gcd of their entries; no epsilons.  Infeasible systems come
 with a Farkas-style witness: a non-negative combination of the positivity
 constraints plus an arbitrary-sign combination of the equalities whose
@@ -111,11 +111,12 @@ def verify_farkas(system: AffineSystem, witness: FarkasWitness) -> bool:
     return const != 0  # derived "const == 0" fails
 
 
-# Internal inequality: one flat integer row, then its strictness.  The row
-# holds the coefficients over the free variables, the constant, and the
-# provenance (lam over the positivity constraints, then mu over the original
-# equalities); it states coeffs . x + const > 0, or >= 0 when not strict.
-_Ineq = tuple[tuple[int, ...], bool]
+# Internal inequality: one flat integer row holding the coefficients over the
+# free variables, the constant, and the provenance (lam over the positivity
+# constraints, then mu over the original equalities).  It states
+# coeffs . x + const > 0: the rows start as the strict x_p > 0, and a
+# positive combination of strict rows is strict, so no row is ever ">= 0".
+_Ineq = tuple[int, ...]
 
 
 def _prune(ineqs: list[_Ineq], nf: int) -> tuple[list[_Ineq], _Ineq | None]:
@@ -124,22 +125,22 @@ def _prune(ineqs: list[_Ineq], nf: int) -> tuple[list[_Ineq], _Ineq | None]:
     Rows whose coefficients are positive multiples of each other share the
     primitive coefficient vector; among them only the tightest constant
     (compared after dividing by the coefficients' gcd) survives.  Dominance
-    never changes feasibility.
+    never changes feasibility.  A row with no coefficients is a
+    contradiction when its constant is not positive.
     """
-    best: dict[tuple[tuple[int, ...], bool], tuple[int, _Ineq]] = {}
-    for ineq in ineqs:
-        row, strict = ineq
+    best: dict[tuple[int, ...], tuple[int, _Ineq]] = {}
+    for row in ineqs:
         coeffs, const = row[:nf], row[nf]
         if not any(coeffs):
-            if const < 0 or (const == 0 and strict):
-                return [], ineq
+            if const <= 0:
+                return [], row
             continue  # tautology
         g = math.gcd(*coeffs)
-        key = (tuple(c // g for c in coeffs), strict)
+        key = tuple(c // g for c in coeffs)
         kept = best.get(key)
-        if kept is None or const * kept[0] < kept[1][0][nf] * g:
-            best[key] = (g, ineq)
-    return [ineq for _, ineq in best.values()], None
+        if kept is None or const * kept[0] < kept[1][nf] * g:
+            best[key] = (g, row)
+    return [row for _, row in best.values()], None
 
 
 def solve_positive(
@@ -211,43 +212,43 @@ def solve_positive_echelon(
             lam[j] = 1
             coeffs = [int(f == p) for f in free_vars] + [0]
             mu = [0] * (width - nv)
-        ineqs.append((tuple(coeffs + lam + mu), True))
+        ineqs.append(tuple(coeffs + lam + mu))
 
     ineqs, contradiction = _prune(ineqs, nf)
     if contradiction is not None:
-        return None, contradiction[0][nf + 1:]
+        return None, contradiction[nf + 1:]
 
     # --- stage 3: Fourier-Motzkin over the free variables ---
     # Every combination is divided by the gcd of all its entries, a positive
     # scaling that leaves the bounds and the provenance's validity as they are.
     snapshots: list[tuple[int, list[_Ineq], list[_Ineq]]] = []
     while True:
-        occurring = [k for k in range(nf) if any(row[k] for row, _ in ineqs)]
+        occurring = [k for k in range(nf) if any(row[k] for row in ineqs)]
         if not occurring:
             break
         # classic heuristic: eliminate the variable minimising lower*upper
         def cost(k: int, rows: list[_Ineq] = ineqs) -> tuple[int, int]:
-            lo = sum(1 for row, _ in rows if row[k] > 0)
-            hi = sum(1 for row, _ in rows if row[k] < 0)
+            lo = sum(1 for row in rows if row[k] > 0)
+            hi = sum(1 for row in rows if row[k] < 0)
             return (lo * hi, k)
 
         k = min(occurring, key=cost)
-        lowers = [ineq for ineq in ineqs if ineq[0][k] > 0]
-        uppers = [ineq for ineq in ineqs if ineq[0][k] < 0]
+        lowers = [row for row in ineqs if row[k] > 0]
+        uppers = [row for row in ineqs if row[k] < 0]
         snapshots.append((k, lowers, uppers))
-        combined = [ineq for ineq in ineqs if ineq[0][k] == 0]
-        for lo_row, lo_strict in lowers:
+        combined = [row for row in ineqs if row[k] == 0]
+        for lo_row in lowers:
             a = lo_row[k]
-            for up_row, up_strict in uppers:
+            for up_row in uppers:
                 b = -up_row[k]
                 row = [b * x + a * y for x, y in zip(lo_row, up_row)]
                 g = math.gcd(*row)  # lam > 0 somewhere, so g > 0
                 if g > 1:
                     row = [x // g for x in row]
-                combined.append((tuple(row), lo_strict or up_strict))
+                combined.append(tuple(row))
         ineqs, contradiction = _prune(combined, nf)
         if contradiction is not None:
-            return None, contradiction[0][nf + 1:]
+            return None, contradiction[nf + 1:]
 
     # --- stage 4: back-substitute a concrete point, preferring the value 1 ---
     # A variable that left every row before its own elimination is
@@ -262,34 +263,19 @@ def solve_positive_echelon(
                 total += row[i] * values[i]
         return -total / row[k]
 
+    # Every bound is strict, and the projection that stage 3 checked leaves
+    # lo < hi whenever both exist; a missing bound does not constrain.
     for k, lowers, uppers in reversed(snapshots):
-        lo_bound: tuple[Fraction, bool] | None = None
-        for row, strict in lowers:
-            b = bound(row, k)
-            if lo_bound is None or b > lo_bound[0] or (b == lo_bound[0] and strict):
-                lo_bound = (b, strict)
-        hi_bound: tuple[Fraction, bool] | None = None
-        for row, strict in uppers:
-            b = bound(row, k)
-            if hi_bound is None or b < hi_bound[0] or (b == hi_bound[0] and strict):
-                hi_bound = (b, strict)
-        one = Q(1)
-        ok_lo = lo_bound is None or one > lo_bound[0] or (one == lo_bound[0] and not lo_bound[1])
-        ok_hi = hi_bound is None or one < hi_bound[0] or (one == hi_bound[0] and not hi_bound[1])
-        if ok_lo and ok_hi:
-            value = one
-        elif lo_bound is not None and hi_bound is not None:
-            value = (
-                lo_bound[0]
-                if lo_bound[0] == hi_bound[0]
-                else (lo_bound[0] + hi_bound[0]) / 2
-            )
-        elif lo_bound is not None:
-            value = lo_bound[0] + 1
+        lo = max((bound(row, k) for row in lowers), default=None)
+        hi = min((bound(row, k) for row in uppers), default=None)
+        if (lo is None or lo < 1) and (hi is None or 1 < hi):
+            values[k] = Q(1)
+        elif hi is None:
+            values[k] = lo + 1
+        elif lo is None:
+            values[k] = hi - 1
         else:
-            assert hi_bound is not None
-            value = hi_bound[0] - 1
-        values[k] = value
+            values[k] = (lo + hi) / 2
 
     assignment = [Q(0)] * nv
     for f, value in zip(free_vars, values):
@@ -486,7 +472,7 @@ def _pins_nonzero(echelon: EqualityEchelon) -> bool:
 
 
 def scalar_union_over_partitions(
-    template: ScalingTemplate, cap: int | None = DEFAULT_PARTITION_CAP
+    template: ScalingTemplate, cap: int = DEFAULT_PARTITION_CAP
 ) -> ScalarSet:
     """Union of enumerate_feasible_scalars over every ordered partition.
 

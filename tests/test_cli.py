@@ -192,6 +192,10 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": true}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": false}]]}',
     '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1/0"}]]}',
+    # Coefficients follow the matrix-file syntax: no exponent notation, whose
+    # expansion would cost time that grows with the exponent.
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1e2"}]]}',
+    '{"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1e1000000"}]]}',
     # A repeated column inside one block is not merged away.
     '{"partition": [[1, 1, 3], [2]], "witnesses": [[{"column": 1, "coeff": "1"}, {"column": 3, "coeff": "0"}]]}',
     # Nesting deeper than the JSON parser recurses.

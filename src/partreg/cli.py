@@ -5,7 +5,8 @@ each an optionally-signed integer or p/q with positive q; blank lines and
 lines starting with '#' are ignored.  Exit codes: 0 the property holds
 (YES / verified / solution found), 1 it fails (NO / falsified / none found),
 2 input or usage error, 3 undecided because the search examined as many
-candidate blocks as --cap allows.
+candidate blocks as --cap allows.  Each subcommand is declared once, in
+build_parser, where its subparser records the handler that answers it.
 All JSON output is canonical: fixed key order, rationals as lowest-term
 strings, byte-identical across runs.
 """
@@ -177,12 +178,106 @@ def _witness_json(witness) -> dict:
     }
 
 
+def _certify(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.file)
+    certificate = _load_certificate(args.certificate)
+    verified = verify_certificate(matrix, certificate)
+    if args.json:
+        _emit({"verified": verified})
+    else:
+        sys.stdout.write("certificate verified\n" if verified else "certificate INVALID\n")
+    return EXIT_HOLDS if verified else EXIT_FAILS
+
+
+def _first_entries(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.file)
+    certificate = _load_certificate(args.certificate)
+    if not verify_certificate(matrix, certificate):
+        sys.stderr.write("error: certificate fails verification\n")
+        return EXIT_FAILS
+    fe = first_entries_from_certificate(matrix, certificate)
+    if args.json:
+        _emit({
+            "first_entries": [[str(x) for x in row] for row in fe.matrix.entries],
+            "unital": fe.unital,
+        })
+    else:
+        _matrix_lines(fe.matrix)
+    return EXIT_HOLDS
+
+
+def _scalars(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.file)
+    template = doubly_ipr_template(matrix)
+    try:
+        scalar_set = scalar_union_over_partitions(template, args.cap)
+    except PartitionCapExceeded as exceeded:
+        sys.stderr.write(f"search cap of {exceeded.cap} candidate blocks exceeded\n")
+        return EXIT_UNDECIDED
+    if args.json:
+        _emit(scalar_set.to_json_dict())
+    elif scalar_set.kind == "finite":
+        listed = ", ".join(str(v) for v in scalar_set.values)
+        sys.stdout.write(f"feasible scalar values: {listed}\n")
+    elif scalar_set.kind == "empty":
+        sys.stdout.write("feasible scalar values: none\n")
+    elif scalar_set.kind == "all":
+        sys.stdout.write("feasible scalar values: all rationals\n")
+    else:
+        listed = ", ".join(str(v) for v in scalar_set.excluded)
+        sys.stdout.write(f"feasible scalar values: all rationals except {listed}\n")
+    return EXIT_HOLDS
+
+
+def _oracle_solve(args: argparse.Namespace) -> int:
+    matrices = [load_matrix(f) for f in args.files]
+    colouring = parse_colouring_spec(args.colouring)
+    witness = find_monochromatic_solution(matrices, colouring, args.bound)
+    if args.json:
+        _emit({"witness": _witness_json(witness) if witness else None})
+    elif witness is None:
+        sys.stdout.write(f"no monochromatic solution with entries <= {args.bound}\n")
+    else:
+        for t, vec in enumerate(witness.vectors, start=1):
+            sys.stdout.write(f"x_{t} = ({', '.join(str(x) for x in vec)})\n")
+    return EXIT_HOLDS if witness is not None else EXIT_FAILS
+
+
+def _oracle_sweep(args: argparse.Namespace) -> int:
+    matrices = [load_matrix(f) for f in args.files]
+    holds = verify_all_colourings(matrices, args.colours, args.bound)
+    if args.json:
+        _emit({"all_colourings_admit_solution": holds,
+               "colours": args.colours, "bound": args.bound})
+    else:
+        sys.stdout.write(
+            f"every {args.colours}-colouring of [1..{args.bound}] admits a solution: "
+            f"{'yes' if holds else 'no'}\n"
+        )
+    return EXIT_HOLDS if holds else EXIT_FAILS
+
+
+def _oracle_falsify(args: argparse.Namespace) -> int:
+    matrices = [load_matrix(f) for f in args.files]
+    witness = search_witness_colouring(matrices, args.colours, args.bound)
+    if args.json:
+        _emit({"witness_colouring": witness.to_json_dict() if witness else None})
+    elif witness is None:
+        sys.stdout.write(f"every {args.colours}-colouring of [1..{args.bound}] admits a solution\n")
+    else:
+        sys.stdout.write(witness.to_text())
+    # a witness colouring falsifies bounded regularity, hence exit 1
+    return EXIT_FAILS if witness is not None else EXIT_HOLDS
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared by every main().
 
-    Parsing does not change the parser, so one instance serves any number of
-    calls in a process; it is not built at import, which would charge every
+    Each subparser carries its handler as the default `run`, which main()
+    calls.  Handlers look up partreg's functions in this module's globals when
+    they run, so the cached parser sees a patched attribute.  Parsing does not
+    change the parser; it is not built at import, which would charge every
     importer for it.
     """
     cap = argparse.ArgumentParser(add_help=False)
@@ -201,180 +296,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("kpr", "kernel partition regularity of FILE"),
-        ("ipr", "image partition regularity of FILE"),
-        ("doubly-ipr", "doubly image partition regularity of FILE"),
-    ]:
+    # name, help text, positional arguments ("files" takes one or more) and
+    # the decision they ask for
+    decisions = [
+        ("kpr", "kernel partition regularity of FILE", ["file"],
+         lambda args: is_kpr(load_matrix(args.file), args.cap)),
+        ("ipr", "image partition regularity of FILE", ["file"],
+         lambda args: is_ipr(load_matrix(args.file), args.cap)),
+        ("doubly-ipr", "doubly image partition regularity of FILE", ["file"],
+         lambda args: doubly_ipr(load_matrix(args.file), args.cap)),
+        ("doubly-kpr", "doubly kernel partition regularity of a pair", ["file_a", "file_b"],
+         lambda args: doubly_kpr(load_matrix(args.file_a), load_matrix(args.file_b), args.cap)),
+        ("multiply-kpr", "multiply kernel partition regularity of a tuple", ["files"],
+         lambda args: multiply_kpr([load_matrix(f) for f in args.files], args.cap)),
+    ]
+    for name, help_text, positionals, decide in decisions:
         p = sub.add_parser(name, help=help_text, parents=capped)
+        for positional in positionals:
+            p.add_argument(positional, nargs="+" if positional == "files" else None)
+        p.set_defaults(run=lambda args, decide=decide: _report_decision(decide(args), args.json))
+
+    for name, help_text, run in [
+        ("certify", "verify a certificate against a matrix", _certify),
+        ("first-entries", "emit the unital first-entries matrix of a certificate", _first_entries),
+    ]:
+        p = sub.add_parser(name, help=help_text, parents=[common])
         p.add_argument("file")
-
-    p = sub.add_parser("doubly-kpr", help="doubly kernel partition regularity of a pair",
-                       parents=capped)
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-
-    p = sub.add_parser("multiply-kpr", help="multiply kernel partition regularity of a tuple",
-                       parents=capped)
-    p.add_argument("files", nargs="+")
-
-    p = sub.add_parser("certify", help="verify a certificate against a matrix",
-                       parents=[common])
-    p.add_argument("file")
-    p.add_argument("certificate")
-
-    p = sub.add_parser("first-entries", help="emit the unital first-entries matrix of a certificate",
-                       parents=[common])
-    p.add_argument("file")
-    p.add_argument("certificate")
+        p.add_argument("certificate")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("scalars", help="all scalar values admitted by the doubly-IPR template",
                        parents=capped)
     p.add_argument("file")
+    p.set_defaults(run=_scalars)
 
     oracle = sub.add_parser("oracle", help="finite-scale colouring oracles")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
 
-    p = oracle_sub.add_parser("solve", help="search a bounded monochromatic solution",
-                              parents=[common])
+    p = oracle_sub.add_parser("solve", help="search a bounded monochromatic solution", parents=[common])
     p.add_argument("files", nargs="+")
     p.add_argument("--colouring", required=True, help="mod:M | gamma:P | startparity:B | table:FILE")
     p.add_argument("--bound", type=int, required=True)
+    p.set_defaults(run=_oracle_solve)
 
-    p = oracle_sub.add_parser("sweep", help="check every r-colouring of [1..N] admits a solution",
-                              parents=[common])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--colours", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = oracle_sub.add_parser("falsify", help="search a colouring of [1..N] with no bounded solution",
-                              parents=[common])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--colours", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    for name, help_text, run in [
+        ("sweep", "check every r-colouring of [1..N] admits a solution", _oracle_sweep),
+        ("falsify", "search a colouring of [1..N] with no bounded solution", _oracle_falsify),
+    ]:
+        p = oracle_sub.add_parser(name, help=help_text, parents=[common])
+        p.add_argument("files", nargs="+")
+        p.add_argument("--colours", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.set_defaults(run=run)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
-        return _dispatch(args)
+        # only the subcommands that search take --cap
+        if "cap" in args and args.cap < 0:
+            raise ValueError(f"--cap must be a non-negative number of candidate blocks, got {args.cap}")
+        return args.run(args)
     except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    cap = getattr(args, "cap", None)
-    if cap is not None and cap < 0:
-        raise ValueError(f"--cap must be a non-negative number of candidate blocks, got {cap}")
-    if args.command == "kpr":
-        return _report_decision(is_kpr(load_matrix(args.file), cap), args.json)
-    if args.command == "ipr":
-        return _report_decision(is_ipr(load_matrix(args.file), cap), args.json)
-    if args.command == "doubly-ipr":
-        return _report_decision(doubly_ipr(load_matrix(args.file), cap), args.json)
-    if args.command == "doubly-kpr":
-        return _report_decision(
-            doubly_kpr(load_matrix(args.file_a), load_matrix(args.file_b), cap),
-            args.json,
-        )
-    if args.command == "multiply-kpr":
-        matrices = [load_matrix(f) for f in args.files]
-        return _report_decision(multiply_kpr(matrices, cap), args.json)
-    if args.command == "certify":
-        matrix = load_matrix(args.file)
-        certificate = _load_certificate(args.certificate)
-        verified = verify_certificate(matrix, certificate)
-        if args.json:
-            _emit({"verified": verified})
-        else:
-            sys.stdout.write("certificate verified\n" if verified else "certificate INVALID\n")
-        return EXIT_HOLDS if verified else EXIT_FAILS
-    if args.command == "first-entries":
-        matrix = load_matrix(args.file)
-        certificate = _load_certificate(args.certificate)
-        if not verify_certificate(matrix, certificate):
-            sys.stderr.write("error: certificate fails verification\n")
-            return EXIT_FAILS
-        fe = first_entries_from_certificate(matrix, certificate)
-        if args.json:
-            _emit({
-                "first_entries": [[str(x) for x in row] for row in fe.matrix.entries],
-                "unital": fe.unital,
-            })
-        else:
-            _matrix_lines(fe.matrix)
-        return EXIT_HOLDS
-    if args.command == "scalars":
-        matrix = load_matrix(args.file)
-        template = doubly_ipr_template(matrix)
-        try:
-            scalar_set = scalar_union_over_partitions(template, cap)
-        except PartitionCapExceeded as exceeded:
-            sys.stderr.write(f"search cap of {exceeded.cap} candidate blocks exceeded\n")
-            return EXIT_UNDECIDED
-        if args.json:
-            _emit(scalar_set.to_json_dict())
-        else:
-            if scalar_set.kind == "finite":
-                listed = ", ".join(str(v) for v in scalar_set.values)
-                sys.stdout.write(f"feasible scalar values: {listed}\n")
-            elif scalar_set.kind == "empty":
-                sys.stdout.write("feasible scalar values: none\n")
-            elif scalar_set.kind == "all":
-                sys.stdout.write("feasible scalar values: all rationals\n")
-            else:
-                listed = ", ".join(str(v) for v in scalar_set.excluded)
-                sys.stdout.write(f"feasible scalar values: all rationals except {listed}\n")
-        return EXIT_HOLDS
-    if args.command == "oracle":
-        return _dispatch_oracle(args)
-    raise ValueError(f"unknown command {args.command!r}")
-
-
-def _dispatch_oracle(args: argparse.Namespace) -> int:
-    matrices = [load_matrix(f) for f in args.files]
-    if args.oracle_command == "solve":
-        colouring = parse_colouring_spec(args.colouring)
-        witness = find_monochromatic_solution(matrices, colouring, args.bound)
-        if args.json:
-            _emit({"witness": _witness_json(witness) if witness else None})
-        elif witness is None:
-            sys.stdout.write(f"no monochromatic solution with entries <= {args.bound}\n")
-        else:
-            for t, vec in enumerate(witness.vectors, start=1):
-                sys.stdout.write(f"x_{t} = ({', '.join(str(x) for x in vec)})\n")
-        return EXIT_HOLDS if witness is not None else EXIT_FAILS
-    if args.oracle_command == "sweep":
-        holds = verify_all_colourings(matrices, args.colours, args.bound)
-        if args.json:
-            _emit({"all_colourings_admit_solution": holds,
-                   "colours": args.colours, "bound": args.bound})
-        else:
-            sys.stdout.write(
-                f"every {args.colours}-colouring of [1..{args.bound}] admits a solution: "
-                f"{'yes' if holds else 'no'}\n"
-            )
-        return EXIT_HOLDS if holds else EXIT_FAILS
-    if args.oracle_command == "falsify":
-        witness = search_witness_colouring(matrices, args.colours, args.bound)
-        if args.json:
-            _emit({"witness_colouring": witness.to_json_dict() if witness else None})
-        elif witness is None:
-            sys.stdout.write(
-                f"every {args.colours}-colouring of [1..{args.bound}] admits a solution\n"
-            )
-        else:
-            sys.stdout.write(witness.to_text())
-        # a witness colouring falsifies bounded regularity, hence exit 1
-        return EXIT_FAILS if witness is not None else EXIT_HOLDS
-    raise ValueError(f"unknown oracle command {args.oracle_command!r}")
 
 
 def entrypoint() -> None:

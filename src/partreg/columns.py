@@ -116,9 +116,11 @@ WitnessTerms = tuple[tuple[int, Fraction], ...]
 class ColumnsConditionCertificate:
     """Ordered partition plus explicit rational witnesses.
 
-    witnesses[t-1] belongs to block t (0-based t >= 1) and lists, for every
-    column i of the earlier blocks in increasing index order, a coefficient
-    c_i such that the block-t column sum equals sum(c_i * column_i).
+    witnesses[t-1] belongs to block t (0-based t >= 1) and gives coefficients
+    c_i over the columns i of the earlier blocks such that the block-t column
+    sum equals sum(c_i * column_i).  partreg writes every earlier column in
+    increasing order; a reader counts an earlier column that is not listed as
+    0, and a repeated column or one that is not earlier invalidates it.
     """
 
     partition: OrderedPartition

@@ -485,9 +485,14 @@ def verify_all_colourings(
 ) -> bool:
     """True iff every `colours`-colouring of [1..bound] admits a bounded solution.
 
-    The same question as search_witness_colouring finding no witness, and
-    answered by it; oversized instances are rejected up front.
+    Oversized instances are rejected up front.  One colour asks only whether
+    a bounded solution exists, which one kernel search under `mod:1` answers
+    without building a colour table; otherwise this is search_witness_colouring
+    finding no witness.
     """
+    _guard_sweep_size(colours, bound)
+    if colours == 1:
+        return find_monochromatic_solution(matrices, Colouring.mod(1), bound) is not None
     return search_witness_colouring(matrices, colours, bound) is None
 
 

@@ -81,6 +81,15 @@ def test_kpr_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ipr_exit_codes(tmp_path, capsys):
+    diag = write(tmp_path, "diag.txt", DIAG)
+    assert main(["ipr", diag]) == EXIT_HOLDS
+    assert "e_2 = 1/2\n" in capsys.readouterr().out
+    cyclic = write(tmp_path, "cyclic.txt", "1 -1 0\n0 1 -1\n-1 0 1\n")
+    assert main(["ipr", cyclic]) == EXIT_FAILS
+    assert capsys.readouterr().out == "verdict: NO\n"
+
+
 def test_doubly_ipr_json_document(tmp_path, capsys):
     matrix = write(tmp_path, "m23.txt", TWO_BY_THREE)
     assert main(["doubly-ipr", matrix, "--json"]) == EXIT_HOLDS
@@ -157,11 +166,15 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     cert_path = write(tmp_path, "cert.json", json.dumps(doc["certificate"]))
     assert main(["certify", schur, cert_path]) == EXIT_HOLDS
     capsys.readouterr()
+    assert main(["certify", schur, cert_path, "--json"]) == EXIT_HOLDS
+    assert json.loads(capsys.readouterr().out) == {"verified": True}
 
     assert main(["first-entries", schur, cert_path, "--json"]) == EXIT_HOLDS
     fe = json.loads(capsys.readouterr().out)
     assert fe["first_entries"] == [["1", "-1"], ["0", "1"], ["1", "0"]]
     assert fe["unital"] is True
+    assert main(["first-entries", schur, cert_path]) == EXIT_HOLDS
+    assert capsys.readouterr().out == "1 -1\n0 1\n1 0\n"
 
     # neither command searches, so neither takes a cap
     for command in ("certify", "first-entries"):
@@ -176,6 +189,22 @@ def test_certify_and_first_entries_round_trip(tmp_path, capsys):
     assert main(["certify", schur, bad_path]) == EXIT_FAILS
     assert main(["first-entries", schur, bad_path]) == EXIT_FAILS
     capsys.readouterr()
+    assert main(["certify", schur, bad_path, "--json"]) == EXIT_FAILS
+    assert json.loads(capsys.readouterr().out) == {"verified": False}
+
+
+@pytest.mark.parametrize("witness, expected", [
+    # an earlier column that is not listed counts as 0: 1*col1 == col2 for x + y - z
+    ('[{"column": 1, "coeff": "1"}]', EXIT_HOLDS),
+    ('[{"column": 1, "coeff": "1"}, {"column": 1, "coeff": "0"}]', EXIT_FAILS),
+    ('[{"column": 1, "coeff": "1"}, {"column": 2, "coeff": "0"}]', EXIT_FAILS),
+])
+def test_certify_reads_a_sparse_witness(tmp_path, capsys, witness, expected):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    document = '{"partition": [[1, 3], [2]], "witnesses": [' + witness + ']}'
+    cert_path = write(tmp_path, "cert.json", document)
+    assert main(["certify", schur, cert_path, "--json"]) == expected
+    assert json.loads(capsys.readouterr().out) == {"verified": expected == EXIT_HOLDS}
 
 
 @pytest.mark.parametrize("document", [
@@ -216,6 +245,16 @@ def test_scalars_command(tmp_path, capsys):
     assert main(["scalars", matrix, "--json"]) == EXIT_HOLDS
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"kind": "finite", "values": ["-2", "-2/5", "1/2"], "excluded": []}
+    # the text form of each kind of scalar set
+    for text, listed in [
+        ("-2\n", "-2"),
+        ("-2 2\n", "all rationals"),
+        ("-2 -2\n-1 -1\n", "none"),
+        ("-1 -1 1\n-1 0 1\n", "all rationals except 0"),
+    ]:
+        matrix = write(tmp_path, "m.txt", text)
+        assert main(["scalars", matrix]) == EXIT_HOLDS
+        assert capsys.readouterr().out == f"feasible scalar values: {listed}\n"
 
 
 def test_capped_scalars_are_undecided(tmp_path, capsys):
@@ -233,6 +272,8 @@ def test_oracle_solve(tmp_path, capsys):
     assert main(["oracle", "solve", schur, "--colouring", "mod:1", "--bound", "3", "--json"]) == EXIT_HOLDS
     doc = json.loads(capsys.readouterr().out)
     assert doc["witness"]["vectors"] == [[1, 1, 2]]
+    assert main(["oracle", "solve", schur, "--colouring", "mod:1", "--bound", "3"]) == EXIT_HOLDS
+    assert capsys.readouterr().out == "x_1 = (1, 1, 2)\n"
 
     diag = write(tmp_path, "diag.txt", DIAG)
     ident = write(tmp_path, "mi.txt", "-1 0\n0 -1\n")
@@ -287,6 +328,24 @@ def test_short_table_colouring_is_a_usage_error(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: table colouring undefined at 3\n"
+
+
+@pytest.mark.parametrize("table, message", [
+    ("1 0 2\n", "colour table line 1: expected '<i> <colour>'"),
+    ("1 0\n1 1\n", "colour table line 2: expected integer 2"),
+    ("# no entries\n", "empty colour table"),
+])
+def test_malformed_colour_table_is_a_usage_error(tmp_path, capsys, table, message):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    table_path = write(tmp_path, "table.txt", table)
+    code = main([
+        "oracle", "solve", schur,
+        "--colouring", f"table:{table_path}", "--bound", "4",
+    ])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ------------------------------------------------------------- parser reuse

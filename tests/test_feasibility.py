@@ -268,6 +268,8 @@ def test_enumerate_feasible_scalars_requires_single_variable():
     template = ScalingTemplate(QMatrix.of([[1, 1]]), (0, 1), 2)
     with pytest.raises(ValueError):
         enumerate_feasible_scalars(template, OrderedPartition.of([[0, 1]]))
+    with pytest.raises(ValueError):
+        scalar_union_over_partitions(template)
 
 
 def test_scalar_set_for_classical_partition():

@@ -323,15 +323,20 @@ def test_schur_sweep_thresholds():
 
 
 def test_one_colour_sweep_does_not_list_the_solutions():
-    # about N^2/4 Schur solutions exist; one kernel search under mod:1 finds the first
-    tracemalloc.start()
-    try:
-        holds = verify_all_colourings([schur()], 1, 1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert holds is True
-    assert peak < 5 * 2**20
+    # about N^2/4 Schur solutions exist; one kernel search under mod:1 finds the first.
+    # x + y = 0 has none, and the answer needs no table of 10^7 zeros either.
+    for matrix, bound, expected in [
+        (schur(), 1000, True),
+        (QMatrix.of([[1, 1]]), 10**7, False),
+    ]:
+        tracemalloc.start()
+        try:
+            holds = verify_all_colourings([matrix], 1, bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert holds is expected
+        assert peak < 5 * 2**20
 
 
 def test_sweep_rejects_oversized_instances():
@@ -371,6 +376,7 @@ def test_falsify_complements_sweep_and_matches_brute_force():
     import itertools
 
     rng = random.Random(67)
+    cases = []
     for _ in range(30):
         rows = rng.randint(1, 2)
         cols = rng.randint(2, 3)
@@ -378,29 +384,39 @@ def test_falsify_complements_sweep_and_matches_brute_force():
             QMatrix.of([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
         ]
         bound = rng.randint(2, 6)
-        for colours in (1, 2, 3):
-            witness = search_witness_colouring(matrices, colours, bound)
-            sweep = verify_all_colourings(matrices, colours, bound)
-            assert (witness is None) == sweep
+        cases += [(matrices, colours, bound) for colours in (1, 2, 3)]
+    # pairs reach the witness search's check of a solution block that does
+    # not hold the value being coloured
+    for pair in (
+        [diag12(), QMatrix.of([[-1, 0], [0, -1]])],
+        [QMatrix.of([[1, 1]]), QMatrix.of([[-1]])],
+        [QMatrix.of([[2, 1]]), QMatrix.of([[-1, -1]])],
+    ):
+        for colours, top in ((1, 9), (2, 9), (3, 6)):
+            cases += [(pair, colours, bound) for bound in range(2, top + 1)]
+    for matrices, colours, bound in cases:
+        witness = search_witness_colouring(matrices, colours, bound)
+        sweep = verify_all_colourings(matrices, colours, bound)
+        assert (witness is None) == sweep
 
-            solutions = enumerate_bounded_solutions(matrices, bound)
+        solutions = enumerate_bounded_solutions(matrices, bound)
 
-            def admits(table):
-                return any(
-                    all(len({table[x - 1] for x in vec}) == 1 for vec in sol)
-                    for sol in solutions
-                )
-
-            brute = next(
-                (
-                    t
-                    for t in itertools.product(range(colours), repeat=bound)
-                    if t[0] == 0 and not admits(t)
-                ),
-                None,
+        def admits(table):
+            return any(
+                all(len({table[x - 1] for x in vec}) == 1 for vec in sol)
+                for sol in solutions
             )
-            assert (witness.table if witness else None) == brute
-            assert sweep == all(admits(t) for t in itertools.product(range(colours), repeat=bound))
+
+        brute = next(
+            (
+                t
+                for t in itertools.product(range(colours), repeat=bound)
+                if t[0] == 0 and not admits(t)
+            ),
+            None,
+        )
+        assert (witness.table if witness else None) == brute
+        assert sweep == all(admits(t) for t in itertools.product(range(colours), repeat=bound))
 
 
 # -------------------------------------------------------------------- dilation

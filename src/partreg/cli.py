@@ -14,6 +14,7 @@ strings, byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -169,15 +170,6 @@ def _load_certificate(path: str) -> ColumnsConditionCertificate:
     return ColumnsConditionCertificate.from_json_dict(document)
 
 
-def _witness_json(witness) -> dict:
-    return {
-        "vectors": [list(vec) for vec in witness.vectors],
-        "colours": [
-            list(c) if isinstance(c, tuple) else c for c in witness.colours
-        ],
-    }
-
-
 def _certify(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.file)
     certificate = _load_certificate(args.certificate)
@@ -234,7 +226,7 @@ def _oracle_solve(args: argparse.Namespace) -> int:
     colouring = parse_colouring_spec(args.colouring)
     witness = find_monochromatic_solution(matrices, colouring, args.bound)
     if args.json:
-        _emit({"witness": _witness_json(witness) if witness else None})
+        _emit({"witness": dataclasses.asdict(witness) if witness else None})
     elif witness is None:
         sys.stdout.write(f"no monochromatic solution with entries <= {args.bound}\n")
     else:

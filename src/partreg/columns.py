@@ -137,19 +137,32 @@ class ColumnsConditionCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ColumnsConditionCertificate":
-        """Inverse of to_json_dict; ValueError on a malformed document."""
+        """Inverse of to_json_dict; ValueError naming the field at fault.
+
+        A witness's field is named by the 1-based block it belongs to and
+        the 1-based position of the term in it.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("malformed certificate: not a JSON object")
+        field = "partition"
         try:
             partition = OrderedPartition.from_one_based(data["partition"])
-            witnesses = tuple(
-                tuple(
-                    (_column_index(term["column"]) - 1, _coefficient(term["coeff"]))
-                    for term in terms
-                )
-                for terms in data.get("witnesses", [])
-            )
-        except (TypeError, KeyError, ZeroDivisionError) as err:
-            raise ValueError(f"malformed certificate: {err!r}") from None
-        return ColumnsConditionCertificate(partition, witnesses)
+            field = "witnesses"
+            witnesses = []
+            for block, terms in enumerate(data.get("witnesses", []), start=2):
+                field = f"witnesses, block {block}"
+                clause = []
+                for k, term in enumerate(terms, start=1):
+                    field = f"witnesses, block {block}, term {k}"
+                    clause.append((_column_index(term["column"]) - 1, _coefficient(term["coeff"])))
+                witnesses.append(tuple(clause))
+        except KeyError as err:
+            raise ValueError(f"malformed certificate: {field}: missing {err}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"malformed certificate: {field}: zero denominator") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed certificate: {field}: {err}") from None
+        return ColumnsConditionCertificate(partition, tuple(witnesses))
 
 
 class PartitionCapExceeded(Exception):
@@ -160,32 +173,20 @@ class PartitionCapExceeded(Exception):
         self.cap = cap
 
 
-def _set_partitions(v: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Set partitions of {0,...,v-1} from restricted-growth strings, lex order.
+def _set_partitions(
+    v: int, i: int = 0, blocks: tuple[tuple[int, ...], ...] = ()
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Set partitions of {0,...,v-1} extending `blocks`, which hold 0..i-1.
 
-    Block j is always opened by the least element not already placed in
-    blocks 0..j-1.
+    Element i joins each open block in turn, then opens a new one, so the
+    order is the lexicographic order of restricted-growth strings.
     """
-    a = [0] * v
-    # prefix_max[i] = max(a[:i]) for i >= 1, maintained incrementally
-    prefix_max = [0] * (v + 1)
-    while True:
-        blocks: list[list[int]] = [[] for _ in range(max(a) + 1)]
-        for i, b in enumerate(a):
-            blocks[b].append(i)
-        yield tuple(tuple(block) for block in blocks)
-        i = v - 1
-        while i > 0:
-            if a[i] <= prefix_max[i]:
-                a[i] += 1
-                for j in range(i + 1, v):
-                    a[j] = 0
-                for j in range(i, v):
-                    prefix_max[j + 1] = max(prefix_max[j], a[j])
-                break
-            i -= 1
-        else:
-            return
+    if i == v:
+        yield blocks
+        return
+    for b in range(len(blocks)):
+        yield from _set_partitions(v, i + 1, blocks[:b] + (blocks[b] + (i,),) + blocks[b + 1:])
+    yield from _set_partitions(v, i + 1, blocks + ((i,),))
 
 
 def enumerate_ordered_partitions(

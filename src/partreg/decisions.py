@@ -166,8 +166,9 @@ def is_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     kernel vectors of that assembly are exactly the pairs (w, A*diag(e)*w),
     which is what makes the reduction to a kernel question work.  NO
     verdicts additionally lean on the classical per-column characterisation
-    of image partition regularity, so the oracle module is the in-repo
-    cross-check at finite scale.
+    of image partition regularity.  Nothing in the package cross-checks them
+    at finite scale: the oracle colours every block of a kernel vector,
+    while image partition regularity asks only that Ax be monochromatic.
     """
     template = is_ipr_template(A)
     names = tuple(f"e_{j}" for j in range(1, A.cols + 1))

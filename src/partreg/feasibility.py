@@ -382,33 +382,21 @@ class ScalarSet:
         exc = tuple(sorted(set(excluded)))
         return ScalarSet("all_except", excluded=exc) if exc else ScalarSet.all_rationals()
 
+    @property
+    def _cofinite(self) -> bool:
+        return self.kind in ("all", "all_except")
+
     def contains(self, value: Fraction) -> bool:
-        if self.kind == "empty":
-            return False
-        if self.kind == "finite":
-            return value in self.values
-        if self.kind == "all":
-            return True
-        return value not in self.excluded
+        return value not in self.excluded if self._cofinite else value in self.values
 
     def union(self, other: "ScalarSet") -> "ScalarSet":
-        if self.kind == "empty":
-            return other
-        if other.kind == "empty":
-            return self
-        if self.kind == "all" or other.kind == "all":
-            return ScalarSet.all_rationals()
-        if self.kind == "finite" and other.kind == "finite":
-            return ScalarSet.finite(self.values + other.values)
-        if self.kind == "all_except" and other.kind == "all_except":
-            return ScalarSet.all_except(
-                tuple(set(self.excluded) & set(other.excluded))
-            )
-        cofinite = self if self.kind == "all_except" else other
-        finite = other if self.kind == "all_except" else self
-        return ScalarSet.all_except(
-            tuple(set(cofinite.excluded) - set(finite.values))
-        )
+        values = self.values + other.values
+        cofinite = [s.excluded for s in (self, other) if s._cofinite]
+        if not cofinite:
+            return ScalarSet.finite(values)
+        # a point stays out only if every co-finite part excludes it and no
+        # finite part contains it
+        return ScalarSet.all_except(tuple(set.intersection(*map(set, cofinite)) - set(values)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -48,32 +48,9 @@ class QVector:
     def of(values: Iterable[Scalar]) -> "QVector":
         return QVector(tuple(rational(v) for v in values))
 
-    @staticmethod
-    def zero(dim: int) -> "QVector":
-        return QVector((Q(0),) * dim)
-
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def __add__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: Scalar) -> "QVector":
-        c = rational(c)
-        return QVector(tuple(c * a for a in self.entries))
-
-    def _check_dim(self, other: "QVector") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
 
 @dataclass(frozen=True)
@@ -138,21 +115,11 @@ class QMatrix:
         )
         return QMatrix(rows, sum(p.cols for p in parts), grid)
 
-    def row(self, i: int) -> QVector:
-        return QVector(self.entries[i])
-
     def column(self, j: int) -> QVector:
         return QVector(tuple(row[j] for row in self.entries))
 
     def columns(self) -> list[QVector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def matvec(self, x: QVector) -> QVector:
-        if x.dim != self.cols:
-            raise ValueError("dimension mismatch in matvec")
-        return QVector(
-            tuple(sum((a * b for a, b in zip(row, x.entries)), Q(0)) for row in self.entries)
-        )
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -163,14 +130,6 @@ class QMatrix:
             for row in self.entries
         )
         return QMatrix(self.rows, other.cols, grid)
-
-    def transpose(self) -> "QMatrix":
-        if self.rows == 0:
-            raise ValueError("cannot transpose a zero-row matrix")
-        return QMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
 
     def scale(self, c: Scalar) -> "QMatrix":
         c = rational(c)

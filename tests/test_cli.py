@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import partreg
+from conftest import vdw
 from partreg import QMatrix
 from partreg.cli import (
     EXIT_FAILS,
@@ -265,6 +266,20 @@ def test_capped_scalars_are_undecided(tmp_path, capsys):
     assert captured.err == "search cap of 1 candidate blocks exceeded\n"
 
 
+@pytest.mark.parametrize("document, message", [
+    ('{"partition": 5}', "partition: 'int' object is not iterable"),
+    ('{"partition": [[1, 3], [2]], "witnesses": [[{"coeff": "1"}]]}',
+     "witnesses, block 2, term 1: missing 'column'"),
+])
+def test_malformed_certificate_names_the_field(tmp_path, capsys, document, message):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    cert_path = write(tmp_path, "cert.json", document)
+    assert main(["certify", schur, cert_path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed certificate: {message}\n"
+
+
 # --------------------------------------------------------------------- oracle
 
 def test_oracle_solve(tmp_path, capsys):
@@ -283,6 +298,16 @@ def test_oracle_solve(tmp_path, capsys):
     ])
     assert code == EXIT_FAILS
     capsys.readouterr()
+
+
+def test_oracle_solve_json_writes_tuple_colours_as_lists(tmp_path, capsys):
+    # gamma colours are tuples; the JSON nests them as lists
+    matrix = write(tmp_path, "vdw.txt", vdw().to_lines() + "\n")
+    argv = ["oracle", "solve", matrix, "--colouring", "gamma:10", "--bound", "2000", "--json"]
+    assert main(argv) == EXIT_HOLDS
+    assert capsys.readouterr().out == json.dumps(
+        {"witness": {"vectors": [[100, 101, 102, 103, 1]], "colours": [[0, 1, 0]]}}, indent=2
+    ) + "\n"
 
 
 def test_oracle_sweep_and_falsify(tmp_path, capsys):

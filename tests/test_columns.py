@@ -22,7 +22,6 @@ from partreg import (
     OrderedPartition,
     PartitionCapExceeded,
     QMatrix,
-    QVector,
     check_partition,
     decide_columns_condition,
     enumerate_ordered_partitions,
@@ -60,6 +59,17 @@ def test_enumeration_order_is_the_documented_one():
         ((1,), (0, 2)),
         ((0,), (1, 2)),
     ]
+    # The full order against an independent listing: every restricted-growth
+    # string, sorted; its blocks; then each permutation of the blocks in
+    # lexicographic order.
+    for v in range(1, 7):
+        expected = []
+        for string in sorted(itertools.product(range(v), repeat=v)):
+            if any(b > max(string[:i], default=-1) + 1 for i, b in enumerate(string)):
+                continue
+            blocks = [tuple(i for i in range(v) if string[i] == b) for b in range(max(string) + 1)]
+            expected.extend(itertools.permutations(blocks))
+        assert [p.blocks for p in enumerate_ordered_partitions(v)] == expected
 
 
 def test_cap_raises_only_when_items_remain():
@@ -106,11 +116,9 @@ def test_check_partition_vdw_classical_partition():
     cert = check_partition(vdw(), OrderedPartition.from_one_based([[1, 2, 3, 4], [5]]))
     assert cert is not None
     assert verify_certificate(vdw(), cert)
-    combo = QVector.zero(3)
-    cols = vdw().columns()
-    for i, c in cert.witnesses[0]:
-        combo = combo + cols[i].scale(c)
-    assert combo == cols[4]
+    coeffs = dict(cert.witnesses[0])
+    combo = vdw().matmul(QMatrix.of([[coeffs.get(j, 0)] for j in range(5)]))
+    assert combo == QMatrix.from_columns([vdw().column(4)])
 
 
 def test_check_partition_rejects_non_covering_partition():
@@ -341,7 +349,8 @@ def test_decide_is_sound_on_random_matrices():
 
 def test_decide_invariant_under_column_permutation_and_row_scaling():
     rng = random.Random(29)
-    matrices = [schur(), QMatrix.of([[1, 1]]), schur_image().transpose()]
+    # the last matrix is schur_image() transposed
+    matrices = [schur(), QMatrix.of([[1, 1]]), QMatrix.of([[1, 0, 1], [0, 1, 1]])]
     for M in matrices:
         baseline = decide_columns_condition(M) is not None
         for _ in range(5):

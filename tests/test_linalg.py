@@ -169,12 +169,12 @@ def test_span_membership_full_plane():
         [QVector.of([4, 5]), QVector.of([2, 3])], QVector.of([F(-1, 2), 0])
     )
     assert coeffs is not None
-    recombined = QVector.of([4, 5]).scale(coeffs[0]) + QVector.of([2, 3]).scale(coeffs[1])
-    assert recombined == QVector.of([F(-1, 2), 0])
+    recombined = QMatrix.of([[4, 2], [5, 3]]).matmul(QMatrix.of([[c] for c in coeffs]))
+    assert recombined == QMatrix.of([[F(-1, 2)], [0]])
 
 
 def test_span_membership_empty_basis():
-    assert span_membership([], QVector.zero(3)) == []
+    assert span_membership([], QVector.of([0, 0, 0])) == []
     assert span_membership([], QVector.of([0, 1, 0])) is None
 
 
@@ -199,10 +199,9 @@ def test_span_membership_recombines_exactly_on_random_input():
         target = QVector.of([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
         coeffs = span_membership(basis, target)
         if coeffs is not None:
-            got = QVector.zero(dim)
-            for c, b in zip(coeffs, basis):
-                got = got + b.scale(c)
-            assert got == target
+            # sum(coeff_i * basis_i) - target == 0
+            combination = QMatrix.of([[c] for c in coeffs] + [[-1]])
+            assert QMatrix.from_columns(basis + [target]).matmul(combination).is_zero()
 
 
 def test_residual_functionals_known_cases():
@@ -214,9 +213,9 @@ def test_residual_functionals_known_cases():
 
     line = residual_functionals([QVector.of([4, 5])])
     assert line.rows == 1
-    assert line.matvec(QVector.of([4, 5])).is_zero()
-    assert line.matvec(QVector.of([2, F(5, 2)])).is_zero()
-    assert not line.matvec(QVector.of([2, 3])).is_zero()
+    assert line.matmul(QMatrix.of([[4], [5]])).is_zero()
+    assert line.matmul(QMatrix.of([[2], [F(5, 2)]])).is_zero()
+    assert not line.matmul(QMatrix.of([[2], [3]])).is_zero()
 
 
 def test_residual_functionals_requires_dim_for_empty_set():
@@ -234,7 +233,7 @@ def test_residual_matches_span_membership_on_random_input():
         ]
         R = residual_functionals(vectors, dim=dim)
         probe = QVector.of([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)])
-        annihilated = R.rows == 0 or R.matvec(probe).is_zero()
+        annihilated = R.matmul(QMatrix.from_columns([probe])).is_zero()
         in_span = span_membership(vectors, probe) is not None
         assert annihilated == in_span
 
@@ -253,9 +252,8 @@ def test_nullspace_vectors_are_exact_and_independent():
         basis = nullspace_basis(M)
         _, _, rank = rref(M)
         assert len(basis) == M.cols - rank
-        for vec in basis:
-            assert M.matvec(vec).is_zero()
         if basis:
+            assert M.matmul(QMatrix.from_columns(basis)).is_zero()
             stacked = QMatrix(len(basis), M.cols, tuple(v.entries for v in basis))
             assert rref(stacked)[2] == len(basis)
 
@@ -272,8 +270,8 @@ def test_integer_kernel_is_an_independent_annihilating_basis():
         for f, vector in zip(free, kernel):
             assert all(type(x) is int for x in vector) and math.gcd(*vector) == 1
             assert vector[f] > 0 and not any(vector[g] for g in free if g != f)
-            assert M.matvec(QVector.of(vector)).is_zero()
         if kernel:
+            assert M.matmul(QMatrix.from_columns([QVector.of(v) for v in kernel])).is_zero()
             assert rref(QMatrix.of(kernel))[2] == len(kernel)
 
 
@@ -295,7 +293,7 @@ def test_nullspace_and_residual_match_fraction_gauss_jordan():
     for _ in range(60):
         M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), max_den=rng.choice((1, 3, 7)))
         assert nullspace_basis(M) == gauss_jordan_kernel(M)
-        vectors = [M.row(i) for i in range(M.rows)]
+        vectors = [QVector(row) for row in M.entries]
         annihilator = gauss_jordan_kernel(M)
         if annihilator:
             R, _, rank = gauss_jordan(QMatrix.of([v.entries for v in annihilator]))

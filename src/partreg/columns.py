@@ -25,6 +25,17 @@ and a block that adds no equality can be taken without branching.  Blocks
 are tried largest first, then in lexicographic order.  The equalities are
 kept in linalg's EqualityEchelon, the package's one elimination kernel.
 enumerate_ordered_partitions remains as the brute-force reference.
+
+column_parts splits the columns into the connected components of the
+column matroid.  Columns of different parts span independent subspaces, so
+the matrix is a direct sum up to row operations, and the direct-sum lemma
+holds: the matrix satisfies the columns condition exactly when every part
+does.  Merging the parts' chains block by block gives a chain of the whole,
+since a union of zero-sum first blocks sums to zero and each later merged
+block's sum lies in the span of the earlier columns.  Restricting a chain
+of the whole to one part gives a chain of the part, since a sum vanishes,
+or lies in a span, part by part.  Non-zero scalars keep the parts, so the
+lemma holds for a scaled template at any given scalar values.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
+    ONE,
+    ZERO,
     EqualityEchelon,
     Q,
     QMatrix,
@@ -74,23 +87,28 @@ class OrderedPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def of(blocks: Iterable[Iterable[int]]) -> "OrderedPartition":
+    def of(blocks: Iterable[Iterable[int]], base: int = 0) -> "OrderedPartition":
+        """Validated blocks of `base`-based column indices, stored 0-based.
+
+        Error messages quote the indices as given, so a 1-based document is
+        told about its own column numbers.
+        """
         cleaned = tuple(tuple(sorted(_column_index(i) for i in block)) for block in blocks)
         if not cleaned or any(not block for block in cleaned):
             raise ValueError("blocks must be non-empty")
         seen: set[int] = set()
         for block in cleaned:
             for i in block:
-                if i < 0:
-                    raise ValueError("column indices must be non-negative")
+                if i < base:
+                    raise ValueError(f"column indices start at {base}, got {i}")
                 if i in seen:
                     raise ValueError(f"column {i} appears more than once")
                 seen.add(i)
-        return OrderedPartition(cleaned)
+        return OrderedPartition(tuple(tuple(i - base for i in block) for block in cleaned))
 
     @staticmethod
     def from_one_based(blocks: Iterable[Iterable[int]]) -> "OrderedPartition":
-        return OrderedPartition.of([[_column_index(i) - 1 for i in block] for block in blocks])
+        return OrderedPartition.of(blocks, base=1)
 
     @property
     def block_count(self) -> int:
@@ -321,10 +339,50 @@ class ScalingTemplate:
         return QMatrix(self.matrix.rows, self.matrix.cols, grid)
 
 
+Part = tuple[tuple[int, ...], list[tuple[int, ...]]]  # columns, and integer rows over all columns
+
+
+def column_parts(matrix: QMatrix) -> list[Part]:
+    """The connected components of the matrix's column matroid, with their rows.
+
+    Rows that each have a column of their own, non-zero in no other row,
+    are reduced with respect to those columns, a basis; so one-row matrices
+    and templates with an identity block skip the elimination, and other
+    matrices take their fully reduced form from EqualityEchelon.  Two
+    columns are joined when some reduced row is non-zero at both, which is
+    where fundamental circuits meet (Oxley, Matroid Theory), and a zero
+    column is a part of its own.  Each part is (its columns in increasing
+    order, the reduced rows non-zero on them, over all columns); those rows
+    span the row space of the matrix restricted to the part.  Parts are
+    ordered by their first column.
+    """
+    n, u, cols = matrix.cols, matrix.rows, matrix.integer_columns
+    if u == 1 or len({i for c in cols if c.count(0) == u - 1 for i, x in enumerate(c) if x}) == u:
+        rows = [row for row in zip(*cols) if any(row)]
+    else:
+        echelon = EqualityEchelon(n).extend(row + (0,) for row in zip(*cols))
+        rows = [row[:-1] for row in echelon.rows]
+        cols = list(zip(*rows)) if rows else [()] * n
+    if all(map(any, cols)) and any(map(all, cols)):
+        return [(tuple(range(n)), rows)]  # one column joins every row
+    parts: list[tuple[set[int], list[tuple[int, ...]]]] = []
+    for row in rows:
+        support, members = {j for j, x in enumerate(row) if x}, [row]
+        for joined in [part for part in parts if not support.isdisjoint(part[0])]:
+            parts.remove(joined)
+            support |= joined[0]
+            members += joined[1]
+        parts.append((support, members))
+    placed = set().union(*(support for support, _ in parts))
+    parts += [({j}, []) for j in range(n) if j not in placed]
+    return sorted((tuple(sorted(support)), members) for support, members in parts)
+
+
 def closure_search(
     template: ScalingTemplate,
     feasible: Callable[[EqualityEchelon], bool] | None = None,
     cap: int = DEFAULT_PARTITION_CAP,
+    counter: Iterator[int] | None = None,
 ) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
     """Yield ordered partitions that witness the template's scaled columns condition.
 
@@ -346,14 +404,15 @@ def closure_search(
     exhausting the iterator finds every echelon that succeeds.  Blocks are
     tried largest first, then in lexicographic order.  Every search runs
     under a budget: each candidate block counts against `cap`, and reaching
-    it with blocks left raises PartitionCapExceeded.
+    it with blocks left raises PartitionCapExceeded.  Searches given one
+    shared `counter` (an itertools.count) draw on one cap together.
     """
     integral = template.matrix.integer_columns
     dim, nvars = template.matrix.rows, template.nvars
     full = frozenset(range(template.matrix.cols))
     slot = [nvars if g is None else g for g in template.group_of]
     explored: set[tuple] = set()
-    examined = 0
+    counter = itertools.count() if counter is None else counter
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
         # One integer equality per annihilator row of the placed columns.
@@ -379,7 +438,6 @@ def closure_search(
         return equalities
 
     def explore(placed: frozenset[int], echelon: EqualityEchelon, chain: tuple):
-        nonlocal examined
         explored.add(echelon.rows)
         while placed != full:
             rest = sorted(full - placed)
@@ -387,9 +445,8 @@ def closure_search(
             taken = None
             for size in range(len(rest), 0, -1):
                 for block in itertools.combinations(rest, size):
-                    if examined >= cap:
+                    if next(counter) >= cap:
                         raise PartitionCapExceeded(cap)
-                    examined += 1
                     extended = echelon.extend(equalities(block))
                     if extended is None:
                         continue
@@ -443,12 +500,14 @@ class FirstEntriesMatrix:
     matrix: QMatrix
 
     def __post_init__(self) -> None:
-        by_column: dict[int, Fraction] = {}
-        for row in self.matrix.entries:
-            j = next((k for k, x in enumerate(row) if x != 0), None)
+        # On the integer view: one positive multiplier keeps every sign and
+        # every equality between entries.
+        by_column: dict[int, int] = {}
+        for row in zip(*self.matrix.integer_columns):
+            j = next((k for k, x in enumerate(row) if x), None)
             if j is None:
                 raise ValueError("first-entries matrix cannot have a zero row")
-            if row[j] <= 0:
+            if row[j] < 0:
                 raise ValueError("first entries must be positive")
             if by_column.setdefault(j, row[j]) != row[j]:
                 raise ValueError("first entries in one column must agree")
@@ -474,21 +533,21 @@ def first_entries_from_certificate(
     """
     if not verify_certificate(A, certificate):
         raise ValueError("certificate fails verification against the matrix")
-    m = certificate.partition.block_count
-    block_of = {
-        i: t for t, block in enumerate(certificate.partition.blocks) for i in block
-    }
-    grid = [[Q(0)] * m for _ in range(A.cols)]
-    for i in range(A.cols):
-        grid[i][block_of[i]] = Q(1)
+    blocks = certificate.partition.blocks
+    m = len(blocks)
+    grid = [[ZERO] * m for _ in range(A.cols)]
+    for t, block in enumerate(blocks):
+        for i in block:
+            grid[i][t] = ONE
     for t, terms in enumerate(certificate.witnesses, start=1):
         for i, coeff in terms:
             grid[i][t] = -coeff
+    G = QMatrix(A.cols, m, tuple(map(tuple, grid)))
+    # G's integer view serves this check and the validation in FirstEntriesMatrix.
     cols = A.integer_columns
-    for t in range(m):
-        column = [(i, row[t]) for i, row in enumerate(grid) if row[t]]
-        assert _annihilates(cols, column), "construction violated A @ G == 0"
-    return FirstEntriesMatrix(QMatrix(A.cols, m, tuple(tuple(row) for row in grid)))
+    for column in G.integer_columns:
+        assert not any(_combination(cols, enumerate(column))), "construction violated A @ G == 0"
+    return FirstEntriesMatrix(G)
 
 
 def is_first_entries_sufficient(A: QMatrix) -> Fraction | None:

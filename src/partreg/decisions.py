@@ -10,6 +10,17 @@ verdicts carry the scalars, the assembled scaled matrix and a certificate
 that re-verifies independently; NO verdicts are issued only after the
 search was exhausted.  Every search runs under `cap` candidate blocks, and
 one that reaches it is reported UNDECIDED, never guessed.
+
+A template whose column matroid splits is searched part by part.  By the
+direct-sum lemma (see the columns module) it qualifies at given scalars
+exactly when every part does at those scalars.  A part that shares no
+scalar with another needs only its first hit, and any part without one
+makes the answer NO.  Parts that share one scalar, such as the rows of
+(diag(d) -bI), take the first part's values one at a time, and each later
+part stops at its first hit at that value, so only a NO exhausts a part;
+parts that share two or more stay one search.  Every part's blocks count
+against the one cap.  A YES merges the parts' chains block by block and
+solves their merged equalities once; check_partition re-certifies it.
 """
 
 from __future__ import annotations
@@ -17,16 +28,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .columns import (
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
     FIXED_ONE,
+    OrderedPartition,
+    Part,
     PartitionCapExceeded,
     ScalingTemplate,
     check_partition,
     closure_search,
+    column_parts,
 )
 from .feasibility import PositiveSolution, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix
@@ -77,19 +91,21 @@ class Decision:
 def _decide_scaled(
     template: ScalingTemplate, scalar_names: Sequence[str], cap: int
 ) -> Decision:
-    # The root echelon has no rows, and stage 4 of the positive solver would
-    # return the all-ones point for it, so it is taken without a solve.
-    solved = {(): PositiveSolution((Q(1),) * template.nvars)}
+    # Positive solutions by (variable count, echelon rows), so no system is
+    # solved twice, not even by two parts.  The root echelon has no rows, and
+    # stage 4 of the positive solver would return the all-ones point for it,
+    # so it is taken without a solve.
+    solved = {(template.nvars, ()): PositiveSolution((Q(1),) * template.nvars)}
 
     def feasible(echelon: EqualityEchelon) -> bool:
         # The search's echelon is already reduced and consistent: no stage 1.
-        solution, _ = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))
-        if solution is not None:
-            solved[echelon.rows] = solution
-        return solution is not None
+        key = (echelon.nvars, echelon.rows)
+        if key not in solved:
+            solved[key] = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))[0]
+        return solved[key] is not None
 
     try:
-        found = next(closure_search(template, feasible, cap), None)
+        found = _search_parts(template, feasible, cap)
     except PartitionCapExceeded as exceeded:
         return Decision(UNDECIDED, cap=exceeded.cap)
     if found is None:
@@ -97,13 +113,120 @@ def _decide_scaled(
     partition, echelon = found
     # The echelon is the reduced form of build_system(template, partition),
     # so its solution gives the same scalars without restating the
-    # redundant rows.
-    solution = solved[echelon.rows]
+    # redundant rows.  An unsplit search has solved it already.
+    feasible(echelon)
+    solution = solved[echelon.nvars, echelon.rows]
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)
     assert certificate is not None, "feasible partition must certify"
     scalars = tuple(zip(scalar_names, solution.assignment))
     return Decision(YES, scalars, certificate, assembled)
+
+
+def _search_parts(
+    template: ScalingTemplate, feasible: Callable[[EqualityEchelon], bool], cap: int
+) -> tuple[OrderedPartition, EqualityEchelon] | None:
+    """The template's first certificate and its echelon, found part by part."""
+    counter = itertools.count()
+    parts = column_parts(template.matrix)
+    clusters = _clusters(template, parts) if len(parts) > 1 else [parts]
+    if len(clusters) == 1 and len(clusters[0]) == 1:
+        return next(closure_search(template, feasible, cap, counter), None)
+    chains = []
+    for cluster in sorted(clusters, key=lambda c: sum(len(columns) for columns, _ in c)):
+        cluster = sorted(cluster, key=lambda p: (len(p[0]), p[0]))
+        templates = [_part_template(template, columns, rows) for columns, rows in cluster]
+        if len(cluster) == 1:
+            found = next(closure_search(templates[0][0], feasible, cap, counter), None)
+            hits = None if found is None else [found]
+        else:
+            hits = _shared_hits([part for part, _ in templates], feasible, cap, counter)
+        if hits is None:
+            return None
+        chains += [(columns, scalars, found) for (columns, _), (_, scalars), found in zip(cluster, templates, hits)]
+    blocks = tuple(
+        tuple(sorted(
+            columns[i] for columns, _, (partition, _) in chains
+            if t < partition.block_count for i in partition.blocks[t]
+        ))
+        for t in range(max(found[0].block_count for _, _, found in chains))
+    )
+    lifted = []
+    for _, scalars, (_, echelon) in chains:
+        for row in echelon.rows:
+            lifted.append([0] * template.nvars + [row[-1]])
+            for k, g in enumerate(scalars):
+                lifted[-1][g] = row[k]
+    return OrderedPartition(blocks), EqualityEchelon(template.nvars).extend(lifted)
+
+
+def _shared_hits(
+    parts: list[ScalingTemplate],
+    feasible: Callable[[EqualityEchelon], bool],
+    cap: int,
+    counter: Iterator[int],
+) -> list[tuple[OrderedPartition, EqualityEchelon]] | None:
+    """A first hit of each part at one common value of their one scalar.
+
+    The parts' values are taken one at a time in search order, and every
+    later part stops at its first hit at that value, so only a NO exhausts
+    a part.  A part whose hit leaves the scalar free suits every value, and
+    the answer is then the later parts'.
+    """
+    hits = []  # first hits of the leading parts that leave the scalar free
+    for i, part in enumerate(parts):
+        # The search explores each echelon once, and so yields each value once.
+        for found in closure_search(part, feasible, cap, counter):
+            value = _pinned(found[1])
+            if value is None:
+                hits.append(found)
+                break
+            at_value = lambda e, value=value: _pinned(e) in (None, value) and feasible(e)
+            later = []
+            for other in parts[i + 1:]:
+                later.append(next(closure_search(other, at_value, cap, counter), None))
+                if later[-1] is None:
+                    break
+            else:
+                return hits + [found] + later
+        else:
+            return None
+    return hits
+
+
+def _pinned(echelon: EqualityEchelon) -> Fraction | None:
+    # the value a one-variable echelon fixes, if any
+    return Fraction(-echelon.rows[0][1], echelon.rows[0][0]) if echelon.rows else None
+
+
+def _clusters(template: ScalingTemplate, parts: list[Part]) -> list[list[Part]]:
+    """The template's column parts, grouped by the scalars they share.
+
+    A group whose parts share two or more scalars is joined into one part.
+    """
+    clusters: list[tuple[set[int], list[Part]]] = []
+    for columns, rows in parts:
+        scalars = {template.group_of[j] for j in columns} - {FIXED_ONE}
+        members = [(columns, rows)]
+        for joined in [c for c in clusters if not scalars.isdisjoint(c[0])]:
+            clusters.remove(joined)
+            scalars |= joined[0]
+            members += joined[1]
+        clusters.append((scalars, members))
+    return [
+        members if len(scalars) < 2
+        else [(tuple(sorted(j for c, _ in members for j in c)), [r for _, rows in members for r in rows])]
+        for scalars, members in clusters
+    ]
+
+
+def _part_template(template: ScalingTemplate, columns, rows) -> tuple[ScalingTemplate, list[int]]:
+    """The template on one part's columns and rows, and its scalars' global ids."""
+    scalars = sorted({template.group_of[j] for j in columns} - {FIXED_ONE})
+    local = {g: k for k, g in enumerate(scalars)}
+    matrix = QMatrix(len(rows), len(columns), tuple(tuple(Q(row[j]) for j in columns) for row in rows))
+    groups = tuple(local.get(template.group_of[j]) for j in columns)
+    return ScalingTemplate(matrix, groups, len(scalars)), scalars
 
 
 def is_kpr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:

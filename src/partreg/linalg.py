@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Q = Fraction
+ZERO, ONE = Q(0), Q(1)  # shared, as Fractions are immutable
 
 Scalar = int | str | Fraction
 
@@ -88,7 +89,7 @@ class QMatrix:
     def identity(n: int) -> "QMatrix":
         return QMatrix(
             n, n,
-            tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)),
+            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
         )
 
     @staticmethod
@@ -135,7 +136,7 @@ class QMatrix:
         c = rational(c)
         return QMatrix(
             self.rows, self.cols,
-            tuple(tuple(c * x for x in row) for row in self.entries),
+            tuple(tuple(c * x if x else x for x in row) for row in self.entries),
         )
 
     def is_zero(self) -> bool:
@@ -176,7 +177,7 @@ def _primitive(row: list[int], pivot: int) -> tuple[int, ...]:
     g = math.gcd(*row)
     if row[pivot] < 0:
         g = -g
-    return tuple(x // g for x in row)
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,10 @@ class EqualityEchelon:
                 if f:
                     a = row[p]
                     work = [a * x - f * y for x, y in zip(work, row)]
-            pivot = next((i for i in range(nvars) if work[i]), None)
-            if pivot is None:
+            for pivot in range(nvars):
+                if work[pivot]:
+                    break
+            else:
                 if work[nvars]:
                     return None
                 continue

@@ -280,6 +280,21 @@ def test_malformed_certificate_names_the_field(tmp_path, capsys, document, messa
     assert captured.err == f"error: malformed certificate: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "first-entries"])
+def test_malformed_partition_is_reported_in_one_based_columns(tmp_path, capsys, command):
+    # The document numbers columns from 1, and so does every message about it.
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    for document, message in [
+        ('{"partition": [[1, 1, 3], [2]]}', "column 1 appears more than once"),
+        ('{"partition": [[0, 1], [2, 3]]}', "column indices start at 1, got 0"),
+    ]:
+        cert_path = write(tmp_path, "cert.json", document)
+        assert main([command, schur, cert_path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed certificate: partition: {message}\n"
+
+
 # --------------------------------------------------------------------- oracle
 
 def test_oracle_solve(tmp_path, capsys):

@@ -24,7 +24,13 @@ equalities that the unknown scalars of a scaled matrix must meet so far,
 and a block that adds no equality can be taken without branching.  Blocks
 are tried largest first, then in lexicographic order.  The equalities are
 kept in linalg's EqualityEchelon, the package's one elimination kernel.
-enumerate_ordered_partitions remains as the brute-force reference.
+A level whose unplaced columns carry no scalar (every level of plain
+kernel partition regularity) cannot branch, so it is not scanned: its
+first zero-sum block comes from subset sums met in the middle, which
+zero_column_subset_exists in the decisions module shares.  Every search
+counts the candidate blocks it examines, or for such a level the blocks a
+scan would have examined, on a BlockCounter, and stops at the counter's
+cap.  enumerate_ordered_partitions remains as the brute-force reference.
 
 column_parts splits the columns into the connected components of the
 column matroid.  Columns of different parts span independent subspaces, so
@@ -189,6 +195,21 @@ class PartitionCapExceeded(Exception):
     def __init__(self, cap: int):
         super().__init__(f"search capped at {cap}")
         self.cap = cap
+
+
+class BlockCounter:
+    """Candidate blocks examined so far, against the cap of the searches sharing it."""
+
+    __slots__ = ("cap", "spent")
+
+    def __init__(self, cap: int):
+        self.cap, self.spent = cap, 0
+
+    def charge(self, blocks: int = 1) -> None:
+        """Count `blocks` more; PartitionCapExceeded if that passes the cap."""
+        if self.spent + blocks > self.cap:
+            raise PartitionCapExceeded(self.cap)
+        self.spent += blocks
 
 
 def _set_partitions(
@@ -382,7 +403,7 @@ def closure_search(
     template: ScalingTemplate,
     feasible: Callable[[EqualityEchelon], bool] | None = None,
     cap: int = DEFAULT_PARTITION_CAP,
-    counter: Iterator[int] | None = None,
+    counter: BlockCounter | None = None,
 ) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
     """Yield ordered partitions that witness the template's scaled columns condition.
 
@@ -402,17 +423,24 @@ def closure_search(
     scalars succeed depends on the echelon alone, so each echelon is
     explored once: the first partition is found by the first next(), and
     exhausting the iterator finds every echelon that succeeds.  Blocks are
-    tried largest first, then in lexicographic order.  Every search runs
-    under a budget: each candidate block counts against `cap`, and reaching
-    it with blocks left raises PartitionCapExceeded.  Searches given one
-    shared `counter` (an itertools.count) draw on one cap together.
+    tried largest first, then in lexicographic order.  A level whose
+    unplaced columns carry no scalar cannot branch: a block is taken when
+    its annihilated sum is zero and contradicts the echelon otherwise.  So
+    such a level takes its first zero-sum block, found by subset sums met
+    in the middle instead of a scan.  Every search runs under a budget:
+    each candidate block counts against `cap`, a level settled by subset
+    sums counting the blocks a scan would have examined, and reaching the
+    cap with blocks left raises PartitionCapExceeded.  Searches given one
+    shared `counter` (a BlockCounter) draw on its cap together, and `cap`
+    is then not read.
     """
     integral = template.matrix.integer_columns
     dim, nvars = template.matrix.rows, template.nvars
     full = frozenset(range(template.matrix.cols))
     slot = [nvars if g is None else g for g in template.group_of]
+    scaled = {j for j, g in enumerate(template.group_of) if g is not None}
     explored: set[tuple] = set()
-    counter = itertools.count() if counter is None else counter
+    counter = BlockCounter(cap) if counter is None else counter
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
         # One integer equality per annihilator row of the placed columns.
@@ -435,32 +463,34 @@ def closure_search(
                     row[at] += x
             return sums
 
-        return equalities
+        return projected, equalities
 
     def explore(placed: frozenset[int], echelon: EqualityEchelon, chain: tuple):
         explored.add(echelon.rows)
         while placed != full:
             rest = sorted(full - placed)
-            equalities = block_equalities(placed, rest)
-            taken = None
-            for size in range(len(rest), 0, -1):
-                for block in itertools.combinations(rest, size):
-                    if next(counter) >= cap:
-                        raise PartitionCapExceeded(cap)
-                    extended = echelon.extend(equalities(block))
-                    if extended is None:
-                        continue
-                    if extended is echelon:
-                        taken = block
+            projected, equalities = block_equalities(placed, rest)
+            if scaled.isdisjoint(rest):
+                taken = _first_zero_sum_block(rest, [projected[j] for j in rest], counter)
+            else:
+                taken = None
+                for size in range(len(rest), 0, -1):
+                    for block in itertools.combinations(rest, size):
+                        counter.charge()
+                        extended = echelon.extend(equalities(block))
+                        if extended is None:
+                            continue
+                        if extended is echelon:
+                            taken = block
+                            break
+                        if extended.rows in explored:
+                            continue
+                        if feasible is not None and not feasible(extended):
+                            explored.add(extended.rows)
+                            continue
+                        yield from explore(placed.union(block), extended, chain + (block,))
+                    if taken is not None:
                         break
-                    if extended.rows in explored:
-                        continue
-                    if feasible is not None and not feasible(extended):
-                        explored.add(extended.rows)
-                        continue
-                    yield from explore(placed.union(block), extended, chain + (block,))
-                if taken is not None:
-                    break
             if taken is None:
                 return
             placed = placed.union(taken)
@@ -468,6 +498,99 @@ def closure_search(
         yield OrderedPartition(chain), echelon
 
     return explore(frozenset(), EqualityEchelon(nvars), ())
+
+
+def _first_zero_sum_block(
+    rest: list[int], vectors: list[Sequence[int]], counter: BlockCounter
+) -> tuple[int, ...] | None:
+    """The first block of `rest`, in search order, whose vectors sum to zero.
+
+    Blocks run largest first, then lexicographically, so that block is the
+    complement of the lexicographically last of the smallest position sets
+    that sum to the level's total.  The counter is charged what a scan in
+    that order examines: every block of a larger size and, of the hit's
+    size, the blocks up to it; without a hit, all 2^r - 1 blocks.  Each
+    size's first block is charged before that size is searched, so a search
+    at its cap builds no further tables.
+    """
+    r = len(rest)
+    counter.charge()
+    if not any(map(sum, zip(*vectors))):
+        return tuple(rest)
+    last = _zero_sum_complements(vectors)
+    for c in range(1, r):
+        counter.charge()
+        kept = last(c)
+        # kept's lexicographic rank among its size counts the blocks after
+        # the hit, since complements run in the opposite order
+        examined = math.comb(r, c) - (0 if kept is None else _lex_rank(kept, r))
+        counter.charge(examined - 1)
+        if kept is not None:
+            return tuple(j for p, j in enumerate(rest) if p not in kept)
+    return None
+
+
+def _zero_sum_complements(
+    vectors: Sequence[Sequence[int]],
+) -> Callable[[int], tuple[int, ...] | None]:
+    """last(c): the lexicographically last c positions whose complement sums to zero.
+
+    None when there are no such c positions.  They are the c positions whose
+    vectors sum to the total of all.  Meet in the middle (Horowitz and Sahni
+    1974): each half's position sets are tabled one size at a time, and a
+    size-c answer joins a lower-half set to an upper-half one through one
+    dict lookup per entry of the lower half's tables.  A set is a bit mask
+    whose first position is its highest bit, so among sets of one size the
+    lexicographically last has the smallest mask, and each table maps a sum
+    to the smallest mask with that sum.  A table grows by adding positions
+    before a set's first: dropping the first position of a smallest mask
+    leaves the smallest mask of its size and sum, so nothing is lost.  Vectors
+    are read as the digits of one integer in a base that exceeds twice any
+    entry of a subset sum, which keeps distinct sums distinct.
+    """
+    n, h = len(vectors), len(vectors) // 2
+    entries = list(zip(*vectors))
+    base = 2 * max([sum(map(abs, row)) for row in entries], default=0) + 1
+    packed = [0] * n
+    for row in entries:
+        packed = [total * base + x for total, x in zip(packed, row)]
+    target = sum(packed)
+    halves = ((packed[:h], [{0: 0}]), (packed[h:], [{0: 0}]))
+
+    def last(c: int) -> tuple[int, ...] | None:
+        for values, tables in halves:
+            m = len(values)
+            while len(tables) <= min(c, m):
+                grown: dict[int, int] = {}
+                for total, mask in tables[-1].items():
+                    for p in range(m - mask.bit_length()):
+                        key, bits = total + values[p], mask | 1 << (m - 1 - p)
+                        if bits < grown.get(key, bits + 1):
+                            grown[key] = bits
+                tables.append(grown)
+        lows, highs = halves[0][1], halves[1][1]
+        best = None
+        for a in range(max(0, c - n + h), min(c, h) + 1):
+            high = highs[c - a]
+            for total, bits in lows[a].items():
+                upper = high.get(target - total)
+                if upper is not None and (best is None or bits << (n - h) | upper < best):
+                    best = bits << (n - h) | upper
+        return None if best is None else tuple(p for p in range(n) if best >> (n - 1 - p) & 1)
+
+    return last
+
+
+def _lex_rank(subset: Sequence[int], n: int) -> int:
+    """How many sets of range(n) of subset's size precede it lexicographically."""
+    # Sets that agree with subset before its t-th position and hold a smaller
+    # v there number sum(comb(n - 1 - v, size - 1 - t)) over low < v < p,
+    # which telescopes (the hockey-stick identity).
+    rank, low, size = 0, -1, len(subset)
+    for t, p in enumerate(subset):
+        rank += math.comb(n - 1 - low, size - t) - math.comb(n - p, size - t)
+        low = p
+    return rank
 
 
 def decide_columns_condition(

@@ -25,12 +25,12 @@ solves their merged equalities once; check_partition re-certifies it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .columns import (
+    BlockCounter,
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
     FIXED_ONE,
@@ -41,6 +41,7 @@ from .columns import (
     check_partition,
     closure_search,
     column_parts,
+    _zero_sum_complements,
 )
 from .feasibility import PositiveSolution, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix
@@ -127,20 +128,20 @@ def _search_parts(
     template: ScalingTemplate, feasible: Callable[[EqualityEchelon], bool], cap: int
 ) -> tuple[OrderedPartition, EqualityEchelon] | None:
     """The template's first certificate and its echelon, found part by part."""
-    counter = itertools.count()
+    counter = BlockCounter(cap)
     parts = column_parts(template.matrix)
     clusters = _clusters(template, parts) if len(parts) > 1 else [parts]
     if len(clusters) == 1 and len(clusters[0]) == 1:
-        return next(closure_search(template, feasible, cap, counter), None)
+        return next(closure_search(template, feasible, counter=counter), None)
     chains = []
     for cluster in sorted(clusters, key=lambda c: sum(len(columns) for columns, _ in c)):
         cluster = sorted(cluster, key=lambda p: (len(p[0]), p[0]))
         templates = [_part_template(template, columns, rows) for columns, rows in cluster]
         if len(cluster) == 1:
-            found = next(closure_search(templates[0][0], feasible, cap, counter), None)
+            found = next(closure_search(templates[0][0], feasible, counter=counter), None)
             hits = None if found is None else [found]
         else:
-            hits = _shared_hits([part for part, _ in templates], feasible, cap, counter)
+            hits = _shared_hits([part for part, _ in templates], feasible, counter)
         if hits is None:
             return None
         chains += [(columns, scalars, found) for (columns, _), (_, scalars), found in zip(cluster, templates, hits)]
@@ -163,8 +164,7 @@ def _search_parts(
 def _shared_hits(
     parts: list[ScalingTemplate],
     feasible: Callable[[EqualityEchelon], bool],
-    cap: int,
-    counter: Iterator[int],
+    counter: BlockCounter,
 ) -> list[tuple[OrderedPartition, EqualityEchelon]] | None:
     """A first hit of each part at one common value of their one scalar.
 
@@ -176,7 +176,7 @@ def _shared_hits(
     hits = []  # first hits of the leading parts that leave the scalar free
     for i, part in enumerate(parts):
         # The search explores each echelon once, and so yields each value once.
-        for found in closure_search(part, feasible, cap, counter):
+        for found in closure_search(part, feasible, counter=counter):
             value = _pinned(found[1])
             if value is None:
                 hits.append(found)
@@ -184,7 +184,7 @@ def _shared_hits(
             at_value = lambda e, value=value: _pinned(e) in (None, value) and feasible(e)
             later = []
             for other in parts[i + 1:]:
-                later.append(next(closure_search(other, at_value, cap, counter), None))
+                later.append(next(closure_search(other, at_value, counter=counter), None))
                 if later[-1] is None:
                     break
             else:
@@ -301,14 +301,17 @@ def is_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
 def zero_column_subset_exists(A: QMatrix) -> tuple[int, ...] | None:
     """Some non-empty set of columns summing exactly to zero, if any.
 
-    Subsets are scanned by increasing size, then lexicographically, so the
-    returned witness is canonical.  The sums run on A's integer columns.
+    The witness is canonical: the first such set by increasing size, then
+    lexicographically.  Its complement is the lexicographically last of the
+    largest column sets that sum to the total of all columns, which the
+    columns module's meet-in-the-middle subset sums find.  The sums run on
+    A's integer columns.
     """
-    cols = A.integer_columns
+    last = _zero_sum_complements(A.integer_columns)
     for size in range(1, A.cols + 1):
-        for subset in itertools.combinations(range(A.cols), size):
-            if not any(map(sum, zip(*(cols[i] for i in subset)))):
-                return subset
+        kept = last(A.cols - size)
+        if kept is not None:
+            return tuple(j for j in range(A.cols) if j not in kept)
     return None
 
 

@@ -34,6 +34,8 @@ Scalar = int | str | Fraction
 
 def rational(value: Scalar) -> Fraction:
     """Coerce to an exact Fraction; floats are refused."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"exact arithmetic only, got float {value!r}")
     return Fraction(value)

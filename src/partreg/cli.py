@@ -101,16 +101,17 @@ def parse_colouring_spec(spec: str) -> Colouring:
     kind, _, arg = spec.partition(":")
     if not arg:
         raise ValueError(f"colouring spec needs an argument: {spec!r}")
-    if kind == "mod":
-        return Colouring.mod(int(arg))
-    if kind == "gamma":
-        return Colouring.gamma(int(arg))
-    if kind == "startparity":
-        return Colouring.start_parity(int(arg))
     if kind == "table":
         with open(arg, encoding="utf-8") as handle:
             return Colouring.table(_parse_colour_table(handle.read()))
-    raise ValueError(f"unknown colouring kind {kind!r}")
+    make = {"mod": Colouring.mod, "gamma": Colouring.gamma, "startparity": Colouring.start_parity}
+    if kind not in make:
+        raise ValueError(f"unknown colouring kind {kind!r}")
+    try:
+        number = int(arg)
+    except ValueError:
+        raise ValueError(f"colouring spec {spec!r}: {arg!r} is not an integer") from None
+    return make[kind](number)
 
 
 def _parse_colour_table(text: str) -> list[int]:
@@ -120,10 +121,10 @@ def _parse_colour_table(text: str) -> list[int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"colour table line {lineno}: expected '<i> <colour>'")
-        index, colour = int(parts[0]), int(parts[1])
+        try:
+            index, colour = map(int, line.split())
+        except ValueError:  # not two fields, or not integers
+            raise ValueError(f"colour table line {lineno}: expected '<i> <colour>'") from None
         if index != len(colours) + 1:
             raise ValueError(f"colour table line {lineno}: expected integer {len(colours) + 1}")
         colours.append(colour)

@@ -25,6 +25,7 @@ never proofs.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from math import gcd, lcm
@@ -89,6 +90,12 @@ def _progression(a: int, r: range, offset: int = 0, den: int = 1) -> range:
     residue = low // g * pow(a // g, -1, step) % step
     first = max(1, -(-low // a))
     return range(first + (residue - first) % step, high // a + 1, step)
+
+
+def _affine_image(r: range, a: int, b: int, d: int) -> range:
+    """The (a*x + b)/d for x in r, increasing, where d > 0 divides every a*x + b."""
+    ends = (a * r.start + b) // d, (a * r[-1] + b) // d
+    return range(min(ends), max(ends) + 1, abs(a) * r.step // d)
 
 
 def _intersect(x: range, y: range) -> range:
@@ -277,25 +284,36 @@ class WitnessColouring:
         return "\n".join(f"{i + 1} {c}" for i, c in enumerate(self.table)) + "\n"
 
 
-def _refine(groups: list[tuple[range, tuple]], slot: int, by_colour: dict) -> list:
-    """Split (t-progression, colours) groups by one entry's colour -> t-progressions.
+class _PieceIndex:
+    """The colour pieces of [1..bound], found by the values they can meet.
 
-    A group whose colour at `slot` is fixed keeps it; an unfixed one tries each.
+    Filed by colour (and all under None) by residue modulo the gcd of the piece
+    steps, sorted by start: intervals (start parity, gamma, table runs) are found
+    by bisection on a span, residue classes ("mod") by residue.  `lasts` holds
+    running maxima, so bisection stays complete if spans interleave.
     """
-    refined = []
-    for progression, colours in groups:
-        required = colours[slot]
-        if required is None:
-            options = by_colour.items()
-        else:
-            options = ((required, by_colour.get(required, ())),)
-        for colour, pieces in options:
-            fixed = colours[:slot] + (colour,) + colours[slot + 1:]
-            for piece in pieces:
-                common = _intersect(progression, piece)
-                if common:
-                    refined.append((common, fixed))
-    return refined
+
+    def __init__(self, pieces: list[tuple[Hashable, range]]):
+        pieces = sorted((piece for piece in pieces if piece[1]), key=lambda piece: piece[1].start)
+        self.modulus = gcd(*(r.step for _, r in pieces))
+        self.tables: dict[Hashable, dict[int, tuple[list, list, list]]] = {}
+        for colour, r in pieces:
+            for key in {None, colour}:
+                table = self.tables.setdefault(key, {})
+                starts, lasts, found = table.setdefault(r.start % self.modulus, ([], [], []))
+                starts.append(r.start)
+                lasts.append(max(r[-1], lasts[-1]) if lasts else r[-1])
+                found.append((colour, r))
+
+    def meeting(self, colour: Hashable, values: range) -> Iterator[tuple[Hashable, range]]:
+        """The (colour, piece) pairs of `colour`, or any when None, that may meet `values`."""
+        table = self.tables.get(colour, {})
+        g = gcd(values.step, self.modulus)
+        reached = range(values.start % g, self.modulus, g)  # the residues of `values`
+        for residue in reached if len(reached) <= len(table) else table:
+            if residue in table and residue % g == values.start % g:
+                starts, lasts, found = table[residue]
+                yield from found[bisect_left(lasts, values.start):bisect_right(starts, values[-1])]
 
 
 class _KernelSearch:
@@ -306,15 +324,15 @@ class _KernelSearch:
     offset fixed by the earlier free values.  Per colour piece its t form a
     progression, so the candidates are groups (t-progression, colours of
     the blocks they fix) built by intersecting progressions, never by
-    scanning [1..N], and merged lazily in increasing t.  Offset-free
-    entries are intersected once per depth and colours and cached; an
-    entry with an offset only for the current offset, in its groups'
-    colours.  A group whose colours leave the next depth's offset-free
-    entries no candidates is dropped: fixing more colours only shrinks a
-    candidate set.  Values are tried in increasing order and free columns
-    in increasing index order, so solutions() yields (vectors, block
-    colours) in canonical order, lazily: callers take the first with next
-    or read the stream in full.  A search serves one stream.
+    scanning [1..N], and merged lazily in increasing t.  An entry splits a group
+    only along the pieces its values there can meet (_PieceIndex), so the work
+    follows the pieces, not their square: offset-free entries once per depth and
+    colours (cached), the others per offset.  A group whose colours leave the
+    next depth's offset-free entries no candidates is dropped: fixing more
+    colours only shrinks a candidate set.  Values are tried in increasing order
+    and free columns in increasing index order, so solutions() yields (vectors,
+    block colours) in canonical order, lazily: callers take the first with
+    next or read the stream in full.  A search serves one stream.
     """
 
     def __init__(self, matrices: Sequence[QMatrix], bound: int, colouring):
@@ -343,11 +361,9 @@ class _KernelSearch:
         if not self.viable:
             return
 
-        self.pieces_by_colour: dict[Hashable, list[range]] = {}
-        for colour, r in (
+        self.index = _PieceIndex(
             [(None, range(1, bound + 1))] if colouring is None else colouring.pieces(bound)
-        ):
-            self.pieces_by_colour.setdefault(colour, []).append(r)
+        )
         # entry e joins the depth of its last free coordinate as (a*t + offset)/den
         at_depth: list[list[tuple]] = [[] for _ in range(depths)]
         for e, expr in enumerate(exprs):
@@ -359,11 +375,10 @@ class _KernelSearch:
             tuple(sorted({self.block_of[e] for e, *_ in entries})) for entries in at_depth
         ]
         # per depth: (column, key-block slot, a, den, earlier (depth, coefficient)
-        # terms, colour -> t-progressions if offset-free, else None)
+        # terms, None); no piece is pulled back before a group asks for it
         self.entries = [
             [
-                (e, blocks.index(self.block_of[e]), a, den, earlier,
-                 None if earlier else self._by_colour(a, 0, den, self.pieces_by_colour))
+                (e, blocks.index(self.block_of[e]), a, den, earlier, None)
                 for e, a, den, earlier in entries
             ]
             for entries, blocks in zip(at_depth, self.key_blocks)
@@ -372,15 +387,27 @@ class _KernelSearch:
         self.colour_state: list[Hashable | None] = [None] * self.k
         self.group_cache: dict[tuple, list[tuple[range, tuple]]] = {}
 
-    def _by_colour(self, a: int, offset: int, den: int, colours) -> dict[Hashable, list[range]]:
-        """colour -> the t with (a*t + offset)/den in that colour's pieces."""
-        out = {}
-        for colour in colours:
-            pieces = self.pieces_by_colour.get(colour, ())
-            pulled = (_progression(a, r, offset, den) for r in pieces)
-            if progressions := [p for p in pulled if p]:
-                out[colour] = progressions
-        return out
+    def _refine(self, groups: list, slot: int, a: int, offset: int, den: int) -> list:
+        """Split (t-progression, colours) groups by the colour of (a*t + offset)/den.
+
+        A colour fixed at `slot` is kept, an unfixed one becomes each colour
+        met; only the pieces that a group's values can meet are pulled back.
+        """
+        sign = 1 if a > 0 else -1
+        same = a == den == 1 and not offset  # a free column's own entry: x = t
+        refined = []
+        for progression, colours in groups:
+            # the integer values x = (a*t + offset)/den of the group, increasing
+            if den == 1:
+                values = progression if same else _affine_image(progression, a, offset, 1)
+            elif not (values := _progression(sign * den, progression, -sign * offset, sign * a)):
+                continue
+            for colour, piece in self.index.meeting(colours[slot], values):
+                if common := _intersect(values, piece):
+                    if not same:
+                        common = _affine_image(common, sign * den, -sign * offset, sign * a)
+                    refined.append((common, colours[:slot] + (colour,) + colours[slot + 1:]))
+        return refined
 
     def _groups(self, depth: int, key: tuple) -> list[tuple[range, tuple]]:
         """Groups at `depth` under colours `key`, from its offset-free entries."""
@@ -388,9 +415,9 @@ class _KernelSearch:
         if cached is not None:
             return cached
         groups = [(range(1, self.bound + 1), key)]
-        for _, slot, _, _, _, by_colour in self.entries[depth]:
-            if by_colour is not None:
-                groups = _refine(groups, slot, by_colour)
+        for _, slot, a, den, earlier, _ in self.entries[depth]:
+            if not earlier:
+                groups = self._refine(groups, slot, a, 0, den)
         if depth + 1 < self.depths:
             blocks = self.key_blocks[depth]
             after = self.key_blocks[depth + 1]
@@ -407,13 +434,10 @@ class _KernelSearch:
         """(t, key-block colours) at `depth` in increasing t, merged lazily."""
         key = tuple(self.colour_state[b] for b in self.key_blocks[depth])
         groups = self._groups(depth, key)
-        for _, slot, a, den, earlier, by_colour in self.entries[depth]:
-            if by_colour is None:
+        for _, slot, a, den, earlier, _ in self.entries[depth]:
+            if earlier and groups:
                 offset = sum(c * self.ts[d] for d, c in earlier)
-                wanted = {colours[slot] for _, colours in groups}
-                if None in wanted:
-                    wanted = self.pieces_by_colour
-                groups = _refine(groups, slot, self._by_colour(a, offset, den, wanted))
+                groups = self._refine(groups, slot, a, offset, den)
         streams = [zip(progression, repeat(colours)) for progression, colours in groups]
         # groups are disjoint, so no two candidates share a t; one group
         # skips the merge's per-candidate generator step

@@ -373,6 +373,7 @@ def test_short_table_colouring_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("table, message", [
     ("1 0 2\n", "colour table line 1: expected '<i> <colour>'"),
     ("1 0\n1 1\n", "colour table line 2: expected integer 2"),
+    ("1 0\n2 x\n", "colour table line 2: expected '<i> <colour>'"),
     ("# no entries\n", "empty colour table"),
 ])
 def test_malformed_colour_table_is_a_usage_error(tmp_path, capsys, table, message):
@@ -386,6 +387,17 @@ def test_malformed_colour_table_is_a_usage_error(tmp_path, capsys, table, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["mod:abc", "gamma:1.5", "startparity:two"])
+def test_colouring_spec_without_an_integer_is_a_usage_error(tmp_path, capsys, spec):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    code = main(["oracle", "solve", schur, "--colouring", spec, "--bound", "4"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    number = spec.partition(":")[2]
+    assert captured.err == f"error: colouring spec {spec!r}: {number!r} is not an integer\n"
 
 
 # ------------------------------------------------------------- parser reuse

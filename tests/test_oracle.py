@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -19,6 +20,7 @@ from partreg import (
     search_witness_colouring,
     verify_all_colourings,
 )
+from partreg import oracle
 from partreg.linalg import rref
 from partreg.oracle import _DilatedColouring, _KernelSearch, _progression
 
@@ -312,6 +314,114 @@ def test_candidate_memory_follows_the_pieces_not_the_bound():
         tracemalloc.stop()
     assert witness.vectors == ((1, 1, 2),)
     assert peak < 5 * 2**20
+
+
+def free_coordinate_walk(matrices, bound):
+    """Every kernel solution in [1..bound], walking the free coordinates.
+
+    The free values run over [1..bound] in lexicographic order, earlier free
+    columns first, which is the kernel search's canonical order; each pivot
+    entry is read off its row of the reduced echelon form, scaled to integers.
+    """
+    R, pivots, _ = rref(QMatrix.hstack(matrices))
+    free = [c for c in range(R.cols) if c not in pivots]
+    cut = list(itertools.accumulate([0] + [M.cols for M in matrices]))
+    rows = []
+    for row, p in zip(R.entries, pivots):
+        den = math.lcm(*(row[f].denominator for f in free))
+        rows.append((p, den, [-(row[f] * den).numerator for f in free]))
+    out = []
+    for values in itertools.product(range(1, bound + 1), repeat=len(free)):
+        x = [0] * R.cols
+        for f, v in zip(free, values):
+            x[f] = v
+        for p, den, coefficients in rows:
+            value, rest = divmod(sum(c * v for c, v in zip(coefficients, values)), den)
+            if rest or not 1 <= value <= bound:
+                break
+            x[p] = value
+        else:
+            out.append(tuple(tuple(x[cut[b]:cut[b + 1]]) for b in range(len(matrices))))
+    return out
+
+
+class InterleavedPieces:
+    """Pieces of steps 2 and 4 whose spans interleave within one residue mod 2."""
+
+    def colour(self, x):
+        return 0 if x % 2 == 0 else 1 if x % 4 == 1 else 2 if x < 40 else 3
+
+    def pieces(self, bound):
+        return [(0, range(2, bound + 1, 2)), (1, range(1, bound + 1, 4)),
+                (2, range(3, min(40, bound + 1), 4)), (3, range(43, bound + 1, 4))]
+
+
+def test_indexed_pieces_match_a_walk_of_the_free_coordinates():
+    # many pieces per colour, so a group meets only a few of them: residue
+    # classes of several moduli, gamma intervals, table runs of length 1 to 3,
+    # a dilated mod whose pieces are residue classes of t, and pieces that
+    # are neither intervals nor residue classes
+    rng = random.Random(101)
+    diag_pair = [diag12(), minus_identity(2)]
+    gamma_pair = [QMatrix.of([[2, -3], [2, 2]]), QMatrix.of([[2, 0], [-2, 1]])]
+    cases = [[schur()], diag_pair, gamma_pair]
+    cases += [[random_matrix(rng, 1, 1, max_num=3), random_matrix(rng, 1, 2, max_num=3)]
+              for _ in range(3)]
+    found = streamed = 0
+    for matrices in cases:
+        bound = rng.randint(60, 200)
+        solutions = free_coordinate_walk(matrices, bound)
+        table = []
+        while len(table) < bound:
+            table += [rng.randint(0, 2)] * rng.randint(1, 3)
+        colourings = [Colouring.mod(m) for m in (7, 30, 97)]
+        colourings += [Colouring.gamma(3), Colouring.table(table[:bound])]
+        dilated_mod = Colouring.mod(rng.choice([6, 10, 12]))
+        colourings.append(_DilatedColouring(dilated_mod, rng.randint(2, 4)))
+        colourings.append(InterleavedPieces())
+        for colouring in colourings:
+            colour = [None] + [colouring.colour(x) for x in range(1, bound + 1)]
+            expected = [
+                (sol, tuple(colour[vec[0]] for vec in sol)) for sol in solutions
+                if all(len({colour[x] for x in vec}) == 1 for vec in sol)
+            ]
+            assert list(_KernelSearch(matrices, bound, colouring).solutions()) == expected
+            witness = find_monochromatic_solution(matrices, colouring, bound)
+            first = witness and (witness.vectors, witness.colours)
+            assert first == (expected[0] if expected else None)
+            found += bool(expected)
+            streamed += len(expected)
+    assert found > 25 and streamed > 1000
+
+
+def test_refinement_work_is_linear_in_the_pieces(monkeypatch):
+    # diag(1,2)/(-I): x1 = y1 = t0 and y2 = 2*x2 = t1; intersecting every
+    # group with every piece made about pieces**2 calls per depth (513 for the
+    # 18 start-parity pieces at 2**17, over 10**6 for mod:1000)
+    calls = Counter()
+
+    def counted(x, y):
+        calls["intersect"] += 1
+        return intersect(x, y)
+
+    intersect = oracle._intersect
+    monkeypatch.setattr(oracle, "_intersect", counted)
+
+    def last_digit_base_3(x):
+        while x % 3 == 0:
+            x //= 3
+        return x % 3
+
+    cases = [
+        (Colouring.mod(1000), 2000, ((1000, 1000), (1000, 2000))),
+        (Colouring.table([last_digit_base_3(x) for x in range(1, 3001)]), 3000, None),
+        (Colouring.start_parity(2), 2**17, None),
+    ]
+    for colouring, bound, vectors in cases:
+        calls.clear()
+        witness = find_monochromatic_solution([diag12(), minus_identity(2)], colouring, bound)
+        assert (witness and witness.vectors) == vectors
+        assert calls["intersect"] <= 5 * len(colouring.pieces(bound))
 
 
 # ------------------------------------------------ colouring sweeps and search

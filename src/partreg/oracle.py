@@ -16,10 +16,10 @@ is therefore complete within the bound.  Nor does it scan [1..N] value by
 value: every colouring splits [1..N] into colour pieces that are arithmetic
 progressions.  Each entry is (a*t + offset)/den in the free value t chosen
 last, the offset being fixed by the earlier ones, so the t that put it in a
-piece form a progression too; candidates are intersections of these, merged
-lazily in increasing order, so time and memory follow the number of colour
-pieces rather than N.  Negative results are evidence up to their bound,
-never proofs.
+piece form a progression too; candidates are intersections of these, found
+through an index of the pieces by residue and start and merged lazily in
+increasing order, so time and memory grow linearly with the colour pieces,
+not with N.  Negative results are evidence up to their bound, never proofs.
 """
 
 from __future__ import annotations

@@ -360,11 +360,8 @@ class ScalingTemplate:
         return QMatrix(self.matrix.rows, self.matrix.cols, grid)
 
 
-Part = tuple[tuple[int, ...], list[tuple[int, ...]]]  # columns, and integer rows over all columns
-
-
-def column_parts(matrix: QMatrix) -> list[Part]:
-    """The connected components of the matrix's column matroid, with their rows.
+def column_parts(matrix: QMatrix) -> list[tuple[int, ...]]:
+    """The connected components of the matrix's column matroid.
 
     Rows that each have a column of their own, non-zero in no other row,
     are reduced with respect to those columns, a basis; so one-row matrices
@@ -372,10 +369,8 @@ def column_parts(matrix: QMatrix) -> list[Part]:
     matrices take their fully reduced form from EqualityEchelon.  Two
     columns are joined when some reduced row is non-zero at both, which is
     where fundamental circuits meet (Oxley, Matroid Theory), and a zero
-    column is a part of its own.  Each part is (its columns in increasing
-    order, the reduced rows non-zero on them, over all columns); those rows
-    span the row space of the matrix restricted to the part.  Parts are
-    ordered by their first column.
+    column is a part of its own.  Each part is its columns in increasing
+    order, and parts are ordered by their first column.
     """
     n, u, cols = matrix.cols, matrix.rows, matrix.integer_columns
     if u == 1 or len({i for c in cols if c.count(0) == u - 1 for i, x in enumerate(c) if x}) == u:
@@ -385,18 +380,22 @@ def column_parts(matrix: QMatrix) -> list[Part]:
         rows = [row[:-1] for row in echelon.rows]
         cols = list(zip(*rows)) if rows else [()] * n
     if all(map(any, cols)) and any(map(all, cols)):
-        return [(tuple(range(n)), rows)]  # one column joins every row
-    parts: list[tuple[set[int], list[tuple[int, ...]]]] = []
-    for row in rows:
-        support, members = {j for j, x in enumerate(row) if x}, [row]
-        for joined in [part for part in parts if not support.isdisjoint(part[0])]:
-            parts.remove(joined)
-            support |= joined[0]
-            members += joined[1]
-        parts.append((support, members))
-    placed = set().union(*(support for support, _ in parts))
-    parts += [({j}, []) for j in range(n) if j not in placed]
-    return sorted((tuple(sorted(support)), members) for support, members in parts)
+        return [tuple(range(n))]  # one column joins every row
+    supports = [{j for j, x in enumerate(row) if x} for row in rows] + [{j} for j in range(n)]
+    return sorted(tuple(sorted(joint)) for joint, _ in _joined(supports))
+
+
+def _joined(sets: Iterable[set]) -> list[tuple[set, list[int]]]:
+    """The sets joined wherever two meet: each union, with its members' positions."""
+    classes: list[tuple[set, list[int]]] = []
+    for k, joint in enumerate(map(set, sets)):
+        members = [k]
+        for meeting in [c for c in classes if not joint.isdisjoint(c[0])]:
+            classes.remove(meeting)
+            joint |= meeting[0]
+            members += meeting[1]
+        classes.append((joint, members))
+    return classes
 
 
 def closure_search(

@@ -11,15 +11,15 @@ that re-verifies independently; NO verdicts are issued only after the
 search was exhausted.  Every search runs under `cap` candidate blocks, and
 one that reaches it is reported UNDECIDED, never guessed.
 
-A template whose column matroid splits is searched part by part.  By the
-direct-sum lemma (see the columns module) it qualifies at given scalars
-exactly when every part does at those scalars.  A part that shares no
-scalar with another needs only its first hit, and any part without one
-makes the answer NO.  Parts that share one scalar, such as the rows of
-(diag(d) -bI), take the first part's values one at a time, and each later
-part stops at its first hit at that value, so only a NO exhausts a part;
-parts that share two or more stay one search.  Every part's blocks count
-against the one cap.  A YES merges the parts' chains block by block and
+A template whose column matroid splits is searched part by part, each
+part a set of columns.  By the direct-sum lemma (see the columns module)
+it qualifies at given scalars exactly when every part does at those
+scalars.  A part that shares no scalar with another needs only its first
+hit, and any part without one makes the answer NO.  Parts that share one
+scalar, such as the rows of (diag(d) -bI), take the first part's values
+one at a time, and each later part stops at its first hit at that value,
+so only a NO exhausts a part; parts that share two or more are joined
+into one part.  Every part's blocks count against the one cap.  A YES merges the parts' chains block by block and
 solves their merged equalities once; check_partition re-certifies it.
 """
 
@@ -35,15 +35,15 @@ from .columns import (
     DEFAULT_PARTITION_CAP,
     FIXED_ONE,
     OrderedPartition,
-    Part,
     PartitionCapExceeded,
     ScalingTemplate,
     check_partition,
     closure_search,
     column_parts,
+    _joined,
     _zero_sum_complements,
 )
-from .feasibility import PositiveSolution, solve_positive_echelon
+from .feasibility import PositiveSolution, _pinned, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix
 
 YES = "YES"
@@ -130,21 +130,16 @@ def _search_parts(
     """The template's first certificate and its echelon, found part by part."""
     counter = BlockCounter(cap)
     parts = column_parts(template.matrix)
-    clusters = _clusters(template, parts) if len(parts) > 1 else [parts]
-    if len(clusters) == 1 and len(clusters[0]) == 1:
+    if len(parts) == 1:
         return next(closure_search(template, feasible, counter=counter), None)
     chains = []
-    for cluster in sorted(clusters, key=lambda c: sum(len(columns) for columns, _ in c)):
-        cluster = sorted(cluster, key=lambda p: (len(p[0]), p[0]))
-        templates = [_part_template(template, columns, rows) for columns, rows in cluster]
-        if len(cluster) == 1:
-            found = next(closure_search(templates[0][0], feasible, counter=counter), None)
-            hits = None if found is None else [found]
-        else:
-            hits = _shared_hits([part for part, _ in templates], feasible, counter)
+    for cluster in sorted(_clusters(template, parts), key=lambda c: sum(map(len, c))):
+        cluster = sorted(cluster, key=lambda columns: (len(columns), columns))
+        templates = [_part_template(template, columns) for columns in cluster]
+        hits = _shared_hits([part for part, _ in templates], feasible, counter)
         if hits is None:
             return None
-        chains += [(columns, scalars, found) for (columns, _), (_, scalars), found in zip(cluster, templates, hits)]
+        chains += [(columns, scalars, found) for columns, (_, scalars), found in zip(cluster, templates, hits)]
     blocks = tuple(
         tuple(sorted(
             columns[i] for columns, _, (partition, _) in chains
@@ -171,10 +166,11 @@ def _shared_hits(
     The parts' values are taken one at a time in search order, and every
     later part stops at its first hit at that value, so only a NO exhausts
     a part.  A part whose hit leaves the scalar free suits every value, and
-    the answer is then the later parts'.
+    the answer is then the later parts'.  The last part, alone or after
+    parts that leave the scalar free, takes its first hit.
     """
     hits = []  # first hits of the leading parts that leave the scalar free
-    for i, part in enumerate(parts):
+    for i, part in enumerate(parts[:-1]):
         # The search explores each echelon once, and so yields each value once.
         for found in closure_search(part, feasible, counter=counter):
             value = _pinned(found[1])
@@ -191,42 +187,38 @@ def _shared_hits(
                 return hits + [found] + later
         else:
             return None
-    return hits
+    found = next(closure_search(parts[-1], feasible, counter=counter), None)
+    return None if found is None else hits + [found]
 
 
-def _pinned(echelon: EqualityEchelon) -> Fraction | None:
-    # the value a one-variable echelon fixes, if any
-    return Fraction(-echelon.rows[0][1], echelon.rows[0][0]) if echelon.rows else None
-
-
-def _clusters(template: ScalingTemplate, parts: list[Part]) -> list[list[Part]]:
+def _clusters(template: ScalingTemplate, parts: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
     """The template's column parts, grouped by the scalars they share.
 
     A group whose parts share two or more scalars is joined into one part.
     """
-    clusters: list[tuple[set[int], list[Part]]] = []
-    for columns, rows in parts:
-        scalars = {template.group_of[j] for j in columns} - {FIXED_ONE}
-        members = [(columns, rows)]
-        for joined in [c for c in clusters if not scalars.isdisjoint(c[0])]:
-            clusters.remove(joined)
-            scalars |= joined[0]
-            members += joined[1]
-        clusters.append((scalars, members))
+    scalars = ({template.group_of[j] for j in columns} - {FIXED_ONE} for columns in parts)
     return [
-        members if len(scalars) < 2
-        else [(tuple(sorted(j for c, _ in members for j in c)), [r for _, rows in members for r in rows])]
-        for scalars, members in clusters
+        [parts[k] for k in members] if len(shared) < 2
+        else [tuple(sorted(j for k in members for j in parts[k]))]
+        for shared, members in _joined(scalars)
     ]
 
 
-def _part_template(template: ScalingTemplate, columns, rows) -> tuple[ScalingTemplate, list[int]]:
-    """The template on one part's columns and rows, and its scalars' global ids."""
+def _part_template(template: ScalingTemplate, columns) -> tuple[ScalingTemplate, list[int]]:
+    """The template on one part's columns, and its scalars' global ids.
+
+    Its rows are the input's rows restricted to the columns, less those that
+    vanish there.  The input is T times its reduced rows for an injective T,
+    so the restricted columns meet exactly the linear relations of the
+    reduced rows restricted to them: the part's chains and echelons are the
+    same from either rows.
+    """
     scalars = sorted({template.group_of[j] for j in columns} - {FIXED_ONE})
     local = {g: k for k, g in enumerate(scalars)}
-    matrix = QMatrix(len(rows), len(columns), tuple(tuple(Q(row[j]) for j in columns) for row in rows))
+    restricted = (tuple(row[j] for j in columns) for row in template.matrix.entries)
+    rows = tuple(row for row in restricted if any(row))
     groups = tuple(local.get(template.group_of[j]) for j in columns)
-    return ScalingTemplate(matrix, groups, len(scalars)), scalars
+    return ScalingTemplate(QMatrix(len(rows), len(columns), rows), groups, len(scalars)), scalars
 
 
 def is_kpr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:

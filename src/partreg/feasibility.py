@@ -47,7 +47,6 @@ from .linalg import (
     EqualityEchelon,
     Q,
     integer_row,
-    rational_row,
     residual_functionals,
 )
 
@@ -454,9 +453,9 @@ def _scaled_check(
     return check_partition(matrix, partition) is not None
 
 
-def _pins_nonzero(echelon: EqualityEchelon) -> bool:
-    # one variable: each row x + c == 0 pins x to -c
-    return all(row[-1] != 0 for row in echelon.rows)
+def _pinned(echelon: EqualityEchelon) -> Fraction | None:
+    # the value a one-variable echelon fixes, if any: its row a*x + c == 0
+    return Fraction(-echelon.rows[0][1], echelon.rows[0][0]) if echelon.rows else None
 
 
 def scalar_union_over_partitions(
@@ -475,12 +474,9 @@ def scalar_union_over_partitions(
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
     result = ScalarSet.empty()
-    for _, echelon in closure_search(template, _pins_nonzero, cap):
-        if echelon.rows:
-            value = -rational_row(echelon.rows[0], echelon.pivots[0])[-1]
-            result = result.union(ScalarSet.finite((value,)))
-        else:
-            result = result.union(ScalarSet.all_except((Q(0),)))
+    for _, echelon in closure_search(template, lambda e: _pinned(e) != 0, cap):
+        value = _pinned(echelon)
+        result = result.union(ScalarSet.all_except((Q(0),)) if value is None else ScalarSet.finite((value,)))
     zero = template.scaled_matrix([Q(0)] * template.nvars)
     if decide_columns_condition(zero, cap) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))

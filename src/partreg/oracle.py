@@ -375,10 +375,10 @@ class _KernelSearch:
             tuple(sorted({self.block_of[e] for e, *_ in entries})) for entries in at_depth
         ]
         # per depth: (column, key-block slot, a, den, earlier (depth, coefficient)
-        # terms, None); no piece is pulled back before a group asks for it
+        # terms); no piece is pulled back before a group asks for it
         self.entries = [
             [
-                (e, blocks.index(self.block_of[e]), a, den, earlier, None)
+                (e, blocks.index(self.block_of[e]), a, den, earlier)
                 for e, a, den, earlier in entries
             ]
             for entries, blocks in zip(at_depth, self.key_blocks)
@@ -415,7 +415,7 @@ class _KernelSearch:
         if cached is not None:
             return cached
         groups = [(range(1, self.bound + 1), key)]
-        for _, slot, a, den, earlier, _ in self.entries[depth]:
+        for _, slot, a, den, earlier in self.entries[depth]:
             if not earlier:
                 groups = self._refine(groups, slot, a, 0, den)
         if depth + 1 < self.depths:
@@ -434,7 +434,7 @@ class _KernelSearch:
         """(t, key-block colours) at `depth` in increasing t, merged lazily."""
         key = tuple(self.colour_state[b] for b in self.key_blocks[depth])
         groups = self._groups(depth, key)
-        for _, slot, a, den, earlier, _ in self.entries[depth]:
+        for _, slot, a, den, earlier in self.entries[depth]:
             if earlier and groups:
                 offset = sum(c * self.ts[d] for d, c in earlier)
                 groups = self._refine(groups, slot, a, offset, den)
@@ -452,7 +452,7 @@ class _KernelSearch:
         if depth == self.depths:
             values = [0] * self.n
             for t, entries in zip(ts, self.entries):
-                for e, _, a, den, earlier, _ in entries:
+                for e, _, a, den, earlier in entries:
                     values[e] = (a * t + sum(c * ts[d] for d, c in earlier)) // den
             vectors = tuple(
                 tuple(values[self.offsets[b]:self.offsets[b + 1]]) for b in range(self.k)
@@ -511,8 +511,9 @@ def verify_all_colourings(
 
     Oversized instances are rejected up front.  One colour asks only whether
     a bounded solution exists, which one kernel search under `mod:1` answers
-    without building a colour table; otherwise this is search_witness_colouring
-    finding no witness.
+    without building a colour table, and search_witness_colouring reads its
+    one-colour witness from that answer; otherwise this is
+    search_witness_colouring finding no witness.
     """
     _guard_sweep_size(colours, bound)
     if colours == 1:
@@ -535,15 +536,12 @@ def search_witness_colouring(
     values are already consistently coloured forbids the colour that would
     complete it; a branch dies when a solution is completed by any colour
     or no allowed colour is left.  With one colour the all-zero table is the
-    witness exactly when no bounded solution exists, which one kernel search
-    under `mod:1` decides without listing the solutions.  Absence means
-    every colouring of [1..bound] admits a bounded solution.
+    witness exactly when verify_all_colourings finds no bounded solution.
+    Absence means every colouring of [1..bound] admits a bounded solution.
     """
-    _guard_sweep_size(colours, bound)
     if colours == 1:
-        if find_monochromatic_solution(matrices, Colouring.mod(1), bound) is None:
-            return WitnessColouring(bound, 1, (0,) * bound)
-        return None
+        return None if verify_all_colourings(matrices, 1, bound) else WitnessColouring(bound, 1, (0,) * bound)
+    _guard_sweep_size(colours, bound)
     # per largest value, each solution's distinct block value-sets in first-seen order
     by_max: list[dict[tuple[tuple[int, ...], ...], None]] = [{} for _ in range(bound + 1)]
     for vectors in enumerate_bounded_solutions(matrices, bound):

@@ -210,7 +210,7 @@ def test_kernel_search_matches_brute_force_walk():
         bound = rng.randint(1, 12 if sum(widths) < 4 else 7)
         solutions = brute_force_solutions(matrices, bound)
         search = _KernelSearch(matrices, bound, None)
-        for _, _, a, den, earlier, _ in sum(search.entries, []) if search.viable else ():
+        for _, _, a, den, earlier in sum(search.entries, []) if search.viable else ():
             negative_step |= a < 0
             fractional_offset |= den > 1 and bool(earlier)
 

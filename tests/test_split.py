@@ -17,9 +17,11 @@ import random
 
 from conftest import brute_force_ordered_partitions
 from partreg import (
+    FIXED_ONE,
     NO,
     OrderedPartition,
     QMatrix,
+    ScalingTemplate,
     UNDECIDED,
     YES,
     build_system,
@@ -92,6 +94,10 @@ def clusters_of(template):
     return decisions._clusters(template, column_parts(template.matrix))
 
 
+def part_rows(template, columns):
+    return decisions._part_template(template, columns)[0].matrix.entries
+
+
 def assert_certified(decision):
     assert all(value > 0 for _, value in decision.scalars)
     assert verify_certificate(decision.assembled, decision.certificate)
@@ -99,15 +105,17 @@ def assert_certified(decision):
 
 def test_column_parts_are_read_after_row_reduction():
     mixed = QMatrix.of([[1, 1, 0, 0, 0], [2, 2, 1, -1, 0]])
-    assert [columns for columns, _ in column_parts(mixed)] == [(0, 1), (2, 3), (4,)]
-    # each part's rows vanish off its columns and span its restriction
-    for columns, rows in column_parts(mixed):
-        assert all(row[j] == 0 for row in rows for j in range(5) if j not in columns)
+    assert column_parts(mixed) == [(0, 1), (2, 3), (4,)]
+    # each part is searched on the input rows that do not vanish on it
+    template = ScalingTemplate(mixed, (FIXED_ONE,) * 5, 0)
+    assert [part_rows(template, c) for c in column_parts(mixed)] == [((1, 1), (2, 2)), ((1, -1),), ()]
+    template = doubly_ipr_template(diag(1, 2, 3))
+    assert [len(part_rows(template, c)) for c in column_parts(template.matrix)] == [1, 1, 1]
     # one row: the non-zero columns are one part, each zero column another
-    assert [c for c, _ in column_parts(QMatrix.of([[0, 2, -1, 0]]))] == [(0,), (1, 2), (3,)]
-    assert [c for c, _ in column_parts(QMatrix.of([[1, 2, 3], [4, 5, 6]]))] == [(0, 1, 2)]
+    assert column_parts(QMatrix.of([[0, 2, -1, 0]])) == [(0,), (1, 2), (3,)]
+    assert column_parts(QMatrix.of([[1, 2, 3], [4, 5, 6]])) == [(0, 1, 2)]
     # independent columns are coloops: each is a part of its own
-    assert [c for c, _ in column_parts(QMatrix.of([[1, 2], [3, 4]]))] == [(0,), (1,)]
+    assert column_parts(QMatrix.of([[1, 2], [3, 4]])) == [(0,), (1,)]
 
 
 def test_direct_sums_decide_like_their_parts_and_the_brute_force():
@@ -226,9 +234,23 @@ def test_parts_sharing_two_scalars_stay_one_search():
     minus = QMatrix.of([[-1, 0], [0, -1]])
     matrices = [QMatrix.of([[1, 0], [0, 2]]), minus, minus]
     clusters = clusters_of(multiply_kpr_template(matrices))
-    assert [[columns for columns, _ in c] for c in clusters] == [[(0, 1, 2, 3, 4, 5)]]
+    assert clusters == [[(0, 1, 2, 3, 4, 5)]]
     decision = multiply_kpr(matrices)
     assert decision.verdict == YES
+    assert_certified(decision)
+
+
+def test_a_lone_two_scalar_part_takes_its_first_hit_beside_another_cluster():
+    # (0 1 1 / 0 1 0), c_2 (-2 / 1) and c_3 (-2 / -1): the zero column is a
+    # cluster of its own, and the other four columns are one part under both
+    # scalars, whose echelon pins no single value to read
+    matrices = [QMatrix.of([[0, 1, 1], [0, 1, 0]]), QMatrix.of([[-2], [1]]), QMatrix.of([[-2], [-1]])]
+    template = multiply_kpr_template(matrices)
+    assert clusters_of(template) == [[(0,)], [(1, 2, 3, 4)]]
+    assert decisions._part_template(template, (1, 2, 3, 4))[1] == [0, 1]
+    decision = multiply_kpr(matrices)
+    assert decision.verdict == YES and decision.scalars == (("c_2", 1), ("c_3", 1))
+    assert decision.certificate.partition == OrderedPartition.from_one_based([[1, 2, 3, 5], [4]])
     assert_certified(decision)
 
 

@@ -14,9 +14,9 @@ verdict, chain, scalar or CLI byte names the case it broke.  Kinds:
 - "union": scalar_union_over_partitions of the doubly-IPR template of a
   matrix, or its cap.
 - "cli": exit code, stdout and stderr of cli.main(argv), run in a directory
-  that holds the header's files.  Help text is argparse's own rendering, so
-  a case marked "argparse" compares its stdout only on the Python minor
-  version that wrote the file.
+  that holds the header's files, with COLUMNS=80.  Help text is argparse's
+  own rendering, so a case marked "argparse" compares its stdout only on
+  the Python minor version that wrote the file.
 
 Regenerating rewrites every output from the code as it stands, so a change
 that regenerates the file lists each changed document and why.  The corpus
@@ -225,6 +225,7 @@ def cli_cases() -> list[tuple]:
 
 def main() -> None:
     sys.path.insert(0, os.path.join(ROOT, "bench"))
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
     files = cli_files()
     cases = corpus_cases() + direct_sum_cases() + diagonal_cases() + cli_cases()
     header = {"files": files, "python": "%d.%d" % sys.version_info[:2]}

@@ -47,5 +47,6 @@ def test_command_line_runs_are_unchanged(tmp_path, monkeypatch):
     for name, text in HEADER["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     changed = _changed("cli")
     assert not changed, f"{len(changed)} changed:\n" + "\n".join(changed[:10])

@@ -7,8 +7,11 @@ lines starting with '#' are ignored.  Exit codes: 0 the property holds
 2 input or usage error, 3 undecided because the search examined as many
 candidate blocks as --cap allows.  Each subcommand is declared once, in
 build_parser, where its subparser records the handler that answers it.
-All JSON output is canonical: fixed key order, rationals as lowest-term
-strings, byte-identical across runs.
+A handler returns its exit code, its result as a JSON document and the
+same result as text, and only main writes to stdout: the document under
+--json, the text otherwise.  A handler that returns no document has
+written its message to stderr.  All JSON output is canonical: fixed key
+order, rationals as lowest-term strings, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+
+# a handler's exit code, JSON document and text
+Result = tuple[int, dict | None, str | None]
 
 
 class MatrixParseError(ValueError):
@@ -133,33 +139,17 @@ def _parse_colour_table(text: str) -> list[int]:
     return colours
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _matrix_lines(M: QMatrix) -> None:
-    sys.stdout.write(M.to_lines() + "\n")
-
-
-def _report_decision(decision: Decision, as_json: bool) -> int:
-    if as_json:
-        _emit(decision.to_json_dict())
-    else:
-        sys.stdout.write(f"verdict: {decision.verdict}\n")
-        for name, value in decision.scalars:
-            sys.stdout.write(f"{name} = {value}\n")
-        if decision.certificate is not None:
-            sys.stdout.write(f"partition: {decision.certificate.partition}\n")
-        if decision.assembled is not None:
-            sys.stdout.write("assembled:\n")
-            _matrix_lines(decision.assembled)
-        if decision.verdict == UNDECIDED:
-            sys.stdout.write(f"search cap of {decision.cap} candidate blocks exceeded\n")
-    if decision.verdict == YES:
-        return EXIT_HOLDS
+def _report_decision(decision: Decision) -> Result:
+    lines = [f"verdict: {decision.verdict}"]
+    lines += [f"{name} = {value}" for name, value in decision.scalars]
+    if decision.certificate is not None:
+        lines.append(f"partition: {decision.certificate.partition}")
+    if decision.assembled is not None:
+        lines += ["assembled:", decision.assembled.to_lines()]
     if decision.verdict == UNDECIDED:
-        return EXIT_UNDECIDED
-    return EXIT_FAILS
+        lines.append(f"search cap of {decision.cap} candidate blocks exceeded")
+    code = {YES: EXIT_HOLDS, UNDECIDED: EXIT_UNDECIDED}.get(decision.verdict, EXIT_FAILS)
+    return code, decision.to_json_dict(), "\n".join(lines) + "\n"
 
 
 def _load_certificate(path: str) -> ColumnsConditionCertificate:
@@ -171,96 +161,68 @@ def _load_certificate(path: str) -> ColumnsConditionCertificate:
     return ColumnsConditionCertificate.from_json_dict(document)
 
 
-def _certify(args: argparse.Namespace) -> int:
+def _certify(args: argparse.Namespace) -> Result:
     matrix = load_matrix(args.file)
-    certificate = _load_certificate(args.certificate)
-    verified = verify_certificate(matrix, certificate)
-    if args.json:
-        _emit({"verified": verified})
-    else:
-        sys.stdout.write("certificate verified\n" if verified else "certificate INVALID\n")
-    return EXIT_HOLDS if verified else EXIT_FAILS
+    verified = verify_certificate(matrix, _load_certificate(args.certificate))
+    text = "certificate verified\n" if verified else "certificate INVALID\n"
+    return EXIT_HOLDS if verified else EXIT_FAILS, {"verified": verified}, text
 
 
-def _first_entries(args: argparse.Namespace) -> int:
+def _first_entries(args: argparse.Namespace) -> Result:
     matrix = load_matrix(args.file)
     certificate = _load_certificate(args.certificate)
     if not verify_certificate(matrix, certificate):
         sys.stderr.write("error: certificate fails verification\n")
-        return EXIT_FAILS
+        return EXIT_FAILS, None, None
     fe = first_entries_from_certificate(matrix, certificate)
-    if args.json:
-        _emit({
-            "first_entries": [[str(x) for x in row] for row in fe.matrix.entries],
-            "unital": fe.unital,
-        })
-    else:
-        _matrix_lines(fe.matrix)
-    return EXIT_HOLDS
+    document = {"first_entries": [[str(x) for x in row] for row in fe.matrix.entries], "unital": fe.unital}
+    return EXIT_HOLDS, document, fe.matrix.to_lines() + "\n"
 
 
-def _scalars(args: argparse.Namespace) -> int:
-    matrix = load_matrix(args.file)
-    template = doubly_ipr_template(matrix)
+def _scalars(args: argparse.Namespace) -> Result:
+    template = doubly_ipr_template(load_matrix(args.file))
     try:
         scalar_set = scalar_union_over_partitions(template, args.cap)
     except PartitionCapExceeded as exceeded:
         sys.stderr.write(f"search cap of {exceeded.cap} candidate blocks exceeded\n")
-        return EXIT_UNDECIDED
-    if args.json:
-        _emit(scalar_set.to_json_dict())
-    elif scalar_set.kind == "finite":
-        listed = ", ".join(str(v) for v in scalar_set.values)
-        sys.stdout.write(f"feasible scalar values: {listed}\n")
-    elif scalar_set.kind == "empty":
-        sys.stdout.write("feasible scalar values: none\n")
-    elif scalar_set.kind == "all":
-        sys.stdout.write("feasible scalar values: all rationals\n")
-    else:
-        listed = ", ".join(str(v) for v in scalar_set.excluded)
-        sys.stdout.write(f"feasible scalar values: all rationals except {listed}\n")
-    return EXIT_HOLDS
+        return EXIT_UNDECIDED, None, None
+    described = {
+        "finite": ", ".join(str(v) for v in scalar_set.values),
+        "empty": "none",
+        "all": "all rationals",
+        "all_except": "all rationals except " + ", ".join(str(v) for v in scalar_set.excluded),
+    }[scalar_set.kind]
+    return EXIT_HOLDS, scalar_set.to_json_dict(), f"feasible scalar values: {described}\n"
 
 
-def _oracle_solve(args: argparse.Namespace) -> int:
+def _oracle_solve(args: argparse.Namespace) -> Result:
     matrices = [load_matrix(f) for f in args.files]
     colouring = parse_colouring_spec(args.colouring)
     witness = find_monochromatic_solution(matrices, colouring, args.bound)
-    if args.json:
-        _emit({"witness": dataclasses.asdict(witness) if witness else None})
-    elif witness is None:
-        sys.stdout.write(f"no monochromatic solution with entries <= {args.bound}\n")
-    else:
-        for t, vec in enumerate(witness.vectors, start=1):
-            sys.stdout.write(f"x_{t} = ({', '.join(str(x) for x in vec)})\n")
-    return EXIT_HOLDS if witness is not None else EXIT_FAILS
+    if witness is None:
+        return EXIT_FAILS, {"witness": None}, f"no monochromatic solution with entries <= {args.bound}\n"
+    text = "".join(f"x_{t} = ({', '.join(str(x) for x in vec)})\n"
+                   for t, vec in enumerate(witness.vectors, start=1))
+    return EXIT_HOLDS, {"witness": dataclasses.asdict(witness)}, text
 
 
-def _oracle_sweep(args: argparse.Namespace) -> int:
+def _oracle_sweep(args: argparse.Namespace) -> Result:
     matrices = [load_matrix(f) for f in args.files]
     holds = verify_all_colourings(matrices, args.colours, args.bound)
-    if args.json:
-        _emit({"all_colourings_admit_solution": holds,
-               "colours": args.colours, "bound": args.bound})
-    else:
-        sys.stdout.write(
-            f"every {args.colours}-colouring of [1..{args.bound}] admits a solution: "
-            f"{'yes' if holds else 'no'}\n"
-        )
-    return EXIT_HOLDS if holds else EXIT_FAILS
+    document = {"all_colourings_admit_solution": holds, "colours": args.colours, "bound": args.bound}
+    text = (f"every {args.colours}-colouring of [1..{args.bound}] admits a solution: "
+            f"{'yes' if holds else 'no'}\n")
+    return EXIT_HOLDS if holds else EXIT_FAILS, document, text
 
 
-def _oracle_falsify(args: argparse.Namespace) -> int:
+def _oracle_falsify(args: argparse.Namespace) -> Result:
     matrices = [load_matrix(f) for f in args.files]
     witness = search_witness_colouring(matrices, args.colours, args.bound)
-    if args.json:
-        _emit({"witness_colouring": witness.to_json_dict() if witness else None})
-    elif witness is None:
-        sys.stdout.write(f"every {args.colours}-colouring of [1..{args.bound}] admits a solution\n")
-    else:
-        sys.stdout.write(witness.to_text())
+    if witness is None:
+        text = f"every {args.colours}-colouring of [1..{args.bound}] admits a solution\n"
+        return EXIT_HOLDS, {"witness_colouring": None}, text
     # a witness colouring falsifies bounded regularity, hence exit 1
-    return EXIT_FAILS if witness is not None else EXIT_HOLDS
+    return EXIT_FAILS, {"witness_colouring": witness.to_json_dict()}, witness.to_text()
 
 
 @functools.cache
@@ -307,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, parents=capped)
         for positional in positionals:
             p.add_argument(positional, nargs="+" if positional == "files" else None)
-        p.set_defaults(run=lambda args, decide=decide: _report_decision(decide(args), args.json))
+        p.set_defaults(run=lambda args, decide=decide: _report_decision(decide(args)))
 
     for name, help_text, run in [
         ("certify", "verify a certificate against a matrix", _certify),
@@ -354,7 +316,10 @@ def main(argv: list[str] | None = None) -> int:
         # only the subcommands that search take --cap
         if "cap" in args and args.cap < 0:
             raise ValueError(f"--cap must be a non-negative number of candidate blocks, got {args.cap}")
-        return args.run(args)
+        code, document, text = args.run(args)
+        if document is not None:
+            sys.stdout.write(json.dumps(document, indent=2) + "\n" if args.json else text)
+        return code
     except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

@@ -401,8 +401,8 @@ def _joined(sets: Iterable[set]) -> list[tuple[set, list[int]]]:
 def closure_search(
     template: ScalingTemplate,
     feasible: Callable[[EqualityEchelon], bool] | None = None,
-    cap: int = DEFAULT_PARTITION_CAP,
-    counter: BlockCounter | None = None,
+    *,
+    counter: BlockCounter,
 ) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
     """Yield ordered partitions that witness the template's scaled columns condition.
 
@@ -426,12 +426,12 @@ def closure_search(
     unplaced columns carry no scalar cannot branch: a block is taken when
     its annihilated sum is zero and contradicts the echelon otherwise.  So
     such a level takes its first zero-sum block, found by subset sums met
-    in the middle instead of a scan.  Every search runs under a budget:
-    each candidate block counts against `cap`, a level settled by subset
-    sums counting the blocks a scan would have examined, and reaching the
-    cap with blocks left raises PartitionCapExceeded.  Searches given one
-    shared `counter` (a BlockCounter) draw on its cap together, and `cap`
-    is then not read.
+    in the middle instead of a scan.  Every search runs under the budget
+    of `counter`, a BlockCounter: each candidate block is charged to it, a
+    level settled by subset sums being charged the blocks a scan would have
+    examined, and reaching its cap with blocks left raises
+    PartitionCapExceeded.  Searches given one counter draw on its cap
+    together.
     """
     integral = template.matrix.integer_columns
     dim, nvars = template.matrix.rows, template.nvars
@@ -439,7 +439,6 @@ def closure_search(
     slot = [nvars if g is None else g for g in template.group_of]
     scaled = {j for j, g in enumerate(template.group_of) if g is not None}
     explored: set[tuple] = set()
-    counter = BlockCounter(cap) if counter is None else counter
 
     def block_equalities(placed: frozenset[int], rest: list[int]):
         # One integer equality per annihilator row of the placed columns.
@@ -602,7 +601,8 @@ def decide_columns_condition(
     returned only when the search is exhausted; a truncated search raises
     PartitionCapExceeded instead of guessing.
     """
-    found = next(closure_search(ScalingTemplate(A, (FIXED_ONE,) * A.cols, 0), cap=cap), None)
+    template = ScalingTemplate(A, (FIXED_ONE,) * A.cols, 0)
+    found = next(closure_search(template, counter=BlockCounter(cap)), None)
     if found is None:
         return None
     certificate = check_partition(A, found[0])

@@ -13,7 +13,8 @@ nonzero scalar values, and the places where scalar value 0 could sneak in
 The decision procedures and scalar_union_over_partitions do not walk
 partitions: they run the closure search of the columns module on the
 template, which builds the same equalities block by block, largest blocks
-first; the union decides the value 0 with decide_columns_condition.
+first; the union decides the value 0 by the first hit of that search on
+the matrix scaled by 0, under the same budget.
 
 feasible_positive decides the system exactly: equalities are eliminated in
 linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
@@ -37,11 +38,11 @@ from typing import Iterable, Iterator, Sequence
 from .columns import (
     DEFAULT_PARTITION_CAP,
     FIXED_ONE,  # re-exported with ScalingTemplate
+    BlockCounter,
     OrderedPartition,
     ScalingTemplate,
     check_partition,
     closure_search,
-    decide_columns_condition,
 )
 from .linalg import (
     EqualityEchelon,
@@ -467,17 +468,20 @@ def scalar_union_over_partitions(
     exhaustion, yields every scalar equality state that certifies the
     columns condition for non-zero values: no equality at all means every
     non-zero value works.  The value 0 can shrink spans, so it is decided
-    once, by the columns condition of the matrix scaled by 0.  Raises
-    PartitionCapExceeded if either search reaches its cap, since a partial
-    union would be silently wrong.
+    once, by the first hit of the search on the matrix scaled by 0.  Both
+    searches draw on one budget of `cap` candidate blocks, and reaching it
+    raises PartitionCapExceeded, since a partial union would be silently
+    wrong.
     """
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
+    counter = BlockCounter(cap)
     result = ScalarSet.empty()
-    for _, echelon in closure_search(template, lambda e: _pinned(e) != 0, cap):
+    for _, echelon in closure_search(template, lambda e: _pinned(e) != 0, counter=counter):
         value = _pinned(echelon)
         result = result.union(ScalarSet.all_except((Q(0),)) if value is None else ScalarSet.finite((value,)))
     zero = template.scaled_matrix([Q(0)] * template.nvars)
-    if decide_columns_condition(zero, cap) is not None:
+    unscaled = ScalingTemplate(zero, (FIXED_ONE,) * zero.cols, 0)
+    if next(closure_search(unscaled, counter=counter), None) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))
     return result

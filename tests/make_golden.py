@@ -142,10 +142,8 @@ def cli_files() -> dict[str, str]:
         return x % base or last_digit(x // base)
 
     return {
-        **ORACLE_FILES,
-        "diag1_2.txt": "1 0\n0 2\n",
-        "minus_i2.txt": "-1 0\n0 -1\n",
-        "diag12.txt": "".join(" ".join(str(i + 1) if j == i else "0" for j in range(12)) + "\n"
+        **ORACLE_FILES,  # diag12.txt is diag(1, 2)
+        "diag1to12.txt": "".join(" ".join(str(i + 1) if j == i else "0" for j in range(12)) + "\n"
                               for i in range(12)),
         "ones20.txt": " ".join(["1"] * 20) + "\n",
         "mk_a.txt": "0 1 1\n0 1 0\n",
@@ -181,12 +179,12 @@ def cli_cases() -> list[tuple]:
         ["kpr", "schur.txt"],
         ["oracle", "solve", "schur.txt", "--colouring", "mod:3", "--bound", "50", "--json"],
         ["oracle", "falsify", "schur.txt", "--colours", "2", "--bound", "4"],
-        ["doubly-ipr", "diag12.txt", "--cap", "200"],
+        ["doubly-ipr", "diag1to12.txt", "--cap", "200"],
         ["kpr", "ones20.txt", "--cap", "1048575"],
         ["kpr", "ones20.txt", "--cap", "1048574"],
         ["multiply-kpr", "mk_a.txt", "mk_b.txt", "mk_c.txt"],
-        ["oracle", "solve", "diag1_2.txt", "minus_i2.txt", *table],
-        ["oracle", "solve", "diag1_2.txt", "minus_i2.txt", "--colouring", "mod:1000", "--bound", "2000"],
+        ["oracle", "solve", "diag12.txt", "neg_identity2.txt", *table],
+        ["oracle", "solve", "diag12.txt", "neg_identity2.txt", "--colouring", "mod:1000", "--bound", "2000"],
         ["scalars", "union.txt", "--cap", "139"],
         ["scalars", "union.txt", "--json"],
     ]
@@ -197,18 +195,18 @@ def cli_cases() -> list[tuple]:
     paths = [
         ["kpr", "schur.txt"], ["kpr", "ones2.txt"], ["kpr", "ones20.txt", "--cap", "1000"],
         ["ipr", "vdw_image.txt"], ["ipr", "cyclic3.txt"], ["ipr", "vdw_image.txt", "--cap", "1"],
-        ["doubly-ipr", "two_by_three.txt"], ["doubly-ipr", "diag1_2.txt"],
+        ["doubly-ipr", "two_by_three.txt"], ["doubly-ipr", "diag12.txt"],
         ["doubly-ipr", "union.txt", "--cap", "1"],
         ["doubly-kpr", "ones2.txt", "minus_one.txt"], ["doubly-kpr", "ones2.txt", "one.txt"],
-        ["doubly-kpr", "ones2.txt", "minus_one.txt", "--cap", "1"],
+        ["doubly-kpr", "ones2.txt", "one.txt", "--cap", "1"],
         ["multiply-kpr", "mk_a.txt", "mk_b.txt", "mk_c.txt"], ["multiply-kpr", "row111.txt", "row125.txt"],
         ["multiply-kpr", "row111.txt", "row125.txt", "--cap", "5"],
         ["certify", "schur.txt", "cert_schur.json"], ["certify", "schur.txt", "cert_wrong.json"],
         ["first-entries", "schur.txt", "cert_schur.json"], ["first-entries", "schur.txt", "cert_wrong.json"],
-        ["scalars", "union.txt"], ["scalars", "diag1_2.txt"], ["scalars", "balanced.txt"],
+        ["scalars", "union.txt"], ["scalars", "diag12.txt"], ["scalars", "balanced.txt"],
         ["scalars", "two_by_three.txt"], ["scalars", "union.txt", "--cap", "60"],
         ["oracle", "solve", "schur.txt", "--colouring", "mod:3", "--bound", "50"],
-        ["oracle", "solve", "diag1_2.txt", "minus_i2.txt", "--colouring", "startparity:2", "--bound", "64"],
+        ["oracle", "solve", "diag12.txt", "neg_identity2.txt", "--colouring", "startparity:2", "--bound", "64"],
         ["oracle", "sweep", "schur.txt", "--colours", "2", "--bound", "5"],
         ["oracle", "sweep", "schur.txt", "--colours", "2", "--bound", "4"],
         ["oracle", "falsify", "schur.txt", "--colours", "2", "--bound", "4"],

@@ -266,6 +266,15 @@ def test_capped_scalars_are_undecided(tmp_path, capsys):
     assert captured.err == "search cap of 1 candidate blocks exceeded\n"
 
 
+def test_scalars_cap_bounds_both_searches(tmp_path, capsys):
+    # the non-zero values take 67 candidate blocks and the value 0 72 more
+    matrix = write(tmp_path, "m24.txt", "1 2 -3 1\n2 -1 1 1\n")
+    assert main(["scalars", matrix, "--cap", "138"]) == EXIT_UNDECIDED
+    assert capsys.readouterr().err == "search cap of 138 candidate blocks exceeded\n"
+    assert main(["scalars", matrix, "--cap", "139"]) == EXIT_HOLDS
+    assert capsys.readouterr().out == "feasible scalar values: -1, 1, 2, 3\n"
+
+
 @pytest.mark.parametrize("document, message", [
     ('{"partition": 5}', "partition: 'int' object is not iterable"),
     ('{"partition": [[1, 3], [2]], "witnesses": [[{"coeff": "1"}]]}',

@@ -346,6 +346,16 @@ def test_scalar_union_reports_its_cap():
         scalar_union_over_partitions(doubly_ipr_template(fractional_b_matrix()), cap=1)
 
 
+def test_scalar_union_searches_draw_on_one_cap():
+    # the non-zero search examines 67 candidate blocks and the value-0
+    # search 72 more, so the union needs a cap of 67 + 72
+    template = doubly_ipr_template(QMatrix.of([[1, 2, -3, 1], [2, -1, 1, 1]]))
+    for cap in (72, 138):
+        with pytest.raises(PartitionCapExceeded):
+            scalar_union_over_partitions(template, cap=cap)
+    assert scalar_union_over_partitions(template, cap=139) == ScalarSet.finite((-1, 1, 2, 3))
+
+
 def test_scalar_union_diagonal_matrix_is_empty():
     union = scalar_union_over_partitions(doubly_ipr_template(diag12()))
     assert union == ScalarSet.empty()

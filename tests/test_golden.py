@@ -6,6 +6,7 @@ whose output changed: a verdict, a chain, a scalar, a scalar set, or any
 byte, exit code or stream of a command-line run.
 """
 
+import functools
 import json
 import sys
 
@@ -14,13 +15,13 @@ import pytest
 from make_golden import GOLDEN_PATH, answer, canonical
 
 
-with open(GOLDEN_PATH, encoding="utf-8") as handle:
-    HEADER = json.loads(handle.readline())
+@functools.cache
+def _header():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.loads(handle.readline())
 
 
 def _changed(kind):
-    # one case at a time: a heap holding every parsed case slows the
-    # collector down through the whole run
     changed = []
     with open(GOLDEN_PATH, encoding="utf-8") as handle:
         next(handle)
@@ -29,7 +30,7 @@ def _changed(kind):
                 continue
             case = json.loads(line)
             output, expected = answer(kind, case["input"]), case["output"]
-            if case["input"].get("argparse") and "%d.%d" % sys.version_info[:2] != HEADER["python"]:
+            if case["input"].get("argparse") and "%d.%d" % sys.version_info[:2] != _header()["python"]:
                 # argparse renders help differently across Python versions
                 output, expected = dict(output, stdout=None), dict(expected, stdout=None)
             if canonical(output) != canonical(expected):
@@ -44,7 +45,7 @@ def test_library_answers_are_unchanged(kind):
 
 
 def test_command_line_runs_are_unchanged(tmp_path, monkeypatch):
-    for name, text in HEADER["files"].items():
+    for name, text in _header()["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")

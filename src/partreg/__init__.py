@@ -4,15 +4,18 @@ kernel/image partition regularity of rational matrices."""
 from .columns import (
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
+    FIXED_ONE,
     FirstEntriesMatrix,
     OrderedPartition,
     PartitionCapExceeded,
+    ScalingTemplate,
     check_partition,
     decide_columns_condition,
     enumerate_ordered_partitions,
     first_entries_from_certificate,
     is_first_entries_sufficient,
     verify_certificate,
+    zero_column_subset_exists,
 )
 from .decisions import (
     Decision,
@@ -29,20 +32,17 @@ from .decisions import (
     is_kpr,
     multiply_kpr,
     multiply_kpr_template,
-    zero_column_subset_exists,
+    scalar_union_over_partitions,
 )
 from .feasibility import (
     AffineSystem,
-    FIXED_ONE,
     FarkasWitness,
     LinearEquality,
     PositiveSolution,
     ScalarSet,
-    ScalingTemplate,
     build_system,
     enumerate_feasible_scalars,
     feasible_positive,
-    scalar_union_over_partitions,
     solve_positive,
     verify_farkas,
 )

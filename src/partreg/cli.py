@@ -41,8 +41,8 @@ from .decisions import (
     is_ipr,
     is_kpr,
     multiply_kpr,
+    scalar_union_over_partitions,
 )
-from .feasibility import scalar_union_over_partitions
 from .linalg import QMatrix
 from .oracle import (
     Colouring,

@@ -27,21 +27,10 @@ kept in linalg's EqualityEchelon, the package's one elimination kernel.
 A level whose unplaced columns carry no scalar (every level of plain
 kernel partition regularity) cannot branch, so it is not scanned: its
 first zero-sum block comes from subset sums met in the middle, which
-zero_column_subset_exists in the decisions module shares.  Every search
-counts the candidate blocks it examines, or for such a level the blocks a
-scan would have examined, on a BlockCounter, and stops at the counter's
-cap.  enumerate_ordered_partitions remains as the brute-force reference.
-
-column_parts splits the columns into the connected components of the
-column matroid.  Columns of different parts span independent subspaces, so
-the matrix is a direct sum up to row operations, and the direct-sum lemma
-holds: the matrix satisfies the columns condition exactly when every part
-does.  Merging the parts' chains block by block gives a chain of the whole,
-since a union of zero-sum first blocks sums to zero and each later merged
-block's sum lies in the span of the earlier columns.  Restricting a chain
-of the whole to one part gives a chain of the part, since a sum vanishes,
-or lies in a span, part by part.  Non-zero scalars keep the parts, so the
-lemma holds for a scaled template at any given scalar values.
+zero_column_subset_exists shares.  Every search counts the candidate
+blocks it examines, or for such a level the blocks a scan would have
+examined, on a BlockCounter, and stops at the counter's cap.
+enumerate_ordered_partitions remains as the brute-force reference.
 """
 
 from __future__ import annotations
@@ -360,44 +349,6 @@ class ScalingTemplate:
         return QMatrix(self.matrix.rows, self.matrix.cols, grid)
 
 
-def column_parts(matrix: QMatrix) -> list[tuple[int, ...]]:
-    """The connected components of the matrix's column matroid.
-
-    Rows that each have a column of their own, non-zero in no other row,
-    are reduced with respect to those columns, a basis; so one-row matrices
-    and templates with an identity block skip the elimination, and other
-    matrices take their fully reduced form from EqualityEchelon.  Two
-    columns are joined when some reduced row is non-zero at both, which is
-    where fundamental circuits meet (Oxley, Matroid Theory), and a zero
-    column is a part of its own.  Each part is its columns in increasing
-    order, and parts are ordered by their first column.
-    """
-    n, u, cols = matrix.cols, matrix.rows, matrix.integer_columns
-    if u == 1 or len({i for c in cols if c.count(0) == u - 1 for i, x in enumerate(c) if x}) == u:
-        rows = [row for row in zip(*cols) if any(row)]
-    else:
-        echelon = EqualityEchelon(n).extend(row + (0,) for row in zip(*cols))
-        rows = [row[:-1] for row in echelon.rows]
-        cols = list(zip(*rows)) if rows else [()] * n
-    if all(map(any, cols)) and any(map(all, cols)):
-        return [tuple(range(n))]  # one column joins every row
-    supports = [{j for j, x in enumerate(row) if x} for row in rows] + [{j} for j in range(n)]
-    return sorted(tuple(sorted(joint)) for joint, _ in _joined(supports))
-
-
-def _joined(sets: Iterable[set]) -> list[tuple[set, list[int]]]:
-    """The sets joined wherever two meet: each union, with its members' positions."""
-    classes: list[tuple[set, list[int]]] = []
-    for k, joint in enumerate(map(set, sets)):
-        members = [k]
-        for meeting in [c for c in classes if not joint.isdisjoint(c[0])]:
-            classes.remove(meeting)
-            joint |= meeting[0]
-            members += meeting[1]
-        classes.append((joint, members))
-    return classes
-
-
 def closure_search(
     template: ScalingTemplate,
     feasible: Callable[[EqualityEchelon], bool] | None = None,
@@ -577,6 +528,23 @@ def _zero_sum_complements(
         return None if best is None else tuple(p for p in range(n) if best >> (n - 1 - p) & 1)
 
     return last
+
+
+def zero_column_subset_exists(A: QMatrix) -> tuple[int, ...] | None:
+    """Some non-empty set of columns summing exactly to zero, if any.
+
+    The witness is canonical: the first such set by increasing size, then
+    lexicographically.  Its complement is the lexicographically last of the
+    largest column sets that sum to the total of all columns, which the
+    meet-in-the-middle subset sums above find.  The sums run on A's integer
+    columns.
+    """
+    last = _zero_sum_complements(A.integer_columns)
+    for size in range(1, A.cols + 1):
+        kept = last(A.cols - size)
+        if kept is not None:
+            return tuple(j for j in range(A.cols) if j not in kept)
+    return None
 
 
 def _lex_rank(subset: Sequence[int], n: int) -> int:

@@ -11,23 +11,34 @@ that re-verifies independently; NO verdicts are issued only after the
 search was exhausted.  Every search runs under `cap` candidate blocks, and
 one that reaches it is reported UNDECIDED, never guessed.
 
-A template whose column matroid splits is searched part by part, each
-part a set of columns.  By the direct-sum lemma (see the columns module)
-it qualifies at given scalars exactly when every part does at those
-scalars.  A part that shares no scalar with another needs only its first
-hit, and any part without one makes the answer NO.  Parts that share one
-scalar, such as the rows of (diag(d) -bI), take the first part's values
-one at a time, and each later part stops at its first hit at that value,
-so only a NO exhausts a part; parts that share two or more are joined
-into one part.  Every part's blocks count against the one cap.  A YES merges the parts' chains block by block and
-solves their merged equalities once; check_partition re-certifies it.
+column_parts splits a template's columns into the connected components
+of its column matroid.  Columns of different parts span independent
+subspaces, so the matrix is a direct sum up to row operations, and the
+direct-sum lemma holds: the matrix satisfies the columns condition exactly
+when every part does.  Merging the parts' chains block by block gives a
+chain of the whole, since a union of zero-sum first blocks sums to zero and
+each later merged block's sum lies in the span of the earlier columns.
+Restricting a chain of the whole to one part gives a chain of the part,
+since a sum vanishes, or lies in a span, part by part.  Non-zero scalars
+keep the parts, so the lemma holds for a scaled template at any given
+scalar values.
+
+So a template that splits is searched part by part, and every part's
+blocks count against the one cap.  A part that shares no scalar with
+another needs only its first hit, and any part without one makes the
+answer NO.  Parts that share one scalar, such as the rows of (diag(d) -bI),
+need a hit at a common value (_shared_hits); parts that share two or more
+are joined into one part.  A YES merges the parts' chains block by block
+and solves their merged equalities once; check_partition re-certifies it.
+scalar_union_over_partitions asks for every value of one scalar: it
+exhausts each part's search and keeps the non-zero values all parts admit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .columns import (
     BlockCounter,
@@ -39,11 +50,9 @@ from .columns import (
     ScalingTemplate,
     check_partition,
     closure_search,
-    column_parts,
-    _joined,
-    _zero_sum_complements,
+    zero_column_subset_exists,
 )
-from .feasibility import PositiveSolution, _pinned, solve_positive_echelon
+from .feasibility import PositiveSolution, ScalarSet, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix
 
 YES = "YES"
@@ -191,6 +200,11 @@ def _shared_hits(
     return None if found is None else hits + [found]
 
 
+def _pinned(echelon: EqualityEchelon) -> Fraction | None:
+    # the value a one-variable echelon fixes, if any: its row a*x + c == 0
+    return Fraction(-echelon.rows[0][1], echelon.rows[0][0]) if echelon.rows else None
+
+
 def _clusters(template: ScalingTemplate, parts: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
     """The template's column parts, grouped by the scalars they share.
 
@@ -219,6 +233,44 @@ def _part_template(template: ScalingTemplate, columns) -> tuple[ScalingTemplate,
     rows = tuple(row for row in restricted if any(row))
     groups = tuple(local.get(template.group_of[j]) for j in columns)
     return ScalingTemplate(QMatrix(len(rows), len(columns), rows), groups, len(scalars)), scalars
+
+
+def column_parts(matrix: QMatrix) -> list[tuple[int, ...]]:
+    """The connected components of the matrix's column matroid.
+
+    Rows that each have a column of their own, non-zero in no other row,
+    are reduced with respect to those columns, a basis; so one-row matrices
+    and templates with an identity block skip the elimination, and other
+    matrices take their fully reduced form from EqualityEchelon.  Two
+    columns are joined when some reduced row is non-zero at both, which is
+    where fundamental circuits meet (Oxley, Matroid Theory), and a zero
+    column is a part of its own.  Each part is its columns in increasing
+    order, and parts are ordered by their first column.
+    """
+    n, u, cols = matrix.cols, matrix.rows, matrix.integer_columns
+    if u == 1 or len({i for c in cols if c.count(0) == u - 1 for i, x in enumerate(c) if x}) == u:
+        rows = [row for row in zip(*cols) if any(row)]
+    else:
+        echelon = EqualityEchelon(n).extend(row + (0,) for row in zip(*cols))
+        rows = [row[:-1] for row in echelon.rows]
+        cols = list(zip(*rows)) if rows else [()] * n
+    if all(map(any, cols)) and any(map(all, cols)):
+        return [tuple(range(n))]  # one column joins every row
+    supports = [{j for j, x in enumerate(row) if x} for row in rows] + [{j} for j in range(n)]
+    return sorted(tuple(sorted(joint)) for joint, _ in _joined(supports))
+
+
+def _joined(sets: Iterable[set]) -> list[tuple[set, list[int]]]:
+    """The sets joined wherever two meet: each union, with its members' positions."""
+    classes: list[tuple[set, list[int]]] = []
+    for k, joint in enumerate(map(set, sets)):
+        members = [k]
+        for meeting in [c for c in classes if not joint.isdisjoint(c[0])]:
+            classes.remove(meeting)
+            joint |= meeting[0]
+            members += meeting[1]
+        classes.append((joint, members))
+    return classes
 
 
 def is_kpr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
@@ -268,6 +320,43 @@ def doubly_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     return _decide_scaled(doubly_ipr_template(A), ("b",), cap)
 
 
+def scalar_union_over_partitions(
+    template: ScalingTemplate, cap: int = DEFAULT_PARTITION_CAP
+) -> ScalarSet:
+    """Union of enumerate_feasible_scalars over every ordered partition.
+
+    Computed part by part, without walking the partitions: by the direct-sum
+    lemma a non-zero value qualifies exactly when every part admits it.  A
+    part's closure search, run to exhaustion, yields each value its
+    certificates pin, or stops at one that leaves the scalar free.  The
+    value 0 can shrink spans, so one first hit of the search on the whole
+    matrix scaled by 0 decides it.  All searches share one budget of `cap`
+    candidate blocks; reaching it raises PartitionCapExceeded, since a
+    partial union would be silently wrong.
+    """
+    if template.nvars > 1:
+        raise ValueError("scalar union handles at most one variable")
+    counter = BlockCounter(cap)
+    parts = column_parts(template.matrix)
+    allowed = None  # every non-zero value, until a part pins some
+    for part in [template] if len(parts) == 1 else [_part_template(template, c)[0] for c in parts]:
+        pinned = set()
+        for _, echelon in closure_search(part, lambda e: _pinned(e) != 0, counter=counter):
+            if _pinned(echelon) is None:
+                break
+            pinned.add(_pinned(echelon))
+        else:
+            allowed = pinned if allowed is None else allowed & pinned
+            if not allowed:
+                break
+    result = ScalarSet.all_except((Q(0),)) if allowed is None else ScalarSet.finite(tuple(allowed))
+    zero = template.scaled_matrix([Q(0)] * template.nvars)
+    unscaled = ScalingTemplate(zero, (FIXED_ONE,) * zero.cols, 0)
+    if next(closure_search(unscaled, counter=counter), None) is not None:
+        result = result.union(ScalarSet.finite((Q(0),)))
+    return result
+
+
 def is_ipr_template(A: QMatrix) -> ScalingTemplate:
     """Columns of (A*diag(e)  -I) with one scalar per A-column, identity fixed."""
     matrix = QMatrix.hstack([A, QMatrix.identity(A.rows).scale(-1)])
@@ -288,23 +377,6 @@ def is_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
     template = is_ipr_template(A)
     names = tuple(f"e_{j}" for j in range(1, A.cols + 1))
     return _decide_scaled(template, names, cap)
-
-
-def zero_column_subset_exists(A: QMatrix) -> tuple[int, ...] | None:
-    """Some non-empty set of columns summing exactly to zero, if any.
-
-    The witness is canonical: the first such set by increasing size, then
-    lexicographically.  Its complement is the lexicographically last of the
-    largest column sets that sum to the total of all columns, which the
-    columns module's meet-in-the-middle subset sums find.  The sums run on
-    A's integer columns.
-    """
-    last = _zero_sum_complements(A.integer_columns)
-    for size in range(1, A.cols + 1):
-        kept = last(A.cols - size)
-        if kept is not None:
-            return tuple(j for j in range(A.cols) if j not in kept)
-    return None
 
 
 @dataclass(frozen=True)

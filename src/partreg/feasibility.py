@@ -1,20 +1,17 @@
 """Scaled columns-condition feasibility over unknown positive scalars.
 
-A ScalingTemplate (defined beside the search in the columns module, and
-exported here too) groups the columns of an assembled matrix under unknown
-strictly positive scalars (or fixes them at 1).  For a candidate ordered
-partition, build_system linearises the columns condition of the scaled
-matrix into an affine system: multiplying columns by positive scalars never
-changes their span, so the later-block membership constraints can be stated
-once against annihilators of the *unscaled* earlier columns.  That reduction
-is what keeps the system affine rather than polynomial; it is valid for any
-nonzero scalar values, and the places where scalar value 0 could sneak in
-(the sign-unconstrained scalar sets) check 0 directly against the matrix.
-The decision procedures and scalar_union_over_partitions do not walk
-partitions: they run the closure search of the columns module on the
-template, which builds the same equalities block by block, largest blocks
-first; the union decides the value 0 by the first hit of that search on
-the matrix scaled by 0, under the same budget.
+A ScalingTemplate (defined beside the search in the columns module) groups the
+columns of an assembled matrix under unknown strictly positive scalars (or
+fixes them at 1).  For a candidate ordered partition, build_system linearises
+the columns condition of the scaled matrix into an affine system: multiplying
+columns by positive scalars never changes their span, so the later-block
+membership constraints can be stated once against annihilators of the
+*unscaled* earlier columns.  That reduction is what keeps the system affine
+rather than polynomial; it is valid for any nonzero scalar values, and the
+places where scalar value 0 could sneak in (the sign-unconstrained scalar
+sets) check 0 directly against the matrix.  The decisions module never walks
+partitions, so build_system and enumerate_feasible_scalars are the reference
+its answers are tested against.
 
 feasible_positive decides the system exactly: equalities are eliminated in
 linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
@@ -36,13 +33,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .columns import (
-    DEFAULT_PARTITION_CAP,
-    FIXED_ONE,  # re-exported with ScalingTemplate
-    BlockCounter,
     OrderedPartition,
     ScalingTemplate,
     check_partition,
-    closure_search,
 )
 from .linalg import (
     EqualityEchelon,
@@ -452,36 +445,3 @@ def _scaled_check(
 ) -> bool:
     matrix = template.scaled_matrix([value] * template.nvars)
     return check_partition(matrix, partition) is not None
-
-
-def _pinned(echelon: EqualityEchelon) -> Fraction | None:
-    # the value a one-variable echelon fixes, if any: its row a*x + c == 0
-    return Fraction(-echelon.rows[0][1], echelon.rows[0][0]) if echelon.rows else None
-
-
-def scalar_union_over_partitions(
-    template: ScalingTemplate, cap: int = DEFAULT_PARTITION_CAP
-) -> ScalarSet:
-    """Union of enumerate_feasible_scalars over every ordered partition.
-
-    Computed without walking the partitions.  The closure search, run to
-    exhaustion, yields every scalar equality state that certifies the
-    columns condition for non-zero values: no equality at all means every
-    non-zero value works.  The value 0 can shrink spans, so it is decided
-    once, by the first hit of the search on the matrix scaled by 0.  Both
-    searches draw on one budget of `cap` candidate blocks, and reaching it
-    raises PartitionCapExceeded, since a partial union would be silently
-    wrong.
-    """
-    if template.nvars > 1:
-        raise ValueError("scalar union handles at most one variable")
-    counter = BlockCounter(cap)
-    result = ScalarSet.empty()
-    for _, echelon in closure_search(template, lambda e: _pinned(e) != 0, counter=counter):
-        value = _pinned(echelon)
-        result = result.union(ScalarSet.all_except((Q(0),)) if value is None else ScalarSet.finite((value,)))
-    zero = template.scaled_matrix([Q(0)] * template.nvars)
-    unscaled = ScalingTemplate(zero, (FIXED_ONE,) * zero.cols, 0)
-    if next(closure_search(unscaled, counter=counter), None) is not None:
-        result = result.union(ScalarSet.finite((Q(0),)))
-    return result

@@ -7,7 +7,7 @@ two: both must yield the same partitions and echelons, count the same
 candidate blocks and stop at the same cap.  Each candidate block takes one
 value of `counter`, an itertools.count, so after a search next(counter)
 is the number of blocks it examined.  reference_zero_column_subset is the
-subset scan that decisions.zero_column_subset_exists replaced.
+subset scan that columns.zero_column_subset_exists replaced.
 """
 
 from __future__ import annotations

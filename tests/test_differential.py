@@ -8,10 +8,11 @@ soundness.  Matrices are seeded and random, with at most 6 combined columns.
 import functools
 import random
 
-from conftest import brute_force_ordered_partitions, random_matrix
+from conftest import brute_force_ordered_partitions, random_matrix, random_rational
 from partreg import (
     NO,
     OrderedPartition,
+    QMatrix,
     ScalarSet,
     YES,
     build_system,
@@ -29,6 +30,7 @@ from partreg import (
     scalar_union_over_partitions,
     verify_certificate,
 )
+from partreg.decisions import column_parts
 
 @functools.cache
 def all_partitions(v: int) -> tuple[OrderedPartition, ...]:
@@ -107,13 +109,37 @@ def test_scaled_procedures_match_brute_force():
     assert min(verdicts.values()) >= 10, verdicts
 
 
+def random_split_matrix(rng) -> QMatrix:
+    """One or two one-row blocks of 1-2 columns on the diagonal, maybe with a
+    zero column inserted; its doubly-IPR template has at most 5 columns."""
+    while True:
+        widths = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+        zero = rng.random() < 0.5
+        if len(widths) + sum(widths) + zero <= 5:
+            break
+    rows = []
+    for i, w in enumerate(widths):
+        rows.append([0] * sum(widths[:i]) + [random_rational(rng, 3, 2) for _ in range(w)])
+        rows[-1] += [0] * (sum(widths) - len(rows[-1]))
+    if zero:
+        at = rng.randint(0, sum(widths))
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+    return QMatrix.of(rows)
+
+
 def test_scalar_union_matches_brute_force():
     rng = random.Random(107)
-    kinds = set()
-    for _ in range(25):
-        rows = rng.randint(1, 2)
-        A = random_matrix(rng, rows, rng.randint(1, 5 - rows), max_num=3, max_den=2)
+    kinds, split = set(), [0, 0]
+    # dense A split only where zero entries cut them, so the last 25 inputs
+    # are block-diagonal
+    for draw in range(50):
+        if draw < 25:
+            rows = rng.randint(1, 2)
+            A = random_matrix(rng, rows, rng.randint(1, 5 - rows), max_num=3, max_den=2)
+        else:
+            A = random_split_matrix(rng)
         template = doubly_ipr_template(A)
+        split[draw >= 25] += len(column_parts(template.matrix)) > 1
         expected = ScalarSet.empty()
         for p in all_partitions(template.matrix.cols):
             expected = expected.union(enumerate_feasible_scalars(template, p))
@@ -121,3 +147,4 @@ def test_scalar_union_matches_brute_force():
         assert union == expected, A
         kinds.add(union.kind)
     assert {"empty", "finite"} <= kinds, kinds
+    assert split == [8, 20], split

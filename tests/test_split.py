@@ -6,21 +6,24 @@ must suit all of them.  The inputs are seeded direct sums of two random
 integer blocks with their rows mixed by unit-triangular transforms, so the
 split is visible only after row reduction.  Verdicts are checked against
 the parts decided alone, the scalar unions of the parts and of the whole
-template (which search unsplit), and the brute force over ordered
-partitions in conftest: up to 6 columns for is_kpr, and up to 4 template
-columns for the scaled procedures, whose brute force solves one positive
-system per partition.
+template, and the brute force over ordered partitions in conftest: up to 6
+columns for is_kpr, and up to 4 template columns for the scaled
+procedures, whose brute force solves one positive system per partition.
 """
 
 import functools
 import random
+
+import pytest
 
 from conftest import brute_force_ordered_partitions
 from partreg import (
     FIXED_ONE,
     NO,
     OrderedPartition,
+    PartitionCapExceeded,
     QMatrix,
+    ScalarSet,
     ScalingTemplate,
     UNDECIDED,
     YES,
@@ -39,7 +42,7 @@ from partreg import (
     verify_certificate,
 )
 from partreg import decisions
-from partreg.columns import column_parts
+from partreg.decisions import column_parts
 
 
 @functools.cache
@@ -143,7 +146,7 @@ def test_direct_sums_decide_like_their_parts_and_the_brute_force():
             counts["brute"] += 1
 
         # (A  -bI) splits with A, so the image questions take A unmixed.
-        # The scalar unions search each whole template unsplit.
+        # The scalar unions split the same way, and intersect their parts.
         A = QMatrix.of(plain)
         decision = doubly_ipr(A)
         assert decision.is_yes == admits_positive(scalar_union_over_partitions(doubly_ipr_template(A)))
@@ -294,3 +297,16 @@ def test_parts_draw_on_one_cap():
     twice = QMatrix.of([row + [0] * 7, [0] * 7 + row])
     assert is_kpr(twice, cap=211).verdict == UNDECIDED
     assert is_kpr(twice, cap=212).verdict == YES
+
+
+def test_scalar_union_is_searched_part_by_part():
+    # Each row (k  -b) of (diag(1..8)  -bI) admits only b = k, in 3 blocks,
+    # so the non-zero values are gone after two parts.  The value 0 is one
+    # first hit on (diag(1..8) | 0): the scan reaches the block of zero
+    # columns after 39,203 blocks, and the diagonal columns left take 255
+    # more.  So 6 + 39,203 + 255 blocks; searching the non-zero values over
+    # all 16 columns at once would bring the total to 236,057.
+    template = doubly_ipr_template(diag(*range(1, 9)))
+    assert scalar_union_over_partitions(template, cap=39_464) == ScalarSet.empty()
+    with pytest.raises(PartitionCapExceeded):
+        scalar_union_over_partitions(template, cap=39_463)

@@ -69,7 +69,6 @@ class MatrixParseError(ValueError):
 def parse_matrix(text: str) -> QMatrix:
     """Exact matrix from the text format; malformed input carries a line number."""
     rows: list[list[Fraction]] = []
-    width: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,13 +79,12 @@ def parse_matrix(text: str) -> QMatrix:
                 raise MatrixParseError(lineno, f"malformed entry {token!r}")
             if "/" in token and token.split("/")[1].lstrip("0") == "":
                 raise MatrixParseError(lineno, f"zero denominator in {token!r}")
-            entries.append(Fraction(token))
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise MatrixParseError(
-                lineno, f"row has {len(entries)} entries, expected {width}"
-            )
+            try:
+                entries.append(Fraction(token))
+            except ValueError as err:  # more digits than int() converts
+                raise MatrixParseError(lineno, str(err)) from None
+        if rows and len(entries) != len(rows[0]):
+            raise MatrixParseError(lineno, f"row has {len(entries)} entries, expected {len(rows[0])}")
         rows.append(entries)
     if not rows:
         raise MatrixParseError(0, "no matrix rows found")

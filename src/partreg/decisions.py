@@ -31,7 +31,8 @@ need a hit at a common value (_shared_hits); parts that share two or more
 are joined into one part.  A YES merges the parts' chains block by block
 and solves their merged equalities once; check_partition re-certifies it.
 scalar_union_over_partitions asks for every value of one scalar: it
-exhausts each part's search and keeps the non-zero values all parts admit.
+exhausts each part's search and keeps the non-zero values all parts admit,
+and decides 0 by _search_parts on the matrix scaled by 0, split afresh.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _decide_scaled(
         return solved[key] is not None
 
     try:
-        found = _search_parts(template, feasible, cap)
+        found = _search_parts(template, feasible, BlockCounter(cap))
     except PartitionCapExceeded as exceeded:
         return Decision(UNDECIDED, cap=exceeded.cap)
     if found is None:
@@ -134,10 +135,12 @@ def _decide_scaled(
 
 
 def _search_parts(
-    template: ScalingTemplate, feasible: Callable[[EqualityEchelon], bool], cap: int
+    template: ScalingTemplate, feasible: Callable[[EqualityEchelon], bool] | None, counter: BlockCounter
 ) -> tuple[OrderedPartition, EqualityEchelon] | None:
-    """The template's first certificate and its echelon, found part by part."""
-    counter = BlockCounter(cap)
+    """The template's first certificate and its echelon, found part by part.
+
+    `feasible` is as in closure_search, and None only without scalars to share.
+    """
     parts = column_parts(template.matrix)
     if len(parts) == 1:
         return next(closure_search(template, feasible, counter=counter), None)
@@ -329,10 +332,10 @@ def scalar_union_over_partitions(
     lemma a non-zero value qualifies exactly when every part admits it.  A
     part's closure search, run to exhaustion, yields each value its
     certificates pin, or stops at one that leaves the scalar free.  The
-    value 0 can shrink spans, so one first hit of the search on the whole
-    matrix scaled by 0 decides it.  All searches share one budget of `cap`
-    candidate blocks; reaching it raises PartitionCapExceeded, since a
-    partial union would be silently wrong.
+    value 0 can shrink spans, so the matrix scaled by 0 is split afresh and
+    searched part by part, as a template without scalars.  All searches
+    share one budget of `cap` candidate blocks; reaching it raises
+    PartitionCapExceeded, since a partial union would be silently wrong.
     """
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
@@ -351,8 +354,7 @@ def scalar_union_over_partitions(
                 break
     result = ScalarSet.all_except((Q(0),)) if allowed is None else ScalarSet.finite(tuple(allowed))
     zero = template.scaled_matrix([Q(0)] * template.nvars)
-    unscaled = ScalingTemplate(zero, (FIXED_ONE,) * zero.cols, 0)
-    if next(closure_search(unscaled, counter=counter), None) is not None:
+    if _search_parts(ScalingTemplate(zero, (FIXED_ONE,) * zero.cols, 0), None, counter) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))
     return result
 

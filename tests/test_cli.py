@@ -158,6 +158,17 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() converts any number of digits")
+def test_entry_over_the_digit_limit_names_its_line(tmp_path, capsys):
+    # int() refuses more digits than the limit; the error still names the line
+    big = write(tmp_path, "big.txt", "7" * (DIGIT_LIMIT + 700) + "\n")
+    assert main(["kpr", big]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {big}: line 1: Exceeds the limit")
+
+
 # ---------------------------------------------------------------- certificates
 
 def test_certify_and_first_entries_round_trip(tmp_path, capsys):
@@ -267,11 +278,11 @@ def test_capped_scalars_are_undecided(tmp_path, capsys):
 
 
 def test_scalars_cap_bounds_both_searches(tmp_path, capsys):
-    # the non-zero values take 67 candidate blocks and the value 0 72 more
+    # the non-zero values take 67 candidate blocks and the value 0 17 more
     matrix = write(tmp_path, "m24.txt", "1 2 -3 1\n2 -1 1 1\n")
-    assert main(["scalars", matrix, "--cap", "138"]) == EXIT_UNDECIDED
-    assert capsys.readouterr().err == "search cap of 138 candidate blocks exceeded\n"
-    assert main(["scalars", matrix, "--cap", "139"]) == EXIT_HOLDS
+    assert main(["scalars", matrix, "--cap", "83"]) == EXIT_UNDECIDED
+    assert capsys.readouterr().err == "search cap of 83 candidate blocks exceeded\n"
+    assert main(["scalars", matrix, "--cap", "84"]) == EXIT_HOLDS
     assert capsys.readouterr().out == "feasible scalar values: -1, 1, 2, 3\n"
 
 

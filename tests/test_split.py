@@ -300,13 +300,34 @@ def test_parts_draw_on_one_cap():
 
 
 def test_scalar_union_is_searched_part_by_part():
-    # Each row (k  -b) of (diag(1..8)  -bI) admits only b = k, in 3 blocks,
-    # so the non-zero values are gone after two parts.  The value 0 is one
-    # first hit on (diag(1..8) | 0): the scan reaches the block of zero
-    # columns after 39,203 blocks, and the diagonal columns left take 255
-    # more.  So 6 + 39,203 + 255 blocks; searching the non-zero values over
-    # all 16 columns at once would bring the total to 236,057.
-    template = doubly_ipr_template(diag(*range(1, 9)))
-    assert scalar_union_over_partitions(template, cap=39_464) == ScalarSet.empty()
-    with pytest.raises(PartitionCapExceeded):
-        scalar_union_over_partitions(template, cap=39_463)
+    # Each row (i  -b) of (diag(1..k)  -bI) admits only b = i, in 3 blocks,
+    # so the non-zero values are gone after two parts.  The value 0 is asked
+    # of (diag(1..k) | 0) split afresh into one-column parts, and its first
+    # part, the column (1 0 ... 0), has no zero-sum block: 6 + 1 blocks at
+    # every k.  A first hit on the whole of (diag(1..k) | 0) charges about
+    # (4^k + C(2k, k))/2 blocks, over the default cap from k = 13.
+    for k in (8, 13, 20):
+        template = doubly_ipr_template(diag(*range(1, k + 1)))
+        assert scalar_union_over_partitions(template) == ScalarSet.empty()
+        assert scalar_union_over_partitions(template, cap=7) == ScalarSet.empty()
+        with pytest.raises(PartitionCapExceeded):
+            scalar_union_over_partitions(template, cap=6)
+
+
+def test_scalar_union_admits_zero_exactly_when_the_matrix_is_kpr():
+    # (A | 0) satisfies the columns condition exactly when A does, since
+    # the zero columns join the first block; is_kpr decides A on its own.
+    rng = random.Random(2323)
+    kinds = [0, 0]
+    for draw in range(120):
+        if draw % 2:
+            first = random_block(rng, rng.randint(1, 3), rng.randint(1, 3))
+            second = random_block(rng, rng.randint(1, 3), rng.randint(1, 3))
+            A = QMatrix.of(mix_rows(rng, direct_sum(first, second)))
+        else:
+            rows = rng.randint(1, 3)
+            A = QMatrix.of(random_block(rng, rows, rng.randint(1, 12 - rows)))
+        kpr = is_kpr(A).is_yes
+        assert scalar_union_over_partitions(doubly_ipr_template(A)).contains(0) == kpr
+        kinds[kpr] += 1
+    assert min(kinds) >= 20  # both answers are drawn

@@ -53,7 +53,7 @@ from .columns import (
     closure_search,
     zero_column_subset_exists,
 )
-from .feasibility import PositiveSolution, ScalarSet, solve_positive_echelon
+from .feasibility import PositiveSolution, ScalarSet, has_positive_solution, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix
 
 YES = "YES"
@@ -102,18 +102,16 @@ class Decision:
 def _decide_scaled(
     template: ScalingTemplate, scalar_names: Sequence[str], cap: int
 ) -> Decision:
-    # Positive solutions by (variable count, echelon rows), so no system is
-    # solved twice, not even by two parts.  The root echelon has no rows, and
-    # stage 4 of the positive solver would return the all-ones point for it,
-    # so it is taken without a solve.
-    solved = {(template.nvars, ()): PositiveSolution((Q(1),) * template.nvars)}
+    # Verdicts by (variable count, echelon rows), so no system is decided
+    # twice, not even by two parts.
+    decided = {}
 
     def feasible(echelon: EqualityEchelon) -> bool:
         # The search's echelon is already reduced and consistent: no stage 1.
         key = (echelon.nvars, echelon.rows)
-        if key not in solved:
-            solved[key] = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))[0]
-        return solved[key] is not None
+        if key not in decided:
+            decided[key] = has_positive_solution(echelon)
+        return decided[key]
 
     try:
         found = _search_parts(template, feasible, BlockCounter(cap))
@@ -123,10 +121,13 @@ def _decide_scaled(
         return Decision(NO)
     partition, echelon = found
     # The echelon is the reduced form of build_system(template, partition),
-    # so its solution gives the same scalars without restating the
-    # redundant rows.  An unsplit search has solved it already.
-    feasible(echelon)
-    solution = solved[echelon.nvars, echelon.rows]
+    # so one solve of it gives the scalars without restating the redundant
+    # rows.  That solve would give the root echelon, which has no rows, the
+    # all-ones point, so the root takes that point without one.
+    if echelon.rows:
+        solution = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))[0]
+    else:
+        solution = PositiveSolution((Q(1),) * echelon.nvars)
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)
     assert certificate is not None, "feasible partition must certify"

@@ -22,7 +22,12 @@ constraints plus an arbitrary-sign combination of the equalities whose
 variables cancel and whose constant is contradictory.  The elimination is
 stage 1 of solve_positive; stages 2-4 are solve_positive_echelon, which the
 decision procedures call directly on the closure search's echelon, already
-reduced and in integers.
+reduced and in integers, once per YES for its scalars.
+
+has_positive_solution is the search's check and solves for no point: a row
+with no negative entry refutes the echelon, rows on disjoint variables admit
+a positive solution, and only rows that share a variable go to
+Fourier-Motzkin.
 """
 
 from __future__ import annotations
@@ -282,6 +287,26 @@ def solve_positive_echelon(
         assert total == 0, "back-substitution broke an equality"
     assert all(assignment[p] > 0 for p in pos), "back-substitution lost positivity"
     return PositiveSolution(tuple(assignment)), None
+
+
+def has_positive_solution(echelon: EqualityEchelon) -> bool:
+    """Whether a consistent, reduced echelon has a solution with every variable > 0.
+
+    Every pivot is positive, so a row whose entries, constant included, are
+    all >= 0 cannot vanish on positive values: it refutes the echelon on its
+    own, a one-row Farkas witness.  Otherwise one row always has a positive
+    solution, and rows on disjoint variables are independent.  Rows that
+    share a variable go to solve_positive_echelon.
+    """
+    if any(min(row) >= 0 for row in echelon.rows):
+        return False
+    n, seen = echelon.nvars, set()
+    for row in echelon.rows:
+        support = {i for i in range(n) if row[i]}
+        if not seen.isdisjoint(support):
+            return solve_positive_echelon(echelon, n, range(n))[0] is not None
+        seen |= support
+    return True
 
 
 def feasible_positive(system: AffineSystem) -> PositiveSolution | None:

@@ -166,8 +166,8 @@ def test_doubly_ipr_schur_image_matrix():
 
 
 def test_each_scalar_system_is_solved_once_per_decision(monkeypatch):
-    # The final scalars reuse the solution the search's feasibility check
-    # already found for the yielded equalities.
+    # The search's positivity checks solve for no point; a YES solves the
+    # echelon it ends on once, and a NO solves nothing.
     import partreg.decisions as decisions
 
     solved = []
@@ -190,6 +190,35 @@ def test_each_scalar_system_is_solved_once_per_decision(monkeypatch):
         assert len(solved) == len(set(solved))
         constrained_yes += decision.is_yes and any(solved)
     assert constrained_yes >= 2
+
+
+def record_solves(monkeypatch):
+    """Rows of every echelon solve_positive_echelon is called on, from anywhere."""
+    solved = []
+    solve_positive_echelon = feasibility.solve_positive_echelon
+
+    def recording(echelon, *args):
+        solved.append(echelon.rows)
+        return solve_positive_echelon(echelon, *args)
+
+    monkeypatch.setattr(decisions, "solve_positive_echelon", recording)
+    monkeypatch.setattr(feasibility, "solve_positive_echelon", recording)
+    return solved
+
+
+def test_a_no_refuted_by_row_signs_solves_nothing(monkeypatch):
+    # Every scaled branch of (-2e_1 -e_2 -4e_3 | -1) gathers a row with no
+    # negative entry, so no positivity check needs a solve.
+    solved = record_solves(monkeypatch)
+    assert is_ipr(QMatrix.of([[-2, -1, -4]])).verdict == NO
+    assert solved == []
+
+
+def test_a_yes_solves_only_the_echelon_it_ends_on(monkeypatch):
+    solved = record_solves(monkeypatch)
+    decision = doubly_kpr(QMatrix.of([[1, 1, -1]]), QMatrix.of([[1, 2]]))
+    assert decision.is_yes and decision.scalar("c_2") == F(1, 3)
+    assert solved == [((3, -1),)]
 
 
 def test_doubly_ipr_matches_doubly_kpr_with_negated_identity():

@@ -24,6 +24,8 @@ from partreg import (
     solve_positive,
     verify_farkas,
 )
+from partreg.feasibility import has_positive_solution, solve_positive_echelon
+from partreg.linalg import EqualityEchelon
 
 
 def one_var_template():
@@ -260,6 +262,33 @@ def test_contradictory_stacked_systems_carry_an_equality_witness():
         assert solution is None
         assert verify_farkas(system, witness)
         assert not any(witness.ineq_multipliers)  # refuted by the equalities alone
+
+
+def test_positivity_check_matches_the_positive_solver():
+    # Random consistent echelons, classed as the check reads them: a row
+    # with no negative entry (the constant 0 included), rows on disjoint
+    # variables, or rows that share a variable, which go to Fourier-Motzkin.
+    rng = random.Random(2401)
+    seen = {"signs at constant 0": 0, "signs": 0, "disjoint": 0, "shared, yes": 0, "shared, no": 0}
+    for _ in range(3000):
+        nvars = rng.randint(1, 4)
+        echelon = EqualityEchelon(nvars).extend(
+            [rng.choice((0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(nvars)] + [rng.randint(-3, 3)]
+            for _ in range(rng.randint(1, 3))
+        )
+        if echelon is None:
+            continue
+        expected = solve_positive_echelon(echelon, nvars, range(nvars))[0] is not None
+        assert has_positive_solution(echelon) == expected, echelon
+        signed = [row for row in echelon.rows if min(row) >= 0]
+        supports = [{i for i in range(nvars) if row[i]} for row in echelon.rows]
+        if signed:
+            seen["signs at constant 0" if any(row[-1] == 0 for row in signed) else "signs"] += 1
+        elif sum(map(len, supports)) == len(set().union(*supports)):
+            seen["disjoint"] += 1
+        else:
+            seen["shared, yes" if expected else "shared, no"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 # ------------------------------------------------------------- scalar values

@@ -258,18 +258,18 @@ def test_a_lone_two_scalar_part_takes_its_first_hit_beside_another_cluster():
 
 
 def test_later_parts_solve_only_the_value_the_first_part_pins(monkeypatch):
-    # Row 1 admits b = 1 (and refuses b = 0 by a solve); no later row solves
-    # a system for a value outside {1}.
-    solved = []
-    solve_positive_echelon = decisions.solve_positive_echelon
+    # Row 1 admits b = 1 (and refuses b = 0 by a positivity check); no later
+    # row checks a system for a value outside {1}.
+    checked = []
+    has_positive_solution = decisions.has_positive_solution
 
-    def recording(echelon, *args):
-        solved.append(echelon.rows)
-        return solve_positive_echelon(echelon, *args)
+    def recording(echelon):
+        checked.append(echelon.rows)
+        return has_positive_solution(echelon)
 
-    monkeypatch.setattr(decisions, "solve_positive_echelon", recording)
+    monkeypatch.setattr(decisions, "has_positive_solution", recording)
     assert doubly_ipr(diag(*range(1, 9))).verdict == NO
-    assert solved == [((1, -1),), ((1, 0),)]
+    assert checked == [((1, -1),), ((1, 0),)]
 
 
 def test_diagonal_doubly_ipr_is_no_within_a_small_cap():

@@ -100,6 +100,16 @@ def load_matrix(path: str) -> QMatrix:
         raise
 
 
+def _load_matrices(paths: list[str]) -> list[QMatrix]:
+    """The matrices in `paths`, which must all have as many rows as the first."""
+    matrices = [load_matrix(path) for path in paths]
+    for path, matrix in zip(paths, matrices):
+        if matrix.rows != matrices[0].rows:
+            raise ValueError(
+                f"row counts differ: {paths[0]} has {matrices[0].rows}, {path} has {matrix.rows}")
+    return matrices
+
+
 def parse_colouring_spec(spec: str) -> Colouring:
     """mod:M | gamma:P | startparity:B | table:FILE"""
     kind, _, arg = spec.partition(":")
@@ -194,7 +204,7 @@ def _scalars(args: argparse.Namespace) -> Result:
 
 
 def _oracle_solve(args: argparse.Namespace) -> Result:
-    matrices = [load_matrix(f) for f in args.files]
+    matrices = _load_matrices(args.files)
     colouring = parse_colouring_spec(args.colouring)
     witness = find_monochromatic_solution(matrices, colouring, args.bound)
     if witness is None:
@@ -205,7 +215,7 @@ def _oracle_solve(args: argparse.Namespace) -> Result:
 
 
 def _oracle_sweep(args: argparse.Namespace) -> Result:
-    matrices = [load_matrix(f) for f in args.files]
+    matrices = _load_matrices(args.files)
     holds = verify_all_colourings(matrices, args.colours, args.bound)
     document = {"all_colourings_admit_solution": holds, "colours": args.colours, "bound": args.bound}
     text = (f"every {args.colours}-colouring of [1..{args.bound}] admits a solution: "
@@ -214,7 +224,7 @@ def _oracle_sweep(args: argparse.Namespace) -> Result:
 
 
 def _oracle_falsify(args: argparse.Namespace) -> Result:
-    matrices = [load_matrix(f) for f in args.files]
+    matrices = _load_matrices(args.files)
     witness = search_witness_colouring(matrices, args.colours, args.bound)
     if witness is None:
         text = f"every {args.colours}-colouring of [1..{args.bound}] admits a solution\n"
@@ -259,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("doubly-ipr", "doubly image partition regularity of FILE", ["file"],
          lambda args: doubly_ipr(load_matrix(args.file), args.cap)),
         ("doubly-kpr", "doubly kernel partition regularity of a pair", ["file_a", "file_b"],
-         lambda args: doubly_kpr(load_matrix(args.file_a), load_matrix(args.file_b), args.cap)),
+         lambda args: doubly_kpr(*_load_matrices([args.file_a, args.file_b]), args.cap)),
         ("multiply-kpr", "multiply kernel partition regularity of a tuple", ["files"],
-         lambda args: multiply_kpr([load_matrix(f) for f in args.files], args.cap)),
+         lambda args: multiply_kpr(_load_matrices(args.files), args.cap)),
     ]
     for name, help_text, positionals, decide in decisions:
         p = sub.add_parser(name, help=help_text, parents=capped)

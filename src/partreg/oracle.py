@@ -3,9 +3,10 @@
 This module validates decisions independently of the certificate machinery:
 rule-based colourings of the positive integers, bounded search for
 monochromatic solutions, and backtracking search for witness colourings
-that admit no bounded solution.  The sweep over all r-colourings of an
-initial segment is that witness search: every colouring admits a solution
-exactly when no witness exists.
+that admit no bounded solution.  That search checks forward: a value may not
+take the colour that completes a solution whose other values are coloured.
+The sweep over all r-colourings of an initial segment is that witness
+search: every colouring admits a solution exactly when no witness exists.
 
 The bounded solution search never walks the full v-fold product space: the
 kernel of the assembled matrix is parametrised by its nullspace basis, one
@@ -513,7 +514,8 @@ def verify_all_colourings(
     a bounded solution exists, which one kernel search under `mod:1` answers
     without building a colour table, and search_witness_colouring reads its
     one-colour witness from that answer; otherwise this is
-    search_witness_colouring finding no witness.
+    search_witness_colouring finding no witness, so its forward checking
+    prunes the sweep too.
     """
     _guard_sweep_size(colours, bound)
     if colours == 1:
@@ -531,72 +533,84 @@ def search_witness_colouring(
     interchangeable, so n may take at most one colour above the largest used
     on 1..n-1, and 1 takes colour 0: relabelling a witness by order of first
     use gives a witness that is lexicographically no larger, so the first
-    witness found is still the lexicographically first of all.  Before
-    colouring n, every solution whose largest value is n and whose other
-    values are already consistently coloured forbids the colour that would
-    complete it; a branch dies when a solution is completed by any colour
-    or no allowed colour is left.  With one colour the all-zero table is the
-    witness exactly when verify_all_colourings finds no bounded solution.
-    Absence means every colouring of [1..bound] admits a bounded solution.
+    witness found is still the lexicographically first of all.  Forward
+    checking: once a solution's values below its largest m are coloured, it
+    is skipped if a block without m is not monochromatic or the blocks with m
+    need different colours, and otherwise forbids m the colour that would
+    complete it (every colour if those blocks hold only m).  Forbidden-colour
+    masks are undone on backtrack, and a branch dies when an open value has
+    every colour forbidden, so only dead subtrees are cut.  With one colour
+    the all-zero table is the witness exactly when verify_all_colourings
+    finds no bounded solution.  Absence means every colouring of [1..bound]
+    admits a bounded solution.
     """
     if colours == 1:
         return None if verify_all_colourings(matrices, 1, bound) else WitnessColouring(bound, 1, (0,) * bound)
     _guard_sweep_size(colours, bound)
-    # per largest value, each solution's distinct block value-sets in first-seen order
-    by_max: list[dict[tuple[tuple[int, ...], ...], None]] = [{} for _ in range(bound + 1)]
+    # each distinct solution as (m, the other values of its blocks with m, its
+    # blocks without m of two values or more), filed under the largest value
+    # that reads: its second-largest distinct value or below, 0 for none
+    checks_at: list[dict[tuple, None]] = [{} for _ in range(bound + 1)]
     for vectors in enumerate_bounded_solutions(matrices, bound):
-        sol = tuple(tuple(sorted(set(vec))) for vec in vectors)
-        by_max[max(max(block) for block in sol)][sol] = None
-    table = [0] * bound
+        m = max(map(max, vectors))
+        beside, apart = set(), set()
+        for vec in vectors:
+            if m in vec:
+                beside.update(vec)
+            elif min(vec) < max(vec):
+                apart.add(frozenset(vec))
+        beside.discard(m)
+        read = max(beside.union(*apart), default=0)
+        checks_at[read][m, tuple(sorted(beside)), frozenset(apart)] = None
+    if checks_at[0]:
+        return None  # every block holds one value: monochromatic under every colouring
+    colour = [0] * (bound + 1)  # colour[x] for x in 1..bound
+    forbidden = [0] * (bound + 1)  # per value, a bit mask of the colours it may not take
+    every = (1 << colours) - 1
 
-    def forbidden_for(n: int) -> set[int] | None:
-        forbidden: set[int] = set()
-        for sol in by_max[n]:
-            required: set[int] = set()
-            safe = False
-            for block in sol:
-                if n in block:
-                    others = {table[x - 1] for x in block if x != n}
-                    if len(others) > 1:
-                        safe = True
-                        break
-                    required |= others
-                else:
-                    if len({table[x - 1] for x in block}) > 1:
-                        safe = True
-                        break
-            if safe or len(required) > 1:
-                continue
-            if not required:
-                return None  # any colour of n completes this solution
-            forbidden.add(required.pop())
-            if len(forbidden) == colours:
-                return None
-        return forbidden
+    def forward(n: int, changed: list[tuple[int, int]]) -> bool:
+        """Forbid what n's colour forces, logging (value, old mask); False if the branch dies."""
+        for m, beside, apart in checks_at[n]:
+            c = colour[beside[0]] if beside else None
+            for x in beside:
+                if colour[x] != c:
+                    break
+            else:  # every value beside m has colour c
+                if apart and any(len({colour[x] for x in block}) > 1 for block in apart):
+                    continue
+                if c is None:
+                    return False  # every colour of m completes this solution
+                bit = 1 << c
+                if not forbidden[m] & bit:
+                    changed.append((m, forbidden[m]))
+                    forbidden[m] |= bit
+                    if forbidden[m] == every:
+                        return False
+        return True
 
     def untried(n: int, top: int) -> list[int]:
-        """n's allowed colours, largest first, so that pop() takes the smallest.
+        """n's allowed colours, largest first for pop(); `top` is the largest on 1..n-1 or -1."""
+        return [c for c in range(min(top + 1, colours - 1), -1, -1) if not forbidden[n] >> c & 1]
 
-        `top` is the largest colour on 1..n-1, -1 before any is used.
-        """
-        forbidden = forbidden_for(n)
-        if forbidden is None:
-            return []
-        return [c for c in range(min(top + 1, colours - 1), -1, -1) if c not in forbidden]
-
-    # stack[n - 1]: the largest colour on 1..n-1, and the colours of n still to try
-    stack = [(-1, untried(1, -1))]
+    # stack[n - 1]: the largest colour on 1..n-1, the colours of n still to
+    # try, and the masks that n's current colour changed
+    stack = [(-1, untried(1, -1), [])]
     while stack:
-        top, options = stack[-1]
+        top, options, changed = stack[-1]
+        for m, mask in reversed(changed):
+            forbidden[m] = mask
+        changed.clear()
         if not options:
             stack.pop()
             continue
         n = len(stack)
-        table[n - 1] = options.pop()
+        colour[n] = options.pop()
+        if not forward(n, changed):
+            continue
         if n == bound:
-            return WitnessColouring(bound, colours, tuple(table))
-        top = max(top, table[n - 1])
-        stack.append((top, untried(n + 1, top)))
+            return WitnessColouring(bound, colours, tuple(colour[1:]))
+        top = max(top, colour[n])
+        stack.append((top, untried(n + 1, top), []))
     return None
 
 

@@ -158,6 +158,17 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["doubly-kpr"], ["multiply-kpr"], ["oracle", "solve"]])
+def test_differing_row_counts_name_the_file(tmp_path, capsys, command):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    diag = write(tmp_path, "diag.txt", DIAG)
+    extra = ["--colouring", "mod:2", "--bound", "5"] if command[0] == "oracle" else []
+    assert main([*command, schur, diag, *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: row counts differ: {schur} has 1, {diag} has 2\n"
+    assert captured.out == ""
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

@@ -529,6 +529,66 @@ def test_falsify_complements_sweep_and_matches_brute_force():
         assert sweep == all(admits(t) for t in itertools.product(range(colours), repeat=bound))
 
 
+def schur_free(table):
+    """No x + y = z with x, y, z <= len(table) all of one colour (x = y allowed)."""
+    n = len(table)
+    return all(
+        len({table[x - 1], table[y - 1], table[x + y - 1]}) > 1
+        for x in range(1, n + 1) for y in range(x, n + 1 - x)
+    )
+
+
+def test_schur_numbers_three_and_four_colours():
+    # S(3) = 13: a 3-colouring of [1..13] avoids x + y = z, none of [1..14] does
+    witness = search_witness_colouring([schur()], 3, 13)
+    assert len(witness.table) == 13 and set(witness.table) <= {0, 1, 2}
+    assert schur_free(witness.table)
+    assert verify_all_colourings([schur()], 3, 14) is True
+    # 4^11 colourings are within the sweep limit; S(4) = 44, so one exists
+    witness = search_witness_colouring([schur()], 4, 11)
+    assert set(witness.table) <= {0, 1, 2, 3} and schur_free(witness.table)
+
+
+def brute_force_first_witness(matrices, colours, bound):
+    """The lexicographically first table starting with 0 under which no bounded
+    solution has every block monochromatic, by walking every colouring."""
+    solutions = enumerate_bounded_solutions(matrices, bound)
+    for table in itertools.product(range(colours), repeat=bound):
+        if table[0] == 0 and not any(
+            all(len({table[x - 1] for x in vec}) == 1 for vec in sol) for sol in solutions
+        ):
+            return table
+    return None
+
+
+def test_forward_checking_matches_brute_force_on_shared_and_one_value_solutions():
+    # the largest value sits in two blocks ((1 1)/(-1 -1)), a block without it
+    # holds two values ((1 1 -1)/(-1)), a solution has one value ((1 -1)) or
+    # only one-value blocks ((1)/(-2)): every outcome of the forward check
+    # runs, and (1 1)/(-2 -3) needs a colour forbidden in a dead branch back
+    rng = random.Random(2525)
+    systems = [
+        [QMatrix.of([[1, 1]]), QMatrix.of([[-1, -1]])],
+        [QMatrix.of([[1, 1]]), QMatrix.of([[-2, -3]])],
+        [QMatrix.of([[1, 2]]), QMatrix.of([[-1, -2]])],
+        [QMatrix.of([[1, 1, -1]]), QMatrix.of([[-1]])],
+        [QMatrix.of([[1, -1]])],
+        [QMatrix.of([[1]]), QMatrix.of([[-2]])],
+        [QMatrix.of([[1, -1]]), QMatrix.of([[1, -2]])],
+    ]
+    for _ in range(15):
+        widths = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+        entries = (-3, -2, -1, 1, 2, 3)
+        systems.append([QMatrix.of([[rng.choice(entries) for _ in range(w)]]) for w in widths])
+    for matrices in systems:
+        for colours, top in ((2, 8), (3, 5)):
+            for bound in range(2, top + 1):
+                witness = search_witness_colouring(matrices, colours, bound)
+                brute = brute_force_first_witness(matrices, colours, bound)
+                assert (witness.table if witness else None) == brute, (matrices, colours, bound)
+                assert verify_all_colourings(matrices, colours, bound) == (brute is None)
+
+
 # -------------------------------------------------------------------- dilation
 
 def test_dilation_property():

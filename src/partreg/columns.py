@@ -27,9 +27,11 @@ kept in linalg's EqualityEchelon, the package's one elimination kernel.
 A level whose unplaced columns carry no scalar (every level of plain
 kernel partition regularity) cannot branch, so it is not scanned: its
 first zero-sum block comes from subset sums met in the middle, which
-zero_column_subset_exists shares.  Every search counts the candidate
-blocks it examines, or for such a level the blocks a scan would have
-examined, on a BlockCounter, and stops at the counter's cap.
+zero_column_subset_exists shares.  A search for positive scalars skips,
+before elimination, each block whose equalities signs refute, and a whole
+level when signs refute all its blocks.  Every search counts the
+candidate blocks it examines, or for such levels the blocks a scan would
+have examined, on a BlockCounter, and stops at the counter's cap.
 enumerate_ordered_partitions remains as the brute-force reference.
 """
 
@@ -354,6 +356,7 @@ def closure_search(
     feasible: Callable[[EqualityEchelon], bool] | None = None,
     *,
     counter: BlockCounter,
+    positive: bool = False,
 ) -> Iterator[tuple[OrderedPartition, EqualityEchelon]]:
     """Yield ordered partitions that witness the template's scaled columns condition.
 
@@ -377,12 +380,18 @@ def closure_search(
     unplaced columns carry no scalar cannot branch: a block is taken when
     its annihilated sum is zero and contradicts the echelon otherwise.  So
     such a level takes its first zero-sum block, found by subset sums met
-    in the middle instead of a scan.  Every search runs under the budget
-    of `counter`, a BlockCounter: each candidate block is charged to it, a
-    level settled by subset sums being charged the blocks a scan would have
-    examined, and reaching its cap with blocks left raises
-    PartitionCapExceeded.  Searches given one counter draw on its cap
-    together.
+    in the middle instead of a scan.  Other levels scan their blocks.  When
+    `positive` says that `feasible` accepts only echelons with a strictly
+    positive point, a block whose equalities have a non-zero row of one
+    sign, the constant included, is skipped before elimination; the
+    current echelon has a positive point, so it never implies such a
+    block.  A level with a row of one strict sign at every unplaced column
+    refutes all its blocks so, and ends without a scan.  Every search runs
+    under the budget of `counter`, a BlockCounter: each candidate block is
+    charged to it, a level settled without a scan being charged the blocks
+    a scan would have examined, and reaching its cap with blocks left
+    raises PartitionCapExceeded.  Searches given one counter draw on its
+    cap together.
     """
     integral = template.matrix.integer_columns
     dim, nvars = template.matrix.rows, template.nvars
@@ -421,12 +430,20 @@ def closure_search(
             projected, equalities = block_equalities(placed, rest)
             if scaled.isdisjoint(rest):
                 taken = _first_zero_sum_block(rest, [projected[j] for j in rest], counter)
+            elif positive and any(min(row) > 0 or max(row) < 0 for row in zip(*projected.values())):
+                # that row of every block's equalities is non-zero and of one sign
+                counter.charge(2 ** len(rest) - 1)
+                return
             else:
                 taken = None
                 for size in range(len(rest), 0, -1):
                     for block in itertools.combinations(rest, size):
                         counter.charge()
-                        extended = echelon.extend(equalities(block))
+                        sums = equalities(block)
+                        # a non-zero row of one sign is non-zero at every positive point
+                        if positive and any(any(r) and (min(r) >= 0 or max(r) <= 0) for r in sums):
+                            continue
+                        extended = echelon.extend(sums)
                         if extended is None:
                             continue
                         if extended is echelon:

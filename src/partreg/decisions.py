@@ -4,7 +4,9 @@ Every decision reduces to one search: stack the candidate matrices into a
 scaling template (some columns fixed at 1, the rest under unknown positive
 scalars), then run the closure search of the columns module, which places
 blocks largest first and enters a branch only while the scalar equalities
-gathered so far keep a strictly positive solution.  All five procedures go
+gathered so far keep a strictly positive solution.  The search is told
+that only positive scalars count, so it refutes blocks by their signs
+before elimination wherever it can.  All five procedures go
 through _decide_scaled; is_kpr is the template with no scalars.  YES
 verdicts carry the scalars, the assembled scaled matrix and a certificate
 that re-verifies independently; NO verdicts are issued only after the
@@ -140,11 +142,13 @@ def _search_parts(
 ) -> tuple[OrderedPartition, EqualityEchelon] | None:
     """The template's first certificate and its echelon, found part by part.
 
-    `feasible` is as in closure_search, and None only without scalars to share.
+    `feasible` is the decision's positivity check, and None only without
+    scalars to share.  Either way every scalar is positive, so each search
+    may refute blocks by their signs.
     """
     parts = column_parts(template.matrix)
     if len(parts) == 1:
-        return next(closure_search(template, feasible, counter=counter), None)
+        return next(closure_search(template, feasible, counter=counter, positive=True), None)
     chains = []
     for cluster in sorted(_clusters(template, parts), key=lambda c: sum(map(len, c))):
         cluster = sorted(cluster, key=lambda columns: (len(columns), columns))
@@ -185,7 +189,7 @@ def _shared_hits(
     hits = []  # first hits of the leading parts that leave the scalar free
     for i, part in enumerate(parts[:-1]):
         # The search explores each echelon once, and so yields each value once.
-        for found in closure_search(part, feasible, counter=counter):
+        for found in closure_search(part, feasible, counter=counter, positive=True):
             value = _pinned(found[1])
             if value is None:
                 hits.append(found)
@@ -193,14 +197,14 @@ def _shared_hits(
             at_value = lambda e, value=value: _pinned(e) in (None, value) and feasible(e)
             later = []
             for other in parts[i + 1:]:
-                later.append(next(closure_search(other, at_value, counter=counter), None))
+                later.append(next(closure_search(other, at_value, counter=counter, positive=True), None))
                 if later[-1] is None:
                     break
             else:
                 return hits + [found] + later
         else:
             return None
-    found = next(closure_search(parts[-1], feasible, counter=counter), None)
+    found = next(closure_search(parts[-1], feasible, counter=counter, positive=True), None)
     return None if found is None else hits + [found]
 
 

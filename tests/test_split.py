@@ -258,8 +258,9 @@ def test_a_lone_two_scalar_part_takes_its_first_hit_beside_another_cluster():
 
 
 def test_later_parts_solve_only_the_value_the_first_part_pins(monkeypatch):
-    # Row 1 admits b = 1 (and refuses b = 0 by a positivity check); no later
-    # row checks a system for a value outside {1}.
+    # Row 1 admits b = 1, and its b = 0 block, raw row (1, 0), is refuted by
+    # its signs before any positivity check; no later row checks a system
+    # for a value outside {1}.
     checked = []
     has_positive_solution = decisions.has_positive_solution
 
@@ -269,7 +270,7 @@ def test_later_parts_solve_only_the_value_the_first_part_pins(monkeypatch):
 
     monkeypatch.setattr(decisions, "has_positive_solution", recording)
     assert doubly_ipr(diag(*range(1, 9))).verdict == NO
-    assert checked == [((1, -1),), ((1, 0),)]
+    assert checked == [((1, -1),)]
 
 
 def test_diagonal_doubly_ipr_is_no_within_a_small_cap():

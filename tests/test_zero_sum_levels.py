@@ -1,9 +1,11 @@
-"""Search levels settled by subset sums, against the reference level scan.
+"""Search levels settled without a full scan, against the reference level scan.
 
 A level whose unplaced columns carry no scalar takes its first zero-sum
 block from meet-in-the-middle subset sums and charges the blocks a scan
-would have examined.  The reference in closure_reference.py is that scan,
-so verdicts, chains, block counts and caps must all match it exactly.
+would have examined.  A scaled level of a search for positive scalars
+skips the blocks that signs refute, or all of them at once by a row of one
+strict sign.  The reference in closure_reference.py is the scan, so
+verdicts, chains, block counts and caps must all match it exactly.
 """
 
 import itertools
@@ -13,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from closure_reference import reference_closure_search, reference_zero_column_subset
+from conftest import brute_force_ordered_partitions
 from partreg import (
     DEFAULT_PARTITION_CAP,
     NO,
@@ -21,13 +24,20 @@ from partreg import (
     OrderedPartition,
     PartitionCapExceeded,
     QMatrix,
+    ScalarSet,
     doubly_ipr_template,
+    doubly_kpr,
+    enumerate_feasible_scalars,
+    is_ipr_template,
     is_kpr,
     multiply_kpr_template,
     rational,
+    scalar_union_over_partitions,
     zero_column_subset_exists,
 )
 from partreg.columns import FIXED_ONE, BlockCounter, ScalingTemplate, closure_search
+from partreg.feasibility import has_positive_solution
+from partreg.linalg import EqualityEchelon
 
 
 def ones(n: int) -> QMatrix:
@@ -56,15 +66,19 @@ def test_first_zero_sum_block_is_the_last_complement_across_halves():
     assert is_kpr(A, cap=26).verdict == UNDECIDED
 
 
-def _outcome(search, template, cap):
-    """The search's yields, then ("cap", c) when it was cut, and its block count."""
+def _outcome(search, template, cap, feasible=None):
+    """The search's yields, then ("cap", c) when it was cut, and its block count.
+
+    With a `feasible`, closure_search is told that it accepts only echelons
+    with a positive point.
+    """
     if search is closure_search:
         counter = BlockCounter(cap)
-        results = search(template, counter=counter)
+        results = search(template, feasible, counter=counter, positive=feasible is not None)
         count = lambda: counter.spent
     else:
         counter = itertools.count()
-        results = search(template, cap=cap, counter=counter)
+        results = search(template, feasible, cap=cap, counter=counter)
         count = lambda: next(counter)
     found = []
     try:
@@ -75,12 +89,14 @@ def _outcome(search, template, cap):
     return found, count()
 
 
-def _assert_same_as_reference(template, rng):
-    expected, blocks = _outcome(reference_closure_search, template, DEFAULT_PARTITION_CAP)
-    assert _outcome(closure_search, template, DEFAULT_PARTITION_CAP) == (expected, blocks)
+def _assert_same_as_reference(template, rng, feasible=None):
+    expected, blocks = _outcome(reference_closure_search, template, DEFAULT_PARTITION_CAP, feasible)
+    assert _outcome(closure_search, template, DEFAULT_PARTITION_CAP, feasible) == (expected, blocks)
     for cap in (blocks, blocks - 1, rng.randint(1, blocks)):
         if cap >= 1:
-            assert _outcome(closure_search, template, cap) == _outcome(reference_closure_search, template, cap)
+            assert _outcome(closure_search, template, cap, feasible) == _outcome(
+                reference_closure_search, template, cap, feasible
+            )
 
 
 def test_unscaled_search_matches_the_level_scan():
@@ -102,6 +118,85 @@ def test_scaled_search_matches_the_level_scan():
         B = QMatrix.of([[rng.randint(-3, 3) for _ in range(width)] for _ in range(rows)])
         _assert_same_as_reference(multiply_kpr_template([A, B]), rng)
         _assert_same_as_reference(doubly_ipr_template(A), rng)
+
+
+def _signed_row(rng, width, kind):
+    # "strict": one strict sign; "weak": one sign with at least one zero
+    sign = rng.choice((1, -1))
+    if kind == "strict":
+        return [sign * rng.randint(1, 3) for _ in range(width)]
+    if kind == "weak":
+        row = [sign * rng.randint(0, 3) for _ in range(width)]
+        row[rng.randrange(width)] = 0
+        return row
+    return [rng.randint(-3, 3) for _ in range(width)]
+
+
+def test_positive_search_matches_the_level_scan(monkeypatch):
+    # Rows of one strict sign let a scaled level refute every block at once;
+    # rows of one sign with zeros do not, so their blocks are refuted one by
+    # one.  The reference scans every block and refutes by the positivity
+    # check alone.  Counting eliminations shows that signs spare some
+    # searches every elimination, and others only some.
+    extends = [0]
+    extend = EqualityEchelon.extend
+
+    def counting(self, rows):
+        extends[0] += 1
+        return extend(self, rows)
+
+    monkeypatch.setattr(EqualityEchelon, "extend", counting)
+    rng = random.Random(2626)
+    unscanned = skipped = 0
+    for _ in range(40):
+        rows = rng.randint(1, 2)
+        widths = [rng.randint(1, 4), rng.randint(1, 3)] + [rng.randint(1, 2)] * rng.randint(0, 1)
+        grid = [_signed_row(rng, sum(widths), rng.choice(("strict", "weak", "mixed"))) for _ in range(rows)]
+        ends = list(itertools.accumulate(widths))
+        matrices = [QMatrix.of([row[end - w:end] for row in grid]) for w, end in zip(widths, ends)]
+        A = matrices[0]
+        small = QMatrix.of([row[:3] for row in A.entries])
+        for template in (multiply_kpr_template(matrices), doubly_ipr_template(A), is_ipr_template(small)):
+            start = extends[0]
+            _outcome(reference_closure_search, template, DEFAULT_PARTITION_CAP, has_positive_solution)
+            by_scan = extends[0] - start
+            _outcome(closure_search, template, DEFAULT_PARTITION_CAP, has_positive_solution)
+            by_signs = extends[0] - start - by_scan
+            assert by_signs <= by_scan
+            unscanned += by_signs == 0 < by_scan
+            skipped += 0 < by_signs < by_scan
+            _assert_same_as_reference(template, rng, has_positive_solution)
+    assert unscanned >= 40 and skipped >= 50, (unscanned, skipped)
+
+
+def test_one_signed_levels_are_refuted_without_a_scan(monkeypatch):
+    # ones(1 x n) beside c ones(1 x n): the root row is positive at every
+    # column, so a NO charges all 2^(2n) - 1 root blocks at once
+    assert doubly_kpr(ones(10), ones(10)).verdict == NO
+    charges = []
+    charge = BlockCounter.charge
+
+    def recording(self, blocks=1):
+        charges.append(blocks)
+        charge(self, blocks)
+
+    monkeypatch.setattr(BlockCounter, "charge", recording)
+    assert doubly_kpr(ones(12), ones(12), cap=2**24 - 1).verdict == NO
+    assert charges == [2**24 - 1]
+    for cap in (2**24 - 2, DEFAULT_PARTITION_CAP):
+        decision = doubly_kpr(ones(12), ones(12), cap=cap)
+        assert decision.verdict == UNDECIDED and decision.cap == cap
+
+
+def test_scalar_union_takes_no_sign_rule():
+    # (1 1 c c) admits only negative values, which the sign rules would
+    # refute: the union, which asks for every value, scans its blocks.
+    template = multiply_kpr_template([ones(2), ones(2)])
+    expected = ScalarSet.empty()
+    for blocks in sorted(brute_force_ordered_partitions(4)):
+        expected = expected.union(enumerate_feasible_scalars(template, OrderedPartition(blocks)))
+    assert expected == ScalarSet.finite((F(-2), F(-1), F(-1, 2)))
+    assert scalar_union_over_partitions(template) == expected
 
 
 def test_zero_column_subset_matches_the_subset_scan():

@@ -13,7 +13,6 @@ from .columns import (
     decide_columns_condition,
     enumerate_ordered_partitions,
     first_entries_from_certificate,
-    is_first_entries_sufficient,
     verify_certificate,
     zero_column_subset_exists,
 )

@@ -584,7 +584,10 @@ def decide_columns_condition(
     This is the closure search of the template with no scalars: the
     partition is the first it finds (largest blocks first).  None is
     returned only when the search is exhausted; a truncated search raises
-    PartitionCapExceeded instead of guessing.
+    PartitionCapExceeded instead of guessing.  Unlike `is_kpr`, it searches
+    the whole matrix without splitting it into parts, so it can run out of
+    its cap where `is_kpr` answers: diag(1..24) charges 2^24 - 1 blocks
+    here, and `is_kpr` refutes it one column at a time.
     """
     template = ScalingTemplate(A, (FIXED_ONE,) * A.cols, 0)
     found = next(closure_search(template, counter=BlockCounter(cap)), None)
@@ -655,22 +658,3 @@ def first_entries_from_certificate(
     for column in G.integer_columns:
         assert not any(_combination(cols, enumerate(column))), "construction violated A @ G == 0"
     return FirstEntriesMatrix(G)
-
-
-def is_first_entries_sufficient(A: QMatrix) -> Fraction | None:
-    """Common positive first entry of all rows, when one exists.
-
-    A fast sufficient condition (not a decision): a matrix with no zero row
-    whose rows all start with the same positive value c maps monochromatic
-    inputs to monochromatic images after scaling by c.
-    """
-    common: Fraction | None = None
-    for row in A.entries:
-        first = next((x for x in row if x != 0), None)
-        if first is None or first <= 0:
-            return None
-        if common is None:
-            common = first
-        elif first != common:
-            return None
-    return common

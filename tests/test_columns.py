@@ -26,7 +26,6 @@ from partreg import (
     decide_columns_condition,
     enumerate_ordered_partitions,
     first_entries_from_certificate,
-    is_first_entries_sufficient,
     rational,
     verify_certificate,
 )
@@ -402,10 +401,3 @@ def test_first_entries_matrix_shape_validation():
     with pytest.raises(ValueError):
         FirstEntriesMatrix(QMatrix.of([[1, 0], [2, 1]]))
     assert FirstEntriesMatrix(QMatrix.of([[1, 0], [1, 2]])).unital
-
-
-def test_glance_condition():
-    assert is_first_entries_sufficient(schur_image()) == 1
-    assert is_first_entries_sufficient(QMatrix.of([[1, 0], [0, 2]])) is None
-    assert is_first_entries_sufficient(QMatrix.of([[0]])) is None
-    assert is_first_entries_sufficient(QMatrix.of([[F(1, 2), 5], [0, F(1, 2)]])) == F(1, 2)

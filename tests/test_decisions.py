@@ -15,6 +15,7 @@ from conftest import (
 )
 from partreg import (
     Colouring,
+    DEFAULT_PARTITION_CAP,
     NO,
     OrderedPartition,
     PartitionCapExceeded,
@@ -28,7 +29,6 @@ from partreg import (
     find_monochromatic_solution,
     first_entries_from_certificate,
     integer_b_analysis,
-    is_first_entries_sufficient,
     is_ipr,
     is_kpr,
     multiply_kpr,
@@ -73,6 +73,22 @@ def test_every_entry_point_reports_the_same_cap():
     with pytest.raises(PartitionCapExceeded) as exceeded:
         scalar_union_over_partitions(doubly_ipr_template(diag12()), cap=1)
     assert exceeded.value.cap == 1
+
+
+def test_is_kpr_splits_where_decide_columns_condition_is_capped():
+    # diag(1..24) splits into 24 one-column parts, each refuted by its one
+    # block, so is_kpr says NO.  decide_columns_condition searches all 24
+    # columns without the split and charges 2^24 - 1 blocks, over the
+    # default cap of 10^7.
+    n = 24
+    D = QMatrix.of([[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
+    assert is_kpr(D).verdict == NO
+    with pytest.raises(PartitionCapExceeded) as exceeded:
+        decide_columns_condition(D)
+    assert exceeded.value.cap == DEFAULT_PARTITION_CAP
+    with pytest.raises(PartitionCapExceeded):
+        decide_columns_condition(D, cap=2**n - 2)
+    assert decide_columns_condition(D, cap=2**n - 1) is None
 
 
 def test_is_kpr_scales_its_matrix_to_integers_once(monkeypatch):
@@ -162,7 +178,6 @@ def test_doubly_ipr_schur_image_matrix():
     decision = doubly_ipr(schur_image())
     assert decision.verdict == YES
     assert decision.scalar("b") == 1
-    assert is_first_entries_sufficient(schur_image()) == 1
 
 
 def test_each_scalar_system_is_solved_once_per_decision(monkeypatch):
@@ -353,9 +368,10 @@ def test_multiply_kpr_homogeneity():
 
 
 def test_glance_condition_implies_doubly_ipr():
+    # Every row of M starts with the same positive value c, so doubly_ipr
+    # holds with b = c.
     rng = random.Random(59)
-    produced = 0
-    while produced < 6:
+    for _ in range(6):
         rows = rng.randint(1, 2)
         cols = rng.randint(2, 3)
         c = rng.choice([1, 2, 3])
@@ -368,9 +384,7 @@ def test_glance_condition_implies_doubly_ipr():
                 row[j] = rng.randint(-2, 2)
             grid.append(row)
         M = QMatrix.of(grid)
-        if is_first_entries_sufficient(M) is None:
-            continue
-        produced += 1
+        assert all(next(x for x in row if x) == c for row in M.entries)
         assert doubly_ipr(M).verdict == YES
 
 

@@ -330,10 +330,13 @@ class _KernelSearch:
     follows the pieces, not their square: offset-free entries once per depth and
     colours (cached), the others per offset.  A group whose colours leave the
     next depth's offset-free entries no candidates is dropped: fixing more
-    colours only shrinks a candidate set.  Values are tried in increasing order
-    and free columns in increasing index order, so solutions() yields (vectors,
-    block colours) in canonical order, lazily: callers take the first with
-    next or read the stream in full.  A search serves one stream.
+    colours only shrinks a candidate set.  Each entry's value is fixed once, at
+    its own depth, from the offset the candidates were refined by; the last
+    depth yields each solution in place, so a solution costs no generator and
+    no recomputed entry.  Values are tried in increasing order and free columns
+    in increasing index order, so solutions() yields (vectors, block colours)
+    in canonical order, lazily: callers take the first with next or read the
+    stream in full.  A search serves one stream.
     """
 
     def __init__(self, matrices: Sequence[QMatrix], bound: int, colouring):
@@ -345,11 +348,12 @@ class _KernelSearch:
         offsets = [0]
         for M in matrices:
             offsets.append(offsets[-1] + M.cols)
-        self.offsets = offsets
         self.block_of = [
             t for t, M in enumerate(matrices) for _ in range(M.cols)
         ]
         self.k = len(matrices)
+        # the block slices of a solution vector, None for one block
+        self.cuts = [slice(*offsets[b:b + 2]) for b in range(self.k)] if self.k > 1 else None
 
         basis = nullspace_basis(combined)
         # basis[d] is 1 at the d-th free column and 0 at the others
@@ -384,7 +388,17 @@ class _KernelSearch:
             ]
             for entries, blocks in zip(at_depth, self.key_blocks)
         ]
+        # per depth: the (column, a, den) of the entries whose values its t
+        # fixes, its key blocks, and whether it is the last
+        self.levels = [
+            (tuple([(e, a, den) for e, a, den, _ in entries]), blocks, d + 1 == depths)
+            for d, (entries, blocks) in enumerate(zip(at_depth, self.key_blocks))
+        ]
         self.ts = [0] * depths
+        self.values = [0] * self.n
+        # per column, its offset under the current earlier free values, as
+        # _candidates computed it (0 for an offset-free entry)
+        self.shift = [0] * self.n
         self.colour_state: list[Hashable | None] = [None] * self.k
         self.group_cache: dict[tuple, list[tuple[range, tuple]]] = {}
 
@@ -435,9 +449,9 @@ class _KernelSearch:
         """(t, key-block colours) at `depth` in increasing t, merged lazily."""
         key = tuple(self.colour_state[b] for b in self.key_blocks[depth])
         groups = self._groups(depth, key)
-        for _, slot, a, den, earlier in self.entries[depth]:
+        for e, slot, a, den, earlier in self.entries[depth]:
             if earlier and groups:
-                offset = sum(c * self.ts[d] for d, c in earlier)
+                offset = self.shift[e] = sum(c * self.ts[d] for d, c in earlier)
                 groups = self._refine(groups, slot, a, offset, den)
         streams = [zip(progression, repeat(colours)) for progression, colours in groups]
         # groups are disjoint, so no two candidates share a t; one group
@@ -445,28 +459,23 @@ class _KernelSearch:
         return streams[0] if len(streams) == 1 else heapq.merge(*streams)
 
     def solutions(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]]:
-        if self.viable:
-            yield from self._dfs(0)
+        return self._dfs(0) if self.viable else iter(())
 
     def _dfs(self, depth: int):
-        ts, state = self.ts, self.colour_state
-        if depth == self.depths:
-            values = [0] * self.n
-            for t, entries in zip(ts, self.entries):
-                for e, _, a, den, earlier in entries:
-                    values[e] = (a * t + sum(c * ts[d] for d, c in earlier)) // den
-            vectors = tuple(
-                tuple(values[self.offsets[b]:self.offsets[b + 1]]) for b in range(self.k)
-            )
-            yield vectors, tuple(state)
-            return
-        blocks = self.key_blocks[depth]
+        ts, state, values, shift, cuts = self.ts, self.colour_state, self.values, self.shift, self.cuts
+        fix, blocks, last = self.levels[depth]
         unset = [b for b in blocks if state[b] is None]
         for t, colours in self._candidates(depth):
             ts[depth] = t
+            for e, a, den in fix:
+                values[e] = (a * t + shift[e]) // den
             for b, colour in zip(blocks, colours):
                 state[b] = colour
-            yield from self._dfs(depth + 1)
+            if last:
+                vectors = tuple([tuple(values[cut]) for cut in cuts]) if cuts else (tuple(values),)
+                yield vectors, tuple(state)
+            else:
+                yield from self._dfs(depth + 1)
         for b in unset:
             state[b] = None
 
@@ -537,9 +546,12 @@ def search_witness_colouring(
     checking: once a solution's values below its largest m are coloured, it
     is skipped if a block without m is not monochromatic or the blocks with m
     need different colours, and otherwise forbids m the colour that would
-    complete it (every colour if those blocks hold only m).  Forbidden-colour
-    masks are undone on backtrack, and a branch dies when an open value has
-    every colour forbidden, so only dead subtrees are cut.  With one colour
+    complete it (every colour if those blocks hold only m).  Each distinct
+    check is filed once, from the list of enumerate_bounded_solutions; a
+    one-block solution has no blocks without m, so its check is read off its
+    sorted distinct values.  Forbidden-colour masks are undone on backtrack,
+    and a branch dies when an open value has every colour forbidden, so only
+    dead subtrees are cut.  With one colour
     the all-zero table is the witness exactly when verify_all_colourings
     finds no bounded solution.  Absence means every colouring of [1..bound]
     admits a bounded solution.
@@ -552,16 +564,21 @@ def search_witness_colouring(
     # that reads: its second-largest distinct value or below, 0 for none
     checks_at: list[dict[tuple, None]] = [{} for _ in range(bound + 1)]
     for vectors in enumerate_bounded_solutions(matrices, bound):
-        m = max(map(max, vectors))
-        beside, apart = set(), set()
-        for vec in vectors:
-            if m in vec:
-                beside.update(vec)
-            elif min(vec) < max(vec):
-                apart.add(frozenset(vec))
-        beside.discard(m)
-        read = max(beside.union(*apart), default=0)
-        checks_at[read][m, tuple(sorted(beside)), frozenset(apart)] = None
+        if len(vectors) == 1:  # no blocks without m
+            *beside, m = sorted({*vectors[0]})
+            read, apart = beside[-1] if beside else 0, ()
+        else:
+            m = max(map(max, vectors))
+            beside, apart = set(), set()
+            for vec in vectors:
+                if m in vec:
+                    beside.update(vec)
+                elif min(vec) < max(vec):
+                    apart.add(frozenset(vec))
+            beside.discard(m)
+            read = max(beside.union(*apart), default=0)
+            beside, apart = sorted(beside), frozenset(apart)
+        checks_at[read][m, tuple(beside), apart] = None
     if checks_at[0]:
         return None  # every block holds one value: monochromatic under every colouring
     colour = [0] * (bound + 1)  # colour[x] for x in 1..bound

@@ -202,17 +202,32 @@ def brute_force_solutions(matrices, bound):
 def test_kernel_search_matches_brute_force_walk():
     rng = random.Random(79)
     found = 0
-    negative_step = fractional_offset = False
-    for _ in range(60):
-        rows = rng.randint(1, 2)
-        widths = rng.choice([[2], [3], [4], [1, 1], [2, 1], [1, 2], [2, 2], [1, 1, 1]])
-        matrices = [random_matrix(rng, rows, w, max_num=3) for w in widths]
-        bound = rng.randint(1, 12 if sum(widths) < 4 else 7)
+    negative_step = fractional_offset = two_earlier = False
+    deep_listed = deep_coloured = 0
+
+    def cases():  # drawn lazily, between the colourings each case draws
+        for _ in range(60):
+            rows = rng.randint(1, 2)
+            widths = rng.choice([[2], [3], [4], [1, 1], [2, 1], [1, 2], [2, 2], [1, 1, 1]])
+            matrices = [random_matrix(rng, rows, w, max_num=3) for w in widths]
+            yield matrices, rng.randint(1, 12 if sum(widths) < 4 else 7)
+        # five columns in one or two rows leave three free coordinates or
+        # more, so an entry's offset can read two earlier depths
+        for rows in (1, 1, 1, 2, 2, 2, 2, 2):
+            widths = rng.choice([[5], [2, 3], [3, 2], [1, 2, 2]])
+            matrices = [random_matrix(rng, rows, w, max_num=3) for w in widths]
+            yield matrices, rng.randint(3, 5)
+
+    for matrices, bound in cases():
+        widths = [M.cols for M in matrices]
         solutions = brute_force_solutions(matrices, bound)
         search = _KernelSearch(matrices, bound, None)
         for _, _, a, den, earlier in sum(search.entries, []) if search.viable else ():
             negative_step |= a < 0
             fractional_offset |= den > 1 and bool(earlier)
+            two_earlier |= len(earlier) > 1
+        deep = search.viable and search.depths >= 3
+        deep_listed += deep and bool(solutions)
 
         _, pivots, _ = rref(QMatrix.hstack(matrices))
         free = [c for c in range(sum(widths)) if c not in pivots]
@@ -233,11 +248,15 @@ def test_kernel_search_matches_brute_force_walk():
                 assert witness is None
                 continue
             found += 1
+            deep_coloured += deep
             assert witness.vectors == min(mono, key=free_key)
             assert witness.colours == tuple(colouring.colour(vec[0]) for vec in witness.vectors)
     assert found > 100
-    # entries (a*t + offset)/den with a < 0, and with den > 1 and earlier terms
-    assert negative_step and fractional_offset
+    # entries (a*t + offset)/den with a < 0, with den > 1 and earlier terms,
+    # and with an offset of two earlier depths
+    assert negative_step and fractional_offset and two_earlier
+    # three free coordinates are walked colour-blind and under colourings
+    assert deep_listed and deep_coloured
 
 
 def test_lazy_candidates_match_a_scan_of_the_bound():
@@ -561,12 +580,30 @@ def brute_force_first_witness(matrices, colours, bound):
     return None
 
 
+def read_value(solution):
+    """The largest value a solution's forward check reads: every value but the
+    largest m of the blocks holding m, and of the blocks of two values or more."""
+    m = max(map(max, solution))
+    return max(
+        (x for vec in solution if m in vec or len(set(vec)) > 1 for x in vec if x != m),
+        default=0,
+    )
+
+
 def test_forward_checking_matches_brute_force_on_shared_and_one_value_solutions():
     # the largest value sits in two blocks ((1 1)/(-1 -1)), a block without it
     # holds two values ((1 1 -1)/(-1)), a solution has one value ((1 -1)) or
     # only one-value blocks ((1)/(-2)): every outcome of the forward check
-    # runs, and (1 1)/(-2 -3) needs a colour forbidden in a dead branch back
+    # runs, and (1 1)/(-2 -3) needs a colour forbidden in a dead branch back.
+    # In (1 2)/(-4) a one-value block holds a value that no check reads: every
+    # (4y - 2, 1; y) is read at 1, whatever y is
     rng = random.Random(2525)
+    one_value_unread = [QMatrix.of([[1, 2]]), QMatrix.of([[-4]])]
+    read_at_one = [
+        sol for sol in enumerate_bounded_solutions(one_value_unread, 40)
+        if read_value(sol) == 1
+    ]
+    assert read_at_one == [((4 * y - 2, 1), (y,)) for y in range(1, 11)]
     systems = [
         [QMatrix.of([[1, 1]]), QMatrix.of([[-1, -1]])],
         [QMatrix.of([[1, 1]]), QMatrix.of([[-2, -3]])],
@@ -575,6 +612,7 @@ def test_forward_checking_matches_brute_force_on_shared_and_one_value_solutions(
         [QMatrix.of([[1, -1]])],
         [QMatrix.of([[1]]), QMatrix.of([[-2]])],
         [QMatrix.of([[1, -1]]), QMatrix.of([[1, -2]])],
+        one_value_unread,
     ]
     for _ in range(15):
         widths = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
@@ -587,6 +625,21 @@ def test_forward_checking_matches_brute_force_on_shared_and_one_value_solutions(
                 brute = brute_force_first_witness(matrices, colours, bound)
                 assert (witness.table if witness else None) == brute, (matrices, colours, bound)
                 assert verify_all_colourings(matrices, colours, bound) == (brute is None)
+
+
+def test_witness_search_lists_the_solutions_once(monkeypatch):
+    calls = []
+
+    def counted(matrices, bound):
+        calls.append(bound)
+        return enumerate_bounded_solutions(matrices, bound)
+
+    expected = search_witness_colouring([schur()], 3, 13)
+    monkeypatch.setattr(oracle, "enumerate_bounded_solutions", counted)
+    assert search_witness_colouring([schur()], 3, 13) == expected
+    assert calls == [13]
+    assert verify_all_colourings([schur()], 2, 18) is True
+    assert calls == [13, 18]
 
 
 # -------------------------------------------------------------------- dilation

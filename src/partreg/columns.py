@@ -12,8 +12,8 @@ once for the whole audit round trip.
 
 The search (closure_search) takes one input, a ScalingTemplate: a matrix
 whose columns are grouped under unknown scalars or fixed at 1.  Plain
-kernel partition regularity is the template with no scalars, and
-decide_columns_condition is that search plus its certificate.  The search
+kernel partition regularity is the template with no scalars: is_kpr's
+search, whose certificate decide_columns_condition returns.  The search
 reads the matrix's integer view, the same one the certificate steps use,
 and it never walks ordered partitions.  Call a column set reachable when
 some chain of blocks covers it.  Reachable sets are closed under union:
@@ -581,21 +581,15 @@ def decide_columns_condition(
 ) -> ColumnsConditionCertificate | None:
     """A certificate for the columns condition of A, if one exists.
 
-    This is the closure search of the template with no scalars: the
-    partition is the first it finds (largest blocks first).  None is
-    returned only when the search is exhausted; a truncated search raises
-    PartitionCapExceeded instead of guessing.  Unlike `is_kpr`, it searches
-    the whole matrix without splitting it into parts, so it can run out of
-    its cap where `is_kpr` answers: diag(1..24) charges 2^24 - 1 blocks
-    here, and `is_kpr` refutes it one column at a time.
+    This is `decisions.is_kpr`'s certificate: None on NO, and
+    PartitionCapExceeded instead of a guess when the search is UNDECIDED.
     """
-    template = ScalingTemplate(A, (FIXED_ONE,) * A.cols, 0)
-    found = next(closure_search(template, counter=BlockCounter(cap)), None)
-    if found is None:
-        return None
-    certificate = check_partition(A, found[0])
-    assert certificate is not None, "closure search yielded a non-certificate"
-    return certificate
+    from .decisions import UNDECIDED, is_kpr  # decisions imports this module
+
+    decision = is_kpr(A, cap)
+    if decision.verdict == UNDECIDED:
+        raise PartitionCapExceeded(decision.cap)
+    return decision.certificate
 
 
 @dataclass(frozen=True)

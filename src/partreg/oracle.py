@@ -375,25 +375,23 @@ class _KernelSearch:
             den = lcm(*(c.denominator for c in expr.values()))
             *earlier, (d, a) = sorted((d, (c * den).numerator) for d, c in expr.items())
             at_depth[d].append((e, a, den, tuple(earlier)))
-        # the blocks whose colours a depth's candidates depend on
-        self.key_blocks = [
-            tuple(sorted({self.block_of[e] for e, *_ in entries})) for entries in at_depth
-        ]
-        # per depth: (column, key-block slot, a, den, earlier (depth, coefficient)
-        # terms); no piece is pulled back before a group asks for it
-        self.entries = [
-            [
-                (e, blocks.index(self.block_of[e]), a, den, earlier)
-                for e, a, den, earlier in entries
-            ]
-            for entries, blocks in zip(at_depth, self.key_blocks)
-        ]
-        # per depth: the (column, a, den) of the entries whose values its t
-        # fixes, its key blocks, and whether it is the last
-        self.levels = [
-            (tuple([(e, a, den) for e, a, den, _ in entries]), blocks, d + 1 == depths)
-            for d, (entries, blocks) in enumerate(zip(at_depth, self.key_blocks))
-        ]
+        # per depth: its key blocks (whose colours its candidates depend on),
+        # its offset-free entries as (key-block slot, a, den), its offset
+        # entries as (column, slot, a, den, earlier (depth, coefficient)
+        # terms) and the (column, a, den) of every entry its t fixes; no piece
+        # is pulled back before a group asks for it
+        self.levels = []
+        for entries in at_depth:
+            blocks = tuple(sorted({self.block_of[e] for e, *_ in entries}))
+            plain, offsets = [], []
+            for e, a, den, earlier in entries:
+                slot = blocks.index(self.block_of[e])
+                if earlier:
+                    offsets.append((e, slot, a, den, earlier))
+                else:
+                    plain.append((slot, a, den))
+            fix = [(e, a, den) for e, a, den, _ in entries]
+            self.levels.append((blocks, plain, offsets, fix))
         self.ts = [0] * depths
         self.values = [0] * self.n
         # per column, its offset under the current earlier free values, as
@@ -430,12 +428,11 @@ class _KernelSearch:
         if cached is not None:
             return cached
         groups = [(range(1, self.bound + 1), key)]
-        for _, slot, a, den, earlier in self.entries[depth]:
-            if not earlier:
-                groups = self._refine(groups, slot, a, 0, den)
+        blocks, plain, _, _ = self.levels[depth]
+        for slot, a, den in plain:
+            groups = self._refine(groups, slot, a, 0, den)
         if depth + 1 < self.depths:
-            blocks = self.key_blocks[depth]
-            after = self.key_blocks[depth + 1]
+            after = self.levels[depth + 1][0]
             groups = [
                 group for group in groups
                 if self._groups(depth + 1, tuple(
@@ -447,12 +444,13 @@ class _KernelSearch:
 
     def _candidates(self, depth: int) -> Iterator[tuple[int, tuple]]:
         """(t, key-block colours) at `depth` in increasing t, merged lazily."""
-        key = tuple(self.colour_state[b] for b in self.key_blocks[depth])
-        groups = self._groups(depth, key)
-        for e, slot, a, den, earlier in self.entries[depth]:
-            if earlier and groups:
-                offset = self.shift[e] = sum(c * self.ts[d] for d, c in earlier)
-                groups = self._refine(groups, slot, a, offset, den)
+        blocks, _, offsets, _ = self.levels[depth]
+        groups = self._groups(depth, tuple(self.colour_state[b] for b in blocks))
+        for e, slot, a, den, earlier in offsets:
+            if not groups:
+                break
+            offset = self.shift[e] = sum(c * self.ts[d] for d, c in earlier)
+            groups = self._refine(groups, slot, a, offset, den)
         streams = [zip(progression, repeat(colours)) for progression, colours in groups]
         # groups are disjoint, so no two candidates share a t; one group
         # skips the merge's per-candidate generator step
@@ -463,7 +461,8 @@ class _KernelSearch:
 
     def _dfs(self, depth: int):
         ts, state, values, shift, cuts = self.ts, self.colour_state, self.values, self.shift, self.cuts
-        fix, blocks, last = self.levels[depth]
+        blocks, _, _, fix = self.levels[depth]
+        last = depth + 1 == self.depths
         unset = [b for b in blocks if state[b] is None]
         for t, colours in self._candidates(depth):
             ts[depth] = t

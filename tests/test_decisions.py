@@ -15,7 +15,6 @@ from conftest import (
 )
 from partreg import (
     Colouring,
-    DEFAULT_PARTITION_CAP,
     NO,
     OrderedPartition,
     PartitionCapExceeded,
@@ -75,20 +74,20 @@ def test_every_entry_point_reports_the_same_cap():
     assert exceeded.value.cap == 1
 
 
-def test_is_kpr_splits_where_decide_columns_condition_is_capped():
+def test_decide_columns_condition_splits_like_is_kpr():
     # diag(1..24) splits into 24 one-column parts, each refuted by its one
-    # block, so is_kpr says NO.  decide_columns_condition searches all 24
-    # columns without the split and charges 2^24 - 1 blocks, over the
-    # default cap of 10^7.
+    # block, so is_kpr says NO, and decide_columns_condition answers through
+    # it: no whole-matrix search that would charge 2^24 - 1 blocks, over the
+    # default cap of 10^7.  At cap 0 is_kpr is UNDECIDED, and at cap 1 the
+    # first one-column part already refutes it.
     n = 24
     D = QMatrix.of([[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
     assert is_kpr(D).verdict == NO
+    assert decide_columns_condition(D) is None
     with pytest.raises(PartitionCapExceeded) as exceeded:
-        decide_columns_condition(D)
-    assert exceeded.value.cap == DEFAULT_PARTITION_CAP
-    with pytest.raises(PartitionCapExceeded):
-        decide_columns_condition(D, cap=2**n - 2)
-    assert decide_columns_condition(D, cap=2**n - 1) is None
+        decide_columns_condition(D, cap=0)
+    assert exceeded.value.cap == 0
+    assert decide_columns_condition(D, cap=1) is None
 
 
 def test_is_kpr_scales_its_matrix_to_integers_once(monkeypatch):

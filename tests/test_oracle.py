@@ -222,10 +222,11 @@ def test_kernel_search_matches_brute_force_walk():
         widths = [M.cols for M in matrices]
         solutions = brute_force_solutions(matrices, bound)
         search = _KernelSearch(matrices, bound, None)
-        for _, _, a, den, earlier in sum(search.entries, []) if search.viable else ():
-            negative_step |= a < 0
-            fractional_offset |= den > 1 and bool(earlier)
-            two_earlier |= len(earlier) > 1
+        for _, _, offsets, fix in search.levels if search.viable else ():
+            negative_step |= any(a < 0 for _, a, _ in fix)
+            for _, _, _, den, earlier in offsets:
+                fractional_offset |= den > 1
+                two_earlier |= len(earlier) > 1
         deep = search.viable and search.depths >= 3
         deep_listed += deep and bool(solutions)
 
@@ -267,7 +268,7 @@ def test_lazy_candidates_match_a_scan_of_the_bound():
     for matrix in (schur(), vdw()):
         for colouring in every_colouring_kind(rng, bound):
             search = _KernelSearch([matrix], bound, colouring)
-            ((_, _, a, *_),) = search.entries[0]
+            ((_, a, _),) = search.levels[0][3]
             scan = [(t, (colouring.colour(a * t),)) for t in range(1, bound // a + 1)]
             assert list(search._candidates(0)) == scan
 
@@ -320,7 +321,7 @@ def test_kernel_search_reads_colours_only_from_pieces():
     search = _KernelSearch([schur()], 200, None)
     assert len(list(search.solutions())) == 199 * 200 // 2
     assert set(search.group_cache) == {
-        (d, (None,) * len(search.key_blocks[d])) for d in range(search.depths)
+        (d, (None,) * len(blocks)) for d, (blocks, *_) in enumerate(search.levels)
     }
 
 

@@ -29,6 +29,7 @@ from partreg import (
     YES,
     build_system,
     check_partition,
+    decide_columns_condition,
     doubly_ipr,
     doubly_ipr_template,
     doubly_kpr,
@@ -141,6 +142,10 @@ def test_direct_sums_decide_like_their_parts_and_the_brute_force():
         counts["kpr"][decision.verdict] += 1
         if decision.is_yes:
             assert_certified(decision)
+        # the columns-condition certificate is is_kpr's
+        certificate = decide_columns_condition(M)
+        assert certificate == decision.certificate
+        assert certificate is None or verify_certificate(M, certificate)
         if M.cols <= 6:
             assert decision.is_yes == brute_force_kpr(M)
             counts["brute"] += 1

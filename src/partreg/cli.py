@@ -5,8 +5,10 @@ each an optionally-signed integer or p/q with positive q; blank lines and
 lines starting with '#' are ignored.  Exit codes: 0 the property holds
 (YES / verified / solution found), 1 it fails (NO / falsified / none found),
 2 input or usage error, 3 undecided because the search examined as many
-candidate blocks as --cap allows.  Each subcommand is declared once, in
-build_parser, where its subparser records the handler that answers it.
+candidate blocks as --cap allows.  Each command is declared once, in
+COMMANDS, whose entry adds its arguments and the handler that answers it
+to a parser: main parses argv with the named command's parser alone, and
+build_parser hangs every command under one tree for help and usage errors.
 A handler returns its exit code, its result as a JSON document and the
 same result as text, and only main writes to stdout: the document under
 --json, the text otherwise.  A handler that returns no document has
@@ -166,6 +168,8 @@ def _load_certificate(path: str) -> ColumnsConditionCertificate:
             document = json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as err:  # a syntax error, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {err}") from None
     return ColumnsConditionCertificate.from_json_dict(document)
 
 
@@ -233,91 +237,94 @@ def _oracle_falsify(args: argparse.Namespace) -> Result:
     return EXIT_FAILS, {"witness_colouring": witness.to_json_dict()}, witness.to_text()
 
 
+def _leaf(run, *positionals: str, cap: bool = True):
+    """Adds --cap if `cap`, --json, the positionals ("files" takes one or more) and `run` to a parser."""
+    def configure(parser: argparse.ArgumentParser) -> None:
+        if cap:
+            parser.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP, help="max candidate "
+                                "blocks the search examines before reporting UNDECIDED")
+        parser.add_argument("--json", action="store_true", help="canonical JSON output")
+        for positional in positionals:
+            parser.add_argument(positional, nargs="+" if positional == "files" else None)
+        parser.set_defaults(run=run)
+    return configure
+
+
+def _configure_oracle(parser: argparse.ArgumentParser) -> None:
+    oracle_sub = parser.add_subparsers(dest="oracle_command", required=True)
+    for name, help_text, run in [
+        ("solve", "search a bounded monochromatic solution", _oracle_solve),
+        ("sweep", "check every r-colouring of [1..N] admits a solution", _oracle_sweep),
+        ("falsify", "search a colouring of [1..N] with no bounded solution", _oracle_falsify),
+    ]:
+        p = oracle_sub.add_parser(name, help=help_text)
+        _leaf(run, "files", cap=False)(p)
+        if name == "solve":
+            p.add_argument("--colouring", required=True, help="mod:M | gamma:P | startparity:B | table:FILE")
+        else:
+            p.add_argument("--colours", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True)
+
+
+# name: (help text, configure), which adds the command's arguments and its handler, the default
+# `run`, to a parser.  Only the searches that decide take --cap; the oracle's have no budget yet.
+# Handlers look up partreg's functions in this module's globals when they run, not at import.
+COMMANDS = {
+    "kpr": ("kernel partition regularity of FILE",
+            _leaf(lambda args: _report_decision(is_kpr(load_matrix(args.file), args.cap)), "file")),
+    "ipr": ("image partition regularity of FILE",
+            _leaf(lambda args: _report_decision(is_ipr(load_matrix(args.file), args.cap)), "file")),
+    "doubly-ipr": ("doubly image partition regularity of FILE",
+                   _leaf(lambda args: _report_decision(doubly_ipr(load_matrix(args.file), args.cap)), "file")),
+    "doubly-kpr": ("doubly kernel partition regularity of a pair", _leaf(
+        lambda args: _report_decision(doubly_kpr(*_load_matrices([args.file_a, args.file_b]), args.cap)),
+        "file_a", "file_b")),
+    "multiply-kpr": ("multiply kernel partition regularity of a tuple", _leaf(
+        lambda args: _report_decision(multiply_kpr(_load_matrices(args.files), args.cap)), "files")),
+    "certify": ("verify a certificate against a matrix", _leaf(_certify, "file", "certificate", cap=False)),
+    "first-entries": ("emit the unital first-entries matrix of a certificate",
+                      _leaf(_first_entries, "file", "certificate", cap=False)),
+    "scalars": ("all scalar values admitted by the doubly-IPR template", _leaf(_scalars, "file")),
+    "oracle": ("finite-scale colouring oracles", _configure_oracle),
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command: the subtree that build_parser hangs under `name`, with its prog."""
+    parser = argparse.ArgumentParser(prog=f"partreg {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared by every main().
+    """The full parser tree, built on first use and then shared.
 
-    Each subparser carries its handler as the default `run`, which main()
-    calls.  Handlers look up partreg's functions in this module's globals when
-    they run, so the cached parser sees a patched attribute.  Parsing does not
-    change the parser; it is not built at import, which would charge every
-    importer for it.
+    main() builds it only when argv names no command (--help, no arguments,
+    a typo) or the command's own parser leaves arguments unrecognised, which
+    the tree reports under the top-level usage.  Parsing does not change a
+    parser; none is built at import, which would charge every importer.
     """
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
-                     help="max candidate blocks the search examines before reporting UNDECIDED")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="canonical JSON output")
-    # --cap bounds the partition search; certify and first-entries run none,
-    # and the oracle searches have no budget yet, so they take no --cap
-    capped = [cap, common]
-
     parser = argparse.ArgumentParser(
         prog="partreg",
         description="Exact decision procedures and finite colouring oracles "
         "for partition regularity of rational matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # name, help text, positional arguments ("files" takes one or more) and
-    # the decision they ask for
-    decisions = [
-        ("kpr", "kernel partition regularity of FILE", ["file"],
-         lambda args: is_kpr(load_matrix(args.file), args.cap)),
-        ("ipr", "image partition regularity of FILE", ["file"],
-         lambda args: is_ipr(load_matrix(args.file), args.cap)),
-        ("doubly-ipr", "doubly image partition regularity of FILE", ["file"],
-         lambda args: doubly_ipr(load_matrix(args.file), args.cap)),
-        ("doubly-kpr", "doubly kernel partition regularity of a pair", ["file_a", "file_b"],
-         lambda args: doubly_kpr(*_load_matrices([args.file_a, args.file_b]), args.cap)),
-        ("multiply-kpr", "multiply kernel partition regularity of a tuple", ["files"],
-         lambda args: multiply_kpr(_load_matrices(args.files), args.cap)),
-    ]
-    for name, help_text, positionals, decide in decisions:
-        p = sub.add_parser(name, help=help_text, parents=capped)
-        for positional in positionals:
-            p.add_argument(positional, nargs="+" if positional == "files" else None)
-        p.set_defaults(run=lambda args, decide=decide: _report_decision(decide(args)))
-
-    for name, help_text, run in [
-        ("certify", "verify a certificate against a matrix", _certify),
-        ("first-entries", "emit the unital first-entries matrix of a certificate", _first_entries),
-    ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("file")
-        p.add_argument("certificate")
-        p.set_defaults(run=run)
-
-    p = sub.add_parser("scalars", help="all scalar values admitted by the doubly-IPR template",
-                       parents=capped)
-    p.add_argument("file")
-    p.set_defaults(run=_scalars)
-
-    oracle = sub.add_parser("oracle", help="finite-scale colouring oracles")
-    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
-
-    p = oracle_sub.add_parser("solve", help="search a bounded monochromatic solution", parents=[common])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--colouring", required=True, help="mod:M | gamma:P | startparity:B | table:FILE")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(run=_oracle_solve)
-
-    for name, help_text, run in [
-        ("sweep", "check every r-colouring of [1..N] admits a solution", _oracle_sweep),
-        ("falsify", "search a colouring of [1..N] with no bounded solution", _oracle_falsify),
-    ]:
-        p = oracle_sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("files", nargs="+")
-        p.add_argument("--colours", type=int, required=True)
-        p.add_argument("--bound", type=int, required=True)
-        p.set_defaults(run=run)
-
+    for name, (help_text, configure) in COMMANDS.items():
+        configure(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args, unrecognised = (_command_parser(argv[0]).parse_known_args(argv[1:])
+                              if argv and argv[0] in COMMANDS else (None, True))
+        # no command named, or arguments the command does not take: the tree reports either as before
+        if unrecognised:
+            args = build_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:

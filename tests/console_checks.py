@@ -100,6 +100,14 @@ CHECKS = [
     # signs refute all 2^24 - 1 root blocks without a scan; the NO needs exactly that cap
     Check("doubly-kpr ones12.txt ones12.txt --cap 16777215", 1, limit=5),
     Check("doubly-kpr ones12.txt ones12.txt --cap 16777214", 3, limit=5),
+    # usage errors: a command's own parser reports its errors, the full tree unrecognised arguments
+    Check("kpr schur.txt extra", 2, stderr="partreg: error: unrecognized arguments: extra"),
+    Check("oracle sweep schur.txt --colours 2 --bound 5 --bogus", 2,
+          stderr="partreg: error: unrecognized arguments: --bogus"),
+    Check("oracle solve schur.txt --colouring mod:3", 2,
+          stderr="partreg oracle solve: error: the following arguments are required: --bound"),
+    Check("oracle", 2, stderr="partreg oracle: error: the following arguments are required: oracle_command"),
+    Check("kpr schur.txt --cap x", 2, stderr="partreg kpr: error: argument --cap: invalid int value: 'x'"),
 ]
 
 

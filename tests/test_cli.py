@@ -7,7 +7,7 @@ import pytest
 
 import partreg
 from conftest import vdw
-from partreg import QMatrix
+from partreg import QMatrix, cli
 from partreg.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -228,6 +228,21 @@ def test_certify_reads_a_sparse_witness(tmp_path, capsys, witness, expected):
     assert json.loads(capsys.readouterr().out) == {"verified": expected == EXIT_HOLDS}
 
 
+@pytest.mark.parametrize("content", [b'{"partition": [[1, 3] [2]]}', b"\xff{}"],
+                         ids=["syntax", "not-utf-8"])
+@pytest.mark.parametrize("command", ["certify", "first-entries"])
+def test_unreadable_certificate_json_names_the_file(tmp_path, capsys, command, content):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_bytes(content)
+    try:
+        json.loads(content.decode("utf-8"))
+    except ValueError as err:
+        reason = str(err)
+    assert main([command, schur, str(cert_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cert_path}: {reason}\n"
+
+
 @pytest.mark.parametrize("document", [
     "[1, 2]",
     '{"partition": 5}',
@@ -426,6 +441,61 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_valid_commands_build_only_their_own_parser(tmp_path, capsys):
+    schur = write(tmp_path, "schur.txt", SCHUR)
+    tree = build_parser.cache_info()
+    cli._command_parser.cache_clear()
+    for argv in [
+        ["kpr", schur],
+        ["oracle", "solve", schur, "--colouring", "mod:2", "--bound", "10"],
+        ["oracle", "sweep", schur, "--colours", "2", "--bound", "5"],
+        ["oracle", "falsify", schur, "--colours", "2", "--bound", "4"],
+        ["kpr", schur, "--json"],
+    ]:
+        assert main(argv) in (EXIT_HOLDS, EXIT_FAILS), argv
+    capsys.readouterr()
+    assert build_parser.cache_info() == tree
+    assert cli._command_parser.cache_info().misses == 2  # kpr and oracle, once each
+
+
+# one set of arguments that parses, and the integer option to give a bad value, per command path;
+# certify and first-entries take no --cap, so theirs is one more unrecognised argument
+COMMAND_PATHS = {
+    ("kpr",): (["a.txt"], "--cap"),
+    ("ipr",): (["a.txt"], "--cap"),
+    ("doubly-ipr",): (["a.txt"], "--cap"),
+    ("doubly-kpr",): (["a.txt", "b.txt"], "--cap"),
+    ("multiply-kpr",): (["a.txt", "b.txt"], "--cap"),
+    ("certify",): (["a.txt", "c.json"], "--cap"),
+    ("first-entries",): (["a.txt", "c.json"], "--cap"),
+    ("scalars",): (["a.txt"], "--cap"),
+    ("oracle", "solve"): (["a.txt", "--colouring", "mod:2", "--bound", "5"], "--bound"),
+    ("oracle", "sweep"): (["a.txt", "--colours", "2", "--bound", "5"], "--bound"),
+    ("oracle", "falsify"): (["a.txt", "--colours", "2", "--bound", "5"], "--bound"),
+}
+
+
+@pytest.mark.parametrize("case", ["help", "missing", "bad-integer", "unrecognised"])
+@pytest.mark.parametrize("path", list(COMMAND_PATHS), ids=" ".join)
+def test_usage_errors_match_the_full_parser(capsys, monkeypatch, path, case):
+    # usage text wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    arguments, integer_option = COMMAND_PATHS[path]
+    argv = [*path, *{
+        "help": ["--help"],
+        "missing": [],
+        "bad-integer": [*arguments, integer_option, "x"],
+        "unrecognised": [*arguments, "--bogus"],
+    }[case]]
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as err:
+        expected = (EXIT_USAGE if err.code else EXIT_HOLDS, *capsys.readouterr())
+    else:
+        pytest.fail(f"{argv} parsed")
+    assert (main(argv), *capsys.readouterr()) == expected
+
+
 def test_repeated_main_matches_one_process_per_call(tmp_path, capsys, monkeypatch):
     # help and usage text wrap at COLUMNS, so both sides get the same width
     monkeypatch.setenv("COLUMNS", "80")
@@ -437,6 +507,9 @@ def test_repeated_main_matches_one_process_per_call(tmp_path, capsys, monkeypatc
         (["kpr", schur, "--cap", "-1"], EXIT_USAGE),
         (["oracle", "solve", schur, "--colouring", "mod:2", "--bound", "10", "--json"], EXIT_HOLDS),
         (["doubly-ipr", matrix, "--json"], EXIT_HOLDS),
+        # the full tree reports the unrecognised argument; then the oracle's own parser runs again
+        (["oracle", "sweep", schur, "--colours", "2", "--bound", "5", "--bogus"], EXIT_USAGE),
+        (["oracle", "falsify", schur, "--colours", "2", "--bound", "4", "--json"], EXIT_FAILS),
     ]
     in_process = []
     for argv, expected in argvs:

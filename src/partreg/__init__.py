@@ -59,7 +59,6 @@ from .oracle import (
     Colouring,
     SolutionWitness,
     WitnessColouring,
-    dilation_check,
     enumerate_bounded_solutions,
     find_monochromatic_solution,
     gamma_colour,

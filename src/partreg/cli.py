@@ -93,13 +93,17 @@ def parse_matrix(text: str) -> QMatrix:
     return QMatrix.of(rows)
 
 
-def load_matrix(path: str) -> QMatrix:
+def _read(path: str, parse):
+    """parse(the text of path); a parse or UTF-8 decode error names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_matrix(handle.read())
-    except MatrixParseError as err:
-        err.args = (f"{path}: {err}",)
-        raise
+            return parse(handle.read())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def load_matrix(path: str) -> QMatrix:
+    return _read(path, parse_matrix)
 
 
 def _load_matrices(paths: list[str]) -> list[QMatrix]:
@@ -118,8 +122,7 @@ def parse_colouring_spec(spec: str) -> Colouring:
     if not arg:
         raise ValueError(f"colouring spec needs an argument: {spec!r}")
     if kind == "table":
-        with open(arg, encoding="utf-8") as handle:
-            return Colouring.table(_parse_colour_table(handle.read()))
+        return Colouring.table(_read(arg, _parse_colour_table))
     make = {"mod": Colouring.mod, "gamma": Colouring.gamma, "startparity": Colouring.start_parity}
     if kind not in make:
         raise ValueError(f"unknown colouring kind {kind!r}")
@@ -163,13 +166,10 @@ def _report_decision(decision: Decision) -> Result:
 
 
 def _load_certificate(path: str) -> ColumnsConditionCertificate:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as err:  # a syntax error, or bytes that are not UTF-8
-            raise ValueError(f"{path}: {err}") from None
+    try:
+        document = _read(path, json.loads)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     return ColumnsConditionCertificate.from_json_dict(document)
 
 

@@ -73,7 +73,7 @@ def gamma_colour(x: int, base: int = 10) -> tuple[int, int, int]:
 _EMPTY = range(1, 1)
 
 
-def _progression(a: int, r: range, offset: int = 0, den: int = 1) -> range:
+def _progression(a: int, r: range, offset: int, den: int) -> range:
     """The t >= 1 with (a*t + offset)/den in the progression r.
 
     a is nonzero, den positive and r has a positive step.  a*t must run over
@@ -215,25 +215,6 @@ class Colouring:
                 start = end
             return out
         raise ValueError(f"unknown colouring kind {self.kind!r}")
-
-
-class _DilatedColouring:
-    """colour(x) = base colouring of factor*x; the pullback used by dilation."""
-
-    def __init__(self, base: Colouring, factor: int):
-        self.base = base
-        self.factor = factor
-
-    def colour(self, x: int) -> Hashable:
-        return self.base.colour(self.factor * x)
-
-    def pieces(self, bound: int) -> list[tuple[Hashable, range]]:
-        out = []
-        for colour, r in self.base.pieces(self.factor * bound):
-            pulled = _progression(self.factor, r)
-            if pulled:
-                out.append((colour, pulled))
-        return out
 
 
 @dataclass(frozen=True)
@@ -629,28 +610,3 @@ def search_witness_colouring(
         stack.append((top, untried(n + 1, top), []))
     return None
 
-
-def dilation_check(
-    matrix: QMatrix, colouring: Colouring, factor: int, bound: int
-) -> bool:
-    """Mechanical check of the dilation property of kernel solutions.
-
-    Search under the pullback colouring x -> colour(factor*x); any witness,
-    multiplied through by the factor, must again be a monochromatic solution
-    under the original colouring.  Vacuously true when the pullback search
-    finds nothing within the bound.
-    """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
-    pulled_back = _DilatedColouring(colouring, factor)
-    witness = find_monochromatic_solution([matrix], pulled_back, bound)
-    if witness is None:
-        return True
-    scaled_vectors = tuple(
-        tuple(factor * x for x in vec) for vec in witness.vectors
-    )
-    scaled_colours = tuple(
-        colouring.colour(vec[0]) for vec in scaled_vectors
-    )
-    scaled = SolutionWitness(scaled_vectors, scaled_colours)
-    return scaled.verify([matrix], colouring)

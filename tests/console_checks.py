@@ -50,6 +50,7 @@ EXTRA_FILES = {
     "diag20.txt": _diag(20),
     "ipr_neg.txt": "-2 -1 -4\n",
     "ones12.txt": " ".join(["1"] * 12) + "\n",
+    "gap_table.txt": "1 0\n3 1\n",
 }
 
 CHECKS = [
@@ -108,6 +109,9 @@ CHECKS = [
           stderr="partreg oracle solve: error: the following arguments are required: --bound"),
     Check("oracle", 2, stderr="partreg oracle: error: the following arguments are required: oracle_command"),
     Check("kpr schur.txt --cap x", 2, stderr="partreg kpr: error: argument --cap: invalid int value: 'x'"),
+    # an input error names its file
+    Check("oracle solve schur.txt --colouring table:gap_table.txt --bound 5", 2,
+          stderr="error: gap_table.txt: colour table line 2: expected integer 2"),
 ]
 
 

@@ -408,6 +408,7 @@ def test_short_table_colouring_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("table, message", [
     ("1 0 2\n", "colour table line 1: expected '<i> <colour>'"),
     ("1 0\n1 1\n", "colour table line 2: expected integer 2"),
+    ("1 0\n3 1\n", "colour table line 2: expected integer 2"),
     ("1 0\n2 x\n", "colour table line 2: expected '<i> <colour>'"),
     ("# no entries\n", "empty colour table"),
 ])
@@ -421,7 +422,26 @@ def test_malformed_colour_table_is_a_usage_error(tmp_path, capsys, table, messag
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {table_path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kpr", "{bad}"],
+    ["doubly-kpr", "{good}", "{bad}"],
+    ["oracle", "solve", "{good}", "--colouring", "table:{bad}", "--bound", "4"],
+], ids=["kpr", "doubly-kpr-second", "table"])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, capsys, argv):
+    good = write(tmp_path, "schur.txt", SCHUR)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff1 1 -1\n")
+    try:
+        bad.read_text(encoding="utf-8")
+    except ValueError as err:
+        reason = str(err)
+    assert main([arg.format(good=good, bad=bad) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {reason}\n"
 
 
 @pytest.mark.parametrize("spec", ["mod:abc", "gamma:1.5", "startparity:two"])

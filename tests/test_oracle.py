@@ -12,7 +12,6 @@ from partreg import (
     Colouring,
     QMatrix,
     SolutionWitness,
-    dilation_check,
     enumerate_bounded_solutions,
     find_monochromatic_solution,
     gamma_colour,
@@ -22,7 +21,7 @@ from partreg import (
 )
 from partreg import oracle
 from partreg.linalg import rref
-from partreg.oracle import _DilatedColouring, _KernelSearch, _progression
+from partreg.oracle import _KernelSearch, _progression
 
 
 def minus_identity(n):
@@ -83,8 +82,8 @@ def every_colouring_kind(rng, bound):
     kinds += [Colouring.start_parity(b) for b in (2, 3, 4)]
     kinds += [Colouring.gamma(b) for b in (2, 3, 10)]
     kinds.append(Colouring.table([rng.randint(0, 2) for _ in range(4 * bound)]))
-    kinds.append(_DilatedColouring(Colouring.mod(rng.randint(2, 5)), rng.randint(2, 4)))
-    kinds.append(_DilatedColouring(Colouring.start_parity(rng.randint(2, 3)), rng.randint(2, 4)))
+    kinds.append(DilatedColouring(Colouring.mod(rng.randint(2, 5)), rng.randint(2, 4)))
+    kinds.append(DilatedColouring(Colouring.start_parity(rng.randint(2, 3)), rng.randint(2, 4)))
     return kinds
 
 
@@ -365,6 +364,25 @@ def free_coordinate_walk(matrices, bound):
     return out
 
 
+class DilatedColouring:
+    """colour(x) = base colouring of factor*x: residue classes of t as pieces."""
+
+    def __init__(self, base, factor):
+        self.base = base
+        self.factor = factor
+
+    def colour(self, x):
+        return self.base.colour(self.factor * x)
+
+    def pieces(self, bound):
+        out = []
+        for colour, r in self.base.pieces(self.factor * bound):
+            pulled = _progression(self.factor, r, 0, 1)
+            if pulled:
+                out.append((colour, pulled))
+        return out
+
+
 class InterleavedPieces:
     """Pieces of steps 2 and 4 whose spans interleave within one residue mod 2."""
 
@@ -397,7 +415,7 @@ def test_indexed_pieces_match_a_walk_of_the_free_coordinates():
         colourings = [Colouring.mod(m) for m in (7, 30, 97)]
         colourings += [Colouring.gamma(3), Colouring.table(table[:bound])]
         dilated_mod = Colouring.mod(rng.choice([6, 10, 12]))
-        colourings.append(_DilatedColouring(dilated_mod, rng.randint(2, 4)))
+        colourings.append(DilatedColouring(dilated_mod, rng.randint(2, 4)))
         colourings.append(InterleavedPieces())
         for colouring in colourings:
             colour = [None] + [colouring.colour(x) for x in range(1, bound + 1)]
@@ -641,12 +659,3 @@ def test_witness_search_lists_the_solutions_once(monkeypatch):
     assert calls == [13]
     assert verify_all_colourings([schur()], 2, 18) is True
     assert calls == [13, 18]
-
-
-# -------------------------------------------------------------------- dilation
-
-def test_dilation_property():
-    assert dilation_check(schur(), Colouring.mod(2), 3, 20) is True
-    assert dilation_check(schur(), Colouring.mod(2), 1, 10) is True
-    assert dilation_check(QMatrix.of([[1, 1]]), Colouring.mod(2), 3, 10) is True
-    assert dilation_check(schur(), Colouring.start_parity(2), 5, 40) is True

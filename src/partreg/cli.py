@@ -62,12 +62,6 @@ EXIT_UNDECIDED = 3
 Result = tuple[int, dict | None, str | None]
 
 
-class MatrixParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 def parse_matrix(text: str) -> QMatrix:
     """Exact matrix from the text format; malformed input carries a line number."""
     rows: list[list[Fraction]] = []
@@ -78,18 +72,18 @@ def parse_matrix(text: str) -> QMatrix:
         entries: list[Fraction] = []
         for token in line.split():
             if not RATIONAL_TOKEN.fullmatch(token):
-                raise MatrixParseError(lineno, f"malformed entry {token!r}")
+                raise ValueError(f"line {lineno}: malformed entry {token!r}")
             if "/" in token and token.split("/")[1].lstrip("0") == "":
-                raise MatrixParseError(lineno, f"zero denominator in {token!r}")
+                raise ValueError(f"line {lineno}: zero denominator in {token!r}")
             try:
                 entries.append(Fraction(token))
             except ValueError as err:  # more digits than int() converts
-                raise MatrixParseError(lineno, str(err)) from None
+                raise ValueError(f"line {lineno}: {err}") from None
         if rows and len(entries) != len(rows[0]):
-            raise MatrixParseError(lineno, f"row has {len(entries)} entries, expected {len(rows[0])}")
+            raise ValueError(f"line {lineno}: row has {len(entries)} entries, expected {len(rows[0])}")
         rows.append(entries)
     if not rows:
-        raise MatrixParseError(0, "no matrix rows found")
+        raise ValueError("line 0: no matrix rows found")
     return QMatrix.of(rows)
 
 
@@ -116,13 +110,17 @@ def _load_matrices(paths: list[str]) -> list[QMatrix]:
     return matrices
 
 
-def parse_colouring_spec(spec: str) -> Colouring:
-    """mod:M | gamma:P | startparity:B | table:FILE"""
+def parse_colouring_spec(spec: str, bound: int) -> Colouring:
+    """mod:M | gamma:P | startparity:B | table:FILE, to colour [1..bound]"""
     kind, _, arg = spec.partition(":")
     if not arg:
         raise ValueError(f"colouring spec needs an argument: {spec!r}")
     if kind == "table":
-        return Colouring.table(_read(arg, _parse_colour_table))
+        def table(text: str) -> Colouring:
+            colouring = Colouring.table(_parse_colour_table(text))
+            colouring.pieces(bound)  # refuses a table shorter than bound
+            return colouring
+        return _read(arg, table)
     make = {"mod": Colouring.mod, "gamma": Colouring.gamma, "startparity": Colouring.start_parity}
     if kind not in make:
         raise ValueError(f"unknown colouring kind {kind!r}")
@@ -147,8 +145,6 @@ def _parse_colour_table(text: str) -> list[int]:
         if index != len(colours) + 1:
             raise ValueError(f"colour table line {lineno}: expected integer {len(colours) + 1}")
         colours.append(colour)
-    if not colours:
-        raise ValueError("empty colour table")
     return colours
 
 
@@ -209,7 +205,7 @@ def _scalars(args: argparse.Namespace) -> Result:
 
 def _oracle_solve(args: argparse.Namespace) -> Result:
     matrices = _load_matrices(args.files)
-    colouring = parse_colouring_spec(args.colouring)
+    colouring = parse_colouring_spec(args.colouring, args.bound)
     witness = find_monochromatic_solution(matrices, colouring, args.bound)
     if witness is None:
         return EXIT_FAILS, {"witness": None}, f"no monochromatic solution with entries <= {args.bound}\n"

@@ -55,7 +55,7 @@ from .columns import (
     closure_search,
     zero_column_subset_exists,
 )
-from .feasibility import PositiveSolution, ScalarSet, has_positive_solution, solve_positive_echelon
+from .feasibility import ScalarSet, has_positive_solution, solve_positive_echelon
 from .linalg import EqualityEchelon, Q, QMatrix
 
 YES = "YES"
@@ -124,12 +124,9 @@ def _decide_scaled(
     partition, echelon = found
     # The echelon is the reduced form of build_system(template, partition),
     # so one solve of it gives the scalars without restating the redundant
-    # rows.  That solve would give the root echelon, which has no rows, the
-    # all-ones point, so the root takes that point without one.
-    if echelon.rows:
-        solution = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))[0]
-    else:
-        solution = PositiveSolution((Q(1),) * echelon.nvars)
+    # rows.  An echelon without rows gets the all-ones point, and is_kpr,
+    # which has no scalars, the empty one.
+    solution = solve_positive_echelon(echelon, echelon.nvars, range(echelon.nvars))[0]
     assembled = template.scaled_matrix(solution.assignment)
     certificate = check_partition(assembled, partition)
     assert certificate is not None, "feasible partition must certify"
@@ -396,23 +393,20 @@ class IntegerScalarReport:
     """
 
     verdict: str
-    zero_subset: tuple[int, ...] | None
-    hypothesis_holds: bool | None
-    b: Fraction | None
-    b_is_positive_integer: bool | None
-    identity_row: int | None
-    identity_sum: Fraction | None
+    zero_subset: tuple[int, ...] | None = None
+    b: Fraction | None = None
+    identity_row: int | None = None
+    identity_sum: Fraction | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "zero_subset": list(self.zero_subset) if self.zero_subset else None,
-            "hypothesis_holds": self.hypothesis_holds,
-            "b": str(self.b) if self.b is not None else None,
-            "b_is_positive_integer": self.b_is_positive_integer,
-            "identity_row": self.identity_row + 1 if self.identity_row is not None else None,
-            "identity_sum": str(self.identity_sum) if self.identity_sum is not None else None,
-        }
+    @property
+    def hypothesis_holds(self) -> bool | None:
+        """No column subset sums to zero; None unless the verdict is YES."""
+        return self.zero_subset is None if self.verdict == YES else None
+
+    @property
+    def b_is_positive_integer(self) -> bool | None:
+        """None unless the hypothesis holds."""
+        return self.b > 0 and self.b.denominator == 1 if self.hypothesis_holds else None
 
 
 def integer_b_analysis(
@@ -424,10 +418,10 @@ def integer_b_analysis(
     decision = doubly_ipr(A, cap)
     zero_subset = zero_column_subset_exists(A)
     if not decision.is_yes:
-        return IntegerScalarReport(decision.verdict, zero_subset, None, None, None, None, None)
+        return IntegerScalarReport(decision.verdict, zero_subset)
     b = decision.scalar("b")
     if zero_subset is not None:
-        return IntegerScalarReport(decision.verdict, zero_subset, False, b, None, None, None)
+        return IntegerScalarReport(decision.verdict, zero_subset, b)
     v = A.cols
     first_block = decision.certificate.partition.blocks[0]
     identity_row = next((i - v for i in first_block if i >= v), None)
@@ -435,12 +429,4 @@ def integer_b_analysis(
         "no zero-sum column subset, so the first block must use an identity column"
     )
     identity_sum = sum((A.entries[identity_row][j] for j in first_block if j < v), Q(0))
-    return IntegerScalarReport(
-        decision.verdict,
-        None,
-        True,
-        b,
-        b > 0 and b.denominator == 1,
-        identity_row,
-        identity_sum,
-    )
+    return IntegerScalarReport(decision.verdict, None, b, identity_row, identity_sum)

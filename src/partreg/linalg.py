@@ -208,8 +208,6 @@ class EqualityEchelon:
         nvars = self.nvars
         rows, pivots = list(self.rows), list(self.pivots)
         for equality in equalities:
-            if not any(equality):
-                continue
             work = equality
             for p, row in zip(pivots, rows):
                 f = work[p]

@@ -100,9 +100,7 @@ def _affine_image(r: range, a: int, b: int, d: int) -> range:
 
 
 def _intersect(x: range, y: range) -> range:
-    """Common members of two progressions with positive steps (Chinese remainders)."""
-    if not x or not y:
-        return _EMPTY
+    """Common members of two non-empty progressions with positive steps (Chinese remainders)."""
     g = gcd(x.step, y.step)
     gap = y.start - x.start
     if gap % g:
@@ -157,7 +155,7 @@ class Colouring:
     def table(colours: Sequence[int]) -> "Colouring":
         data = tuple(int(c) for c in colours)
         if not data:
-            raise ValueError("table colouring needs at least one entry")
+            raise ValueError("empty colour table")
         return Colouring("table", 0, data)
 
     def colour(self, x: int) -> Hashable:
@@ -506,8 +504,8 @@ def verify_all_colourings(
     search_witness_colouring finding no witness, so its forward checking
     prunes the sweep too.
     """
-    _guard_sweep_size(colours, bound)
     if colours == 1:
+        _guard_sweep_size(colours, bound)
         return find_monochromatic_solution(matrices, Colouring.mod(1), bound) is not None
     return search_witness_colouring(matrices, colours, bound) is None
 

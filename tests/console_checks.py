@@ -51,6 +51,8 @@ EXTRA_FILES = {
     "ipr_neg.txt": "-2 -1 -4\n",
     "ones12.txt": " ".join(["1"] * 12) + "\n",
     "gap_table.txt": "1 0\n3 1\n",
+    "short_table.txt": "1 0\n2 1\n",
+    "empty_table.txt": "# no entries\n",
 }
 
 CHECKS = [
@@ -112,6 +114,10 @@ CHECKS = [
     # an input error names its file
     Check("oracle solve schur.txt --colouring table:gap_table.txt --bound 5", 2,
           stderr="error: gap_table.txt: colour table line 2: expected integer 2"),
+    Check("oracle solve schur.txt --colouring table:short_table.txt --bound 5", 2,
+          stderr="error: short_table.txt: table colouring undefined at 3"),
+    Check("oracle solve schur.txt --colouring table:empty_table.txt --bound 4", 2,
+          stderr="error: empty_table.txt: empty colour table"),
 ]
 
 

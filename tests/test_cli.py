@@ -13,7 +13,6 @@ from partreg.cli import (
     EXIT_HOLDS,
     EXIT_UNDECIDED,
     EXIT_USAGE,
-    MatrixParseError,
     build_parser,
     main,
     parse_colouring_spec,
@@ -44,32 +43,25 @@ def test_parse_matrix_formats():
 
 
 def test_parse_matrix_errors_carry_line_numbers():
-    with pytest.raises(MatrixParseError) as err:
+    with pytest.raises(ValueError, match=r"^line 2: "):
         parse_matrix("1 2\n3\n")
-    assert err.value.line == 2
-    with pytest.raises(MatrixParseError) as err:
+    with pytest.raises(ValueError, match=r"^line 1: "):
         parse_matrix("1 x\n")
-    assert err.value.line == 1
-    with pytest.raises(MatrixParseError):
-        parse_matrix("1/0\n")
-    with pytest.raises(MatrixParseError):
-        parse_matrix("1/-2\n")
-    with pytest.raises(MatrixParseError):
-        parse_matrix("1.5\n")
-    with pytest.raises(MatrixParseError):
-        parse_matrix("# nothing\n")
+    for text in ["1/0\n", "1/-2\n", "1.5\n", "# nothing\n"]:
+        with pytest.raises(ValueError, match=r"^line \d+: "):
+            parse_matrix(text)
 
 
 def test_parse_colouring_specs(tmp_path):
-    assert parse_colouring_spec("mod:4").colour(7) == 3
-    assert parse_colouring_spec("gamma:10").colour(3040567) == (0, 3, 0)
-    assert parse_colouring_spec("startparity:2").colour(2) == 1
+    assert parse_colouring_spec("mod:4", 10).colour(7) == 3
+    assert parse_colouring_spec("gamma:10", 10).colour(3040567) == (0, 3, 0)
+    assert parse_colouring_spec("startparity:2", 10).colour(2) == 1
     table = write(tmp_path, "table.txt", "1 0\n2 1\n3 1\n4 0\n")
-    assert parse_colouring_spec(f"table:{table}").colour(4) == 0
+    assert parse_colouring_spec(f"table:{table}", 4).colour(4) == 0
     with pytest.raises(ValueError):
-        parse_colouring_spec("mystery:4")
+        parse_colouring_spec("mystery:4", 10)
     with pytest.raises(ValueError):
-        parse_colouring_spec("mod")
+        parse_colouring_spec("mod", 10)
 
 
 # ------------------------------------------------------------------ decisions
@@ -402,7 +394,16 @@ def test_short_table_colouring_is_a_usage_error(tmp_path, capsys):
         "--colouring", f"table:{table_path}", "--bound", "5",
     ])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "error: table colouring undefined at 3\n"
+    assert capsys.readouterr().err == f"error: {table_path}: table colouring undefined at 3\n"
+
+
+def test_short_table_is_refused_before_the_search(tmp_path, capsys):
+    # diag(1, 2) has a trivial kernel, so the search never reads the colouring
+    diag = write(tmp_path, "diag.txt", "1 0\n0 2\n")
+    table_path = write(tmp_path, "table.txt", "1 0\n2 1\n")
+    code = main(["oracle", "solve", diag, "--colouring", f"table:{table_path}", "--bound", "5"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {table_path}: table colouring undefined at 3\n"
 
 
 @pytest.mark.parametrize("table, message", [

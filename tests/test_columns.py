@@ -151,6 +151,18 @@ def test_verify_rejects_witness_using_later_columns():
     assert not verify_certificate(schur(), cert)
 
 
+def test_verify_rejects_a_partition_that_misses_a_column():
+    cert = ColumnsConditionCertificate(OrderedPartition.from_one_based([[1, 3]]), ())
+    assert not verify_certificate(schur(), cert)
+
+
+def test_verify_rejects_a_witness_list_of_the_wrong_length():
+    cert = check_partition(schur(), OrderedPartition.from_one_based([[1, 3], [2]]))
+    assert not verify_certificate(schur(), ColumnsConditionCertificate(cert.partition, ()))
+    doubled = ColumnsConditionCertificate(cert.partition, cert.witnesses * 2)
+    assert not verify_certificate(schur(), doubled)
+
+
 def test_verify_assembled_matrix_at_one_half():
     assembled = QMatrix.of([
         [4, -4, 2, F(-1, 2), 0],
@@ -309,6 +321,12 @@ def test_certificate_json_round_trip():
     assert again == cert
 
 
+def test_certificate_json_reads_integer_coefficients():
+    cert = check_partition(schur(), OrderedPartition.from_one_based([[1, 3], [2]]))
+    document = {"partition": [[1, 3], [2]], "witnesses": [[{"column": 1, "coeff": 1}, {"column": 3, "coeff": 0}]]}
+    assert ColumnsConditionCertificate.from_json_dict(document) == cert
+
+
 # ----------------------------------------------------------------- decisions
 
 def test_decide_schur_finds_the_classical_certificate_first():
@@ -401,3 +419,4 @@ def test_first_entries_matrix_shape_validation():
     with pytest.raises(ValueError):
         FirstEntriesMatrix(QMatrix.of([[1, 0], [2, 1]]))
     assert FirstEntriesMatrix(QMatrix.of([[1, 0], [1, 2]])).unital
+    assert not FirstEntriesMatrix(QMatrix.of([[1, 0], [0, 3]])).unital

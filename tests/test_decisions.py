@@ -303,6 +303,17 @@ def test_zero_column_subset_matches_brute_force():
 
 # --------------------------------------------------------- integer_b_analysis
 
+@pytest.mark.parametrize("matrix, holds, positive_integer", [
+    (diag12, None, None),  # NO
+    (fractional_b_matrix, False, None),  # YES, and columns 1 and 2 sum to zero
+    (schur_image, True, True),  # YES, and no column subset sums to zero
+], ids=["no", "zero-subset", "hypothesis"])
+def test_integer_analysis_derived_values(matrix, holds, positive_integer):
+    report = integer_b_analysis(matrix())
+    assert report.hypothesis_holds is holds
+    assert report.b_is_positive_integer is positive_integer
+
+
 def test_integer_analysis_counterexample_matrix():
     report = integer_b_analysis(fractional_b_matrix())
     assert report.verdict == YES

@@ -7,6 +7,7 @@ from conftest import diag12, schur, fractional_b_matrix
 from fm_reference import reference_solve_positive
 from partreg import (
     AffineSystem,
+    FarkasWitness,
     LinearEquality,
     OrderedPartition,
     PartitionCapExceeded,
@@ -79,6 +80,24 @@ def test_farkas_witness_for_inconsistent_equalities():
     solution, witness = solve_positive(system)
     assert solution is None
     assert witness is not None and verify_farkas(system, witness)
+
+
+def test_verify_farkas_rejects_malformed_witnesses():
+    # x_0 + x_1 = 0 with both positive: lam = (1, 1), mu = (-1,) derives 0 > 0
+    system = AffineSystem(
+        2, (LinearEquality((F(1), F(1)), F(0)),), frozenset({0, 1})
+    )
+    assert verify_farkas(system, FarkasWitness((F(1), F(1)), (F(-1),)))
+    assert not verify_farkas(system, FarkasWitness((F(1), F(1), F(0)), (F(-1),)))
+    assert not verify_farkas(system, FarkasWitness((F(1), F(1)), (F(-1), F(5))))
+    # the coefficients do not cancel
+    assert not verify_farkas(system, FarkasWitness((F(1), F(1)), (F(0),)))
+
+
+def test_verify_farkas_rejects_a_negative_inequality_multiplier():
+    # x_0 = 1 is feasible; lam = -1, mu = 1 would derive -1 == 0
+    system = AffineSystem(1, (LinearEquality((F(1),), F(-1)),), frozenset({0}))
+    assert not verify_farkas(system, FarkasWitness((F(-1),), (F(1),)))
 
 
 def test_unconstrained_variable_defaults_to_one():

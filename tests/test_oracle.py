@@ -183,6 +183,22 @@ def test_witness_verify_rejects_tampering():
     assert not broken.verify([schur()], Colouring.mod(1))
 
 
+@pytest.mark.parametrize("vectors, colours", [
+    (((1, 1, 2), (1, 1, 2)), (0,)),  # a vector more than matrices
+    (((1, 1, 2),), (0, 0)),  # a colour more than matrices
+    (((1, 1, 2, 5),), (0,)),  # a vector longer than the matrix is wide
+    (((0, 1, 1),), (0,)),  # an entry below 1
+], ids=["vectors", "colours", "length", "positive"])
+def test_witness_verify_rejects_malformed_witnesses(vectors, colours):
+    assert not SolutionWitness(vectors, colours).verify([schur()], Colouring.mod(1))
+
+
+def test_witness_verify_rejects_an_entry_off_its_colour():
+    # 1 + 1 = 2 solves x + y = z, but 2 is not coloured 1 mod 2
+    assert not SolutionWitness(((1, 1, 2),), (1,)).verify([schur()], Colouring.mod(2))
+    assert SolutionWitness(((2, 2, 4),), (0,)).verify([schur()], Colouring.mod(2))
+
+
 def brute_force_solutions(matrices, bound):
     """Every solution in [1..bound]^n by walking the whole box, in box order."""
     blocks = [M.cols for M in matrices]

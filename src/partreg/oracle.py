@@ -20,7 +20,11 @@ last, the offset being fixed by the earlier ones, so the t that put it in a
 piece form a progression too; candidates are intersections of these, found
 through an index of the pieces by residue and start and merged lazily in
 increasing order, so time and memory grow linearly with the colour pieces,
-not with N.  Negative results are evidence up to their bound, never proofs.
+not with N.  The bounds prune too: each free value is clipped to the window
+where the entries it fixes lie in [1..N], and a group of candidates is
+dropped, once the merge reaches it, if the next free value has no place left
+in its own window.  Negative results are evidence up to their bound, never
+proofs.
 """
 
 from __future__ import annotations
@@ -100,7 +104,12 @@ def _affine_image(r: range, a: int, b: int, d: int) -> range:
 
 
 def _intersect(x: range, y: range) -> range:
-    """Common members of two non-empty progressions with positive steps (Chinese remainders)."""
+    """Common members of two non-empty progressions with positive steps (Chinese remainders).
+
+    An interval x, as [1..bound] and the leading-digit groups are, only clips y.
+    """
+    if x.step == 1:
+        return _clip(y, x.start, x[-1])
     g = gcd(x.step, y.step)
     gap = y.start - x.start
     if gap % g:
@@ -110,6 +119,13 @@ def _intersect(x: range, y: range) -> range:
     step = x.step * ny
     low = max(x.start, y.start)
     return range(low + (first - low) % step, min(x[-1], y[-1]) + 1, step)
+
+
+def _clip(r: range, low: int, high: int) -> range:
+    """The members of r, a progression with a positive step, in [low..high]."""
+    start, step = r.start, r.step
+    first = (low - start - 1) // step + 1 if low > start else 0
+    return r[first:(high - start) // step + 1 if high >= start else 0]
 
 
 def _exponent_bands(base: int, bound: int):
@@ -224,7 +240,7 @@ class SolutionWitness:
 
     def verify(self, matrices: Sequence[QMatrix], colouring) -> bool:
         """Exact re-check: entries positive, sums vanish, blocks monochromatic."""
-        if len(self.vectors) != len(matrices) or len(self.colours) != len(matrices):
+        if not matrices or len(self.vectors) != len(matrices) or len(self.colours) != len(matrices):
             return False
         rows = matrices[0].rows
         total = [Q(0)] * rows
@@ -307,9 +323,12 @@ class _KernelSearch:
     scanning [1..N], and merged lazily in increasing t.  An entry splits a group
     only along the pieces its values there can meet (_PieceIndex), so the work
     follows the pieces, not their square: offset-free entries once per depth and
-    colours (cached), the others per offset.  A group whose colours leave the
-    next depth's offset-free entries no candidates is dropped: fixing more
-    colours only shrinks a candidate set.  Each entry's value is fixed once, at
+    colours (cached), the others per offset.  The t are first clipped to the
+    depth's window, where every offset entry lies in [1..bound].  A group is
+    dropped when the next depth can place no value: against the next depth's
+    window over the group's t-range, lazily as the merge reaches the group,
+    where the next depth has offset entries (_merged), and otherwise once per
+    depth and colours.  Each entry's value is fixed once, at
     its own depth, from the offset the candidates were refined by; the last
     depth yields each solution in place, so a solution costs no generator and
     no recomputed entry.  Values are tried in increasing order and free columns
@@ -352,7 +371,10 @@ class _KernelSearch:
         at_depth: list[list[tuple]] = [[] for _ in range(depths)]
         for e, expr in enumerate(exprs):
             den = lcm(*(c.denominator for c in expr.values()))
-            *earlier, (d, a) = sorted((d, (c * den).numerator) for d, c in expr.items())
+            # c*den in integers: den is a multiple of every denominator
+            *earlier, (d, a) = sorted(
+                (d, c.numerator * (den // c.denominator)) for d, c in expr.items()
+            )
             at_depth[d].append((e, a, den, tuple(earlier)))
         # per depth: its key blocks (whose colours its candidates depend on),
         # its offset-free entries as (key-block slot, a, den), its offset
@@ -371,6 +393,23 @@ class _KernelSearch:
                     plain.append((slot, a, den))
             fix = [(e, a, den) for e, a, den, _ in entries]
             self.levels.append((blocks, plain, offsets, fix))
+        # per depth whose next depth has offset entries, what its look-ahead
+        # reads: each next key block as (its slot here or None, block), or
+        # None when the key blocks agree, and each next offset entry as (a,
+        # den, den*bound, its terms before this depth, its coefficient here)
+        self.ahead = [None] * depths
+        for d in range(depths - 1):
+            blocks, (after, _, offsets, _) = self.levels[d][0], self.levels[d + 1]
+            if offsets:
+                slots = None if after == blocks else [
+                    (blocks.index(b) if b in blocks else None, b) for b in after
+                ]
+                self.ahead[d] = slots, [
+                    (a, den, den * bound, [term for term in earlier if term[0] < d],
+                     dict(earlier).get(d, 0))
+                    for _, _, a, den, earlier in offsets
+                ]
+        self.blind = colouring is None
         self.ts = [0] * depths
         self.values = [0] * self.n
         # per column, its offset under the current earlier free values, as
@@ -402,15 +441,20 @@ class _KernelSearch:
         return refined
 
     def _groups(self, depth: int, key: tuple) -> list[tuple[range, tuple]]:
-        """Groups at `depth` under colours `key`, from its offset-free entries."""
+        """Groups at `depth` under colours `key`, from its offset-free entries.
+
+        Sorted by start where this depth or the next has offset entries;
+        otherwise a group is dropped here when the next depth's offset-free
+        entries leave it no candidates, as fixing more colours only shrinks them.
+        """
         cached = self.group_cache.get((depth, key))
         if cached is not None:
             return cached
         groups = [(range(1, self.bound + 1), key)]
-        blocks, plain, _, _ = self.levels[depth]
+        blocks, plain, offsets, _ = self.levels[depth]
         for slot, a, den in plain:
             groups = self._refine(groups, slot, a, 0, den)
-        if depth + 1 < self.depths:
+        if depth + 1 < self.depths and not self.ahead[depth]:
             after = self.levels[depth + 1][0]
             groups = [
                 group for group in groups
@@ -418,22 +462,109 @@ class _KernelSearch:
                     group[1][blocks.index(b)] if b in blocks else None for b in after
                 ))
             ]
+        if (self.ahead[depth] or offsets) and len(groups) > 1:
+            groups.sort(key=lambda group: group[0].start)
         self.group_cache[(depth, key)] = groups
         return groups
 
     def _candidates(self, depth: int) -> Iterator[tuple[int, tuple]]:
-        """(t, key-block colours) at `depth` in increasing t, merged lazily."""
+        """(t, key-block colours) at `depth` in increasing t, merged lazily.
+
+        Groups are clipped to the window where every offset entry lies in
+        [1..bound], so colour-blind an integral entry (den 1) needs no refinement.
+        """
         blocks, _, offsets, _ = self.levels[depth]
+        ahead = self.ahead[depth]
         groups = self._groups(depth, tuple(self.colour_state[b] for b in blocks))
-        for e, slot, a, den, earlier in offsets:
-            if not groups:
-                break
-            offset = self.shift[e] = sum(c * self.ts[d] for d, c in earlier)
-            groups = self._refine(groups, slot, a, offset, den)
+        if offsets:
+            ts, shift, bound = self.ts, self.shift, self.bound
+            low, high = 1, bound
+            for e, _, a, den, earlier in offsets:
+                offset = shift[e] = sum(c * ts[d] for d, c in earlier)
+                # a*t lies in [den - offset, den*bound - offset]
+                small, big = den - offset, den * bound - offset
+                if a < 0:
+                    small, big = big, small
+                small, big = -(-small // a), big // a
+                if small > low:
+                    low = small
+                if big < high:
+                    high = big
+            clipped = []
+            for progression, colours in groups:  # by start
+                if progression.start > high:
+                    break
+                if progression := _clip(progression, low, high):
+                    clipped.append((progression, colours))
+            groups = clipped
+            for e, slot, a, den, _ in offsets:
+                if not groups:
+                    break
+                if den > 1 or not self.blind:
+                    groups = self._refine(groups, slot, a, shift[e], den)
+            if ahead:
+                groups.sort(key=lambda group: group[0].start)
+        if ahead:
+            return self._merged(depth, groups)
         streams = [zip(progression, repeat(colours)) for progression, colours in groups]
         # groups are disjoint, so no two candidates share a t; one group
         # skips the merge's per-candidate generator step
         return streams[0] if len(streams) == 1 else heapq.merge(*streams)
+
+    def _merged(self, depth: int, groups: list) -> Iterator[tuple[int, tuple]]:
+        """The candidates of `groups`, sorted by start, with a lazy look-ahead.
+
+        A group joins the merge only when the merge reaches its start, and
+        only if some offset-free group of the next depth, under its colours,
+        meets the next depth's window over the group's t-range, an offset
+        term from this depth being bounded by its least and largest value on
+        that range.  Every solution through the group passes both tests, so
+        dropping a group loses none, and the candidates keep their order.
+        """
+        slots, entries = self.ahead[depth]
+        ts, state, bound = self.ts, self.colour_state, self.bound
+        terms = []
+        for a, den, top, before, c in entries:
+            fixed = sum(c * ts[d] for d, c in before) if before else 0
+            terms.append((a, den - fixed, top - fixed, c))
+        heap: list[list] = []  # [next t, rest of its group, colours]
+        for progression, colours in [*groups, (None, None)]:
+            first = progression.start if progression else bound + 1
+            while heap and heap[0][0] < first:
+                entry = heap[0]
+                yield entry[0], entry[2]
+                entry[0] = next(entry[1], None)
+                if entry[0] is None:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, entry)
+            if progression is None:
+                return
+            last = progression[-1]
+            low, high = 1, bound
+            for a, small, big, c in terms:
+                # a*t lies in [den - largest offset, den*bound - least offset]
+                if c > 0:
+                    small, big = small - c * last, big - c * first
+                else:
+                    small, big = small - c * first, big - c * last
+                if a < 0:
+                    small, big = big, small
+                small, big = -(-small // a), big // a
+                if small > low:
+                    low = small
+                if big < high:
+                    high = big
+            key = colours if slots is None else tuple(
+                [state[b] if s is None else colours[s] for s, b in slots]
+            )
+            for r, _ in self._groups(depth + 1, key):  # by start
+                if r.start > high:
+                    break
+                if r.start >= low or _clip(r, low, high):
+                    rest = iter(progression)
+                    heapq.heappush(heap, [next(rest), rest, colours])
+                    break
 
     def solutions(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[Hashable, ...]]]:
         return self._dfs(0) if self.viable else iter(())

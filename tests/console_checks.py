@@ -89,6 +89,12 @@ CHECKS = [
           1, limit=3),
     # a group's thousands of pieces are found by residue, not one by one
     Check("oracle solve diag12.txt neg_identity2.txt --colouring mod:1000 --bound 2000", 0, limit=3),
+    # the 4-AP's first witness, after the look-ahead has dropped every x_4 below 100
+    Check("oracle solve vdw4ap.txt --colouring gamma:10 --bound 2000", 0,
+          stdout="x_1 = (100, 101, 102, 103, 1)", limit=5),
+    # table runs with offset entries: each run's look-ahead waits until the merge reaches it
+    Check("oracle solve vdw4ap.txt --colouring table:lastdigit3.txt --bound 3000", 0,
+          stdout="x_1 = (1, 4, 7, 10, 3)", limit=5),
     # the non-zero values take 67 candidate blocks and the value 0 takes 17: --cap bounds both
     Check("scalars union.txt --cap 83", 3, stderr="search cap of 83 candidate blocks exceeded"),
     Check("scalars union.txt --cap 84", 0, stdout="feasible scalar values: -1, 1, 2, 3"),

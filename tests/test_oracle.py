@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -193,6 +194,11 @@ def test_witness_verify_rejects_malformed_witnesses(vectors, colours):
     assert not SolutionWitness(vectors, colours).verify([schur()], Colouring.mod(1))
 
 
+def test_witness_verify_rejects_an_empty_witness():
+    # a witness needs at least one vector
+    assert not SolutionWitness((), ()).verify([], Colouring.mod(1))
+
+
 def test_witness_verify_rejects_an_entry_off_its_colour():
     # 1 + 1 = 2 solves x + y = z, but 2 is not coloured 1 mod 2
     assert not SolutionWitness(((1, 1, 2),), (1,)).verify([schur()], Colouring.mod(2))
@@ -276,16 +282,40 @@ def test_kernel_search_matches_brute_force_walk():
 
 
 def test_lazy_candidates_match_a_scan_of_the_bound():
-    # one block whose next free coordinate is an entry of its own, so the
-    # look-ahead drops no colour and depth 0 takes every t with a*t <= N
+    # one block whose depth 0 fixes only its free column x = t, so the groups
+    # of depth 0 are the colour pieces, and the look-ahead keeps or drops a
+    # piece whole: t is a candidate exactly when, for some t'' of its piece,
+    # some t' in [1..N] puts depth 1's offset-free entries in [1..N] as
+    # integers of the piece's colour and its offset entries' rational values
+    # in [1..N].  Under gamma:10 the 4-AP's x_1 = t - 3t' >= 1 drops t = 21
     rng = random.Random(83)
     bound = 2000
     for matrix in (schur(), vdw()):
+        forms = free_forms([matrix])
+        assert all(q.denominator == 1 for form in forms for q in form)
+        forms = [tuple(map(int, form)) for form in forms]
+        plain = [form[1] for form in forms if form[1] and not form[0]]
+        offset = [form for form in forms if form[1] and form[0]]
+        assert plain and offset
         for colouring in every_colouring_kind(rng, bound):
             search = _KernelSearch([matrix], bound, colouring)
-            ((_, a, _),) = search.levels[0][3]
-            scan = [(t, (colouring.colour(a * t),)) for t in range(1, bound // a + 1)]
-            assert list(search._candidates(0)) == scan
+            reach = {}  # per colour, the t' whose offset-free entries have it
+            for t1 in range(1, bound + 1):
+                values = [q * t1 for q in plain]
+                if all(1 <= v <= bound for v in values):
+                    colours = {colouring.colour(v) for v in values}
+                    if len(colours) == 1:
+                        reach.setdefault(colours.pop(), []).append(t1)
+            kept = []
+            for colour, piece in colouring.pieces(bound):
+                if any(
+                    all(1 <= form[0] * t + form[1] * t1 <= bound for form in offset)
+                    for t1 in reach.get(colour, ()) for t in piece
+                ):
+                    kept += [(t, (colour,)) for t in piece]
+            assert list(search._candidates(0)) == sorted(kept)
+            if matrix == vdw() and colouring == Colouring.gamma(10):
+                assert 21 not in {t for t, _ in kept}
 
 
 def test_progression_with_offset_and_denominator():
@@ -380,6 +410,18 @@ def free_coordinate_walk(matrices, bound):
     return out
 
 
+def free_forms(matrices):
+    """Per column, its coefficients on the free values, earlier free columns first."""
+    R, pivots, _ = rref(QMatrix.hstack(matrices))
+    free = [c for c in range(R.cols) if c not in pivots]
+    forms = [None] * R.cols
+    for d, f in enumerate(free):
+        forms[f] = tuple(Fraction(int(d == g)) for g in range(len(free)))
+    for row, p in zip(R.entries, pivots):
+        forms[p] = tuple(-row[f] for f in free)
+    return forms
+
+
 class DilatedColouring:
     """colour(x) = base colouring of factor*x: residue classes of t as pieces."""
 
@@ -446,6 +488,70 @@ def test_indexed_pieces_match_a_walk_of_the_free_coordinates():
             found += bool(expected)
             streamed += len(expected)
     assert found > 25 and streamed > 1000
+
+
+def test_kernel_search_lists_what_a_walk_of_the_free_values_lists():
+    # seeded integer matrices with entries in -3..3, one block and two, at
+    # bounds up to 30: every solution with its block colours, in order, under
+    # every colouring kind and colour-blind, against the walk over
+    # [1..N]^depths; entries with a < 0 and den > 1 are clipped by their
+    # window and feed the look-ahead of the depth before theirs
+    rng = random.Random(107)
+    negative_step = fractional = two_earlier = False
+    listed = coloured = 0
+    shapes = [[3], [4], [5], [2, 1], [1, 2], [2, 2], [2, 3], [3, 2], [1, 1, 1]]
+    for _ in range(45):
+        widths = rng.choice(shapes)
+        rows = rng.randint(1, 2)
+        matrices = [
+            QMatrix.of([[rng.randint(-3, 3) for _ in range(w)] for _ in range(rows)])
+            for w in widths
+        ]
+        search = _KernelSearch(matrices, 1, None)
+        if not search.viable:
+            continue
+        for _, _, offsets, _ in search.levels:
+            for _, _, a, den, earlier in offsets:
+                negative_step |= a < 0
+                fractional |= den > 1
+                two_earlier |= len(earlier) > 1
+        bound = rng.randint(10, 30) if search.depths < 3 else rng.randint(5, 12)
+        solutions = free_coordinate_walk(matrices, bound)
+        blind = [(sol, (None,) * len(matrices)) for sol in solutions]
+        assert list(_KernelSearch(matrices, bound, None).solutions()) == blind
+        listed += len(solutions)
+        for colouring in every_colouring_kind(rng, bound):
+            expected = [
+                (sol, tuple(colouring.colour(vec[0]) for vec in sol)) for sol in solutions
+                if all(len({colouring.colour(x) for x in vec}) == 1 for vec in sol)
+            ]
+            assert list(_KernelSearch(matrices, bound, colouring).solutions()) == expected
+            coloured += len(expected)
+    assert negative_step and fractional and two_earlier
+    assert listed > 1000 and coloured > 1000
+
+
+def test_window_of_entries_with_negative_steps():
+    # colour-blind, depth 1's candidates under a fixed t_0 are the t_1 in
+    # [1..N] that make every entry fixed at depth 1 an integer in [1..N]:
+    # the 4-AP's x_1 = t_0 - 3*t_1 (a < 0, den 1) needs no refinement, so
+    # its window alone gives them; the pair's (2*t_0 - 3*t_1)/10 and
+    # (4*t_0 - t_1)/5 have a < 0 and den > 1
+    bound = 60
+    pair = [QMatrix.of([[2, -3], [2, 2]]), QMatrix.of([[2, 0], [-2, 1]])]
+    for matrices, den in (([vdw()], 1), (pair, 10)):
+        search = _KernelSearch(matrices, bound, None)
+        assert search.depths == 2
+        assert any(a < 0 and d == den for _, _, a, d, _ in search.levels[1][2])
+        fixed = [form for form in free_forms(matrices) if form[1]]
+        for t0 in range(1, bound + 1):
+            search.ts[0] = t0
+            expected = [
+                t1 for t1 in range(1, bound + 1)
+                if all((v := form[0] * t0 + form[1] * t1).denominator == 1 and 1 <= v <= bound
+                       for form in fixed)
+            ]
+            assert [t for t, _ in search._candidates(1)] == expected
 
 
 def test_refinement_work_is_linear_in_the_pieces(monkeypatch):

@@ -6,9 +6,10 @@ lines starting with '#' are ignored.  Exit codes: 0 the property holds
 (YES / verified / solution found), 1 it fails (NO / falsified / none found),
 2 input or usage error, 3 undecided because the search examined as many
 candidate blocks as --cap allows.  Each command is declared once, in
-COMMANDS, whose entry adds its arguments and the handler that answers it
-to a parser: main parses argv with the named command's parser alone, and
-build_parser hangs every command under one tree for help and usage errors.
+COMMANDS, and each oracle subcommand in _ORACLE_COMMANDS, whose entry adds
+its arguments and the handler that answers it to a parser: main parses argv
+with the parser of the command, or oracle subcommand, that it names alone,
+and build_parser hangs every command under one tree for help and usage errors.
 A handler returns its exit code, its result as a JSON document and the
 same result as text, and only main writes to stdout: the document under
 --json, the text otherwise.  A handler that returns no document has
@@ -233,33 +234,38 @@ def _oracle_falsify(args: argparse.Namespace) -> Result:
     return EXIT_FAILS, {"witness_colouring": witness.to_json_dict()}, witness.to_text()
 
 
-def _leaf(run, *positionals: str, cap: bool = True):
-    """Adds --cap if `cap`, --json, the positionals ("files" takes one or more) and `run` to a parser."""
-    def configure(parser: argparse.ArgumentParser) -> None:
+def _leaf(run, *positionals: str, cap: bool = True, **required: dict):
+    """Adds --cap if `cap`, --json, the positionals ("files" takes one or more), the `required` options and `run`."""
+    def configure(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         if cap:
             parser.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP, help="max candidate "
                                 "blocks the search examines before reporting UNDECIDED")
         parser.add_argument("--json", action="store_true", help="canonical JSON output")
         for positional in positionals:
             parser.add_argument(positional, nargs="+" if positional == "files" else None)
+        for option, keywords in required.items():
+            parser.add_argument(f"--{option}", required=True, **keywords)
         parser.set_defaults(run=run)
+        return parser
     return configure
+
+
+# name: (help text, configure) of each oracle subcommand, as in COMMANDS
+_ORACLE_COMMANDS = {
+    "solve": ("search a bounded monochromatic solution", _leaf(
+        _oracle_solve, "files", cap=False,
+        colouring={"help": "mod:M | gamma:P | startparity:B | table:FILE"}, bound={"type": int})),
+    "sweep": ("check every r-colouring of [1..N] admits a solution",
+              _leaf(_oracle_sweep, "files", cap=False, colours={"type": int}, bound={"type": int})),
+    "falsify": ("search a colouring of [1..N] with no bounded solution",
+                _leaf(_oracle_falsify, "files", cap=False, colours={"type": int}, bound={"type": int})),
+}
 
 
 def _configure_oracle(parser: argparse.ArgumentParser) -> None:
     oracle_sub = parser.add_subparsers(dest="oracle_command", required=True)
-    for name, help_text, run in [
-        ("solve", "search a bounded monochromatic solution", _oracle_solve),
-        ("sweep", "check every r-colouring of [1..N] admits a solution", _oracle_sweep),
-        ("falsify", "search a colouring of [1..N] with no bounded solution", _oracle_falsify),
-    ]:
-        p = oracle_sub.add_parser(name, help=help_text)
-        _leaf(run, "files", cap=False)(p)
-        if name == "solve":
-            p.add_argument("--colouring", required=True, help="mod:M | gamma:P | startparity:B | table:FILE")
-        else:
-            p.add_argument("--colours", type=int, required=True)
-        p.add_argument("--bound", type=int, required=True)
+    for name, (help_text, configure) in _ORACLE_COMMANDS.items():
+        configure(oracle_sub.add_parser(name, help=help_text))
 
 
 # name: (help text, configure), which adds the command's arguments and its handler, the default
@@ -294,13 +300,20 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 
 @functools.cache
+def _oracle_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The oracle subcommands' parsers, built together; each parses as its subtree of the full tree."""
+    return {name: configure(argparse.ArgumentParser(prog=f"partreg oracle {name}"))
+            for name, (_, configure) in _ORACLE_COMMANDS.items()}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The full parser tree, built on first use and then shared.
 
     main() builds it only when argv names no command (--help, no arguments,
-    a typo) or the command's own parser leaves arguments unrecognised, which
-    the tree reports under the top-level usage.  Parsing does not change a
-    parser; none is built at import, which would charge every importer.
+    a typo) or its command's or oracle subcommand's parser leaves arguments
+    unrecognised, which the tree reports under the top-level usage.  Parsing
+    does not change a parser; none is built at import, which would charge every importer.
     """
     parser = argparse.ArgumentParser(
         prog="partreg",
@@ -316,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args, unrecognised = (_command_parser(argv[0]).parse_known_args(argv[1:])
-                              if argv and argv[0] in COMMANDS else (None, True))
+        if len(argv) > 1 and argv[0] == "oracle" and argv[1] in _ORACLE_COMMANDS:
+            args, unrecognised = _oracle_parsers()[argv[1]].parse_known_args(argv[2:])
+        else:
+            args, unrecognised = (_command_parser(argv[0]).parse_known_args(argv[1:])
+                                  if argv and argv[0] in COMMANDS else (None, True))
         # no command named, or arguments the command does not take: the tree reports either as before
         if unrecognised:
             args = build_parser().parse_args(argv)

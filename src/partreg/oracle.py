@@ -9,22 +9,22 @@ The sweep over all r-colourings of an initial segment is that witness
 search: every colouring admits a solution exactly when no witness exists.
 
 The bounded solution search never walks the full v-fold product space: the
-kernel of the assembled matrix is parametrised by its nullspace basis, one
-vector per free column with 1 there and 0 at the other free columns, so the
-free coordinates are literal entries of the solution vector.  Ranging those
-over [1..N] and checking every derived entry with exact integer arithmetic
-is therefore complete within the bound.  Nor does it scan [1..N] value by
-value: every colouring splits [1..N] into colour pieces that are arithmetic
-progressions.  Each entry is (a*t + offset)/den in the free value t chosen
-last, the offset being fixed by the earlier ones, so the t that put it in a
-piece form a progression too; candidates are intersections of these, found
-through an index of the pieces by residue and start and merged lazily in
-increasing order, so time and memory grow linearly with the colour pieces,
-not with N.  The bounds prune too: each free value is clipped to the window
-where the entries it fixes lie in [1..N], and a group of candidates is
-dropped, once the merge reaches it, if the next free value has no place left
-in its own window.  Negative results are evidence up to their bound, never
-proofs.
+kernel of the assembled matrix is parametrised by its integer basis, one
+vector per free column, 0 at the other free columns and divided by its entry
+there, so the free coordinates are literal entries of the solution vector.
+Ranging those over [1..N] and checking every derived entry with exact integer
+arithmetic is therefore complete within the bound.  Nor does it scan [1..N]
+value by value: every colouring splits [1..N] into colour pieces that are
+arithmetic progressions.  Each entry is (a*t + offset)/den in the free value
+t chosen last, the offset being fixed by the earlier ones, so the t that put
+it in a piece form a progression too; candidates are intersections of these,
+found through an index of the pieces by residue and start, filed per colour
+on first use, and merged lazily in increasing order, so time and memory
+grow linearly with the colour pieces, not with N.  The bounds prune too: each
+free value is clipped to the window where the entries it fixes lie in [1..N],
+and a group of candidates is dropped, once the merge reaches it, if the next
+free value has no place left in its own window.  Negative results are
+evidence up to their bound, never proofs.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Hashable, Iterator, Sequence
 
-from .linalg import Q, QMatrix, nullspace_basis
+from .linalg import EqualityEchelon, QMatrix, integer_kernel, integer_row
 
 COLOURING_SWEEP_LIMIT = 10_000_000
 
@@ -239,23 +240,22 @@ class SolutionWitness:
     colours: tuple[Hashable, ...]
 
     def verify(self, matrices: Sequence[QMatrix], colouring) -> bool:
-        """Exact re-check: entries positive, sums vanish, blocks monochromatic."""
+        """Exact re-check in integers: entries positive, sums vanish, blocks monochromatic."""
         if not matrices or len(self.vectors) != len(matrices) or len(self.colours) != len(matrices):
             return False
-        rows = matrices[0].rows
-        total = [Q(0)] * rows
         for M, vec, col in zip(matrices, self.vectors, self.colours):
-            if M.rows != rows or len(vec) != M.cols:
+            if M.rows != matrices[0].rows or len(vec) != M.cols:
                 return False
             if any(x < 1 for x in vec):
                 return False
             if any(colouring.colour(x) != col for x in vec):
                 return False
-            for r in range(rows):
-                total[r] += sum(
-                    (M.entries[r][j] * vec[j] for j in range(M.cols)), Q(0)
-                )
-        return all(t == 0 for t in total)
+        values = [x for vec in self.vectors for x in vec]
+        # each row, across the blocks, times the lcm of its denominators
+        return all(
+            sum(map(mul, integer_row([x for M in matrices for x in M.entries[r]]), values)) == 0
+            for r in range(matrices[0].rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -283,27 +283,32 @@ class WitnessColouring:
 class _PieceIndex:
     """The colour pieces of [1..bound], found by the values they can meet.
 
-    Filed by colour (and all under None) by residue modulo the gcd of the piece
-    steps, sorted by start: intervals (start parity, gamma, table runs) are found
-    by bisection on a span, residue classes ("mod") by residue.  `lasts` holds
+    Grouped by colour at set-up; a colour's pieces (all under None) are filed
+    when `meeting` first asks, by residue modulo the gcd of the piece steps and
+    by start: intervals (start parity, gamma, table runs) are found by
+    bisection on a span, residue classes ("mod") by residue.  `lasts` holds
     running maxima, so bisection stays complete if spans interleave.
     """
 
     def __init__(self, pieces: list[tuple[Hashable, range]]):
         pieces = sorted((piece for piece in pieces if piece[1]), key=lambda piece: piece[1].start)
         self.modulus = gcd(*(r.step for _, r in pieces))
+        self.pieces: dict[Hashable, list[tuple[Hashable, range]]] = {}
+        for piece in pieces:
+            self.pieces.setdefault(piece[0], []).append(piece)
+        self.pieces[None] = pieces  # after grouping: colour-blind, the one piece is None's
         self.tables: dict[Hashable, dict[int, tuple[list, list, list]]] = {}
-        for colour, r in pieces:
-            for key in {None, colour}:
-                table = self.tables.setdefault(key, {})
-                starts, lasts, found = table.setdefault(r.start % self.modulus, ([], [], []))
-                starts.append(r.start)
-                lasts.append(max(r[-1], lasts[-1]) if lasts else r[-1])
-                found.append((colour, r))
 
     def meeting(self, colour: Hashable, values: range) -> Iterator[tuple[Hashable, range]]:
         """The (colour, piece) pairs of `colour`, or any when None, that may meet `values`."""
-        table = self.tables.get(colour, {})
+        table = self.tables.get(colour)
+        if table is None:
+            table = self.tables[colour] = {}
+            for c, r in self.pieces.get(colour, ()):
+                starts, lasts, found = table.setdefault(r.start % self.modulus, ([], [], []))
+                starts.append(r.start)
+                lasts.append(max(r[-1], lasts[-1]) if lasts else r[-1])
+                found.append((c, r))
         g = gcd(values.step, self.modulus)
         reached = range(values.start % g, self.modulus, g)  # the residues of `values`
         for residue in reached if len(reached) <= len(table) else table:
@@ -340,9 +345,10 @@ class _KernelSearch:
     def __init__(self, matrices: Sequence[QMatrix], bound: int, colouring):
         if bound < 1:
             raise ValueError("bound must be at least 1")
+        if len({M.rows for M in matrices}) != 1:
+            raise ValueError("need one matrix or more, all with one row count")
         self.bound = bound
-        combined = QMatrix.hstack(list(matrices))
-        self.n = combined.cols
+        self.n = sum(M.cols for M in matrices)
         offsets = [0]
         for M in matrices:
             offsets.append(offsets[-1] + M.cols)
@@ -353,28 +359,31 @@ class _KernelSearch:
         # the block slices of a solution vector, None for one block
         self.cuts = [slice(*offsets[b:b + 2]) for b in range(self.k)] if self.k > 1 else None
 
-        basis = nullspace_basis(combined)
-        # basis[d] is 1 at the d-th free column and 0 at the others
-        exprs = [
-            {d: vector.entries[e] for d, vector in enumerate(basis) if vector.entries[e]}
-            for e in range(self.n)
-        ]
-        self.depths = depths = len(basis)
-        self.viable = bool(basis) and all(exprs)
+        # the combined matrix's rows, in integers, as homogeneous equalities
+        echelon = EqualityEchelon(self.n).extend(
+            integer_row([x for row in parts for x in row] + [0])
+            for parts in zip(*(M.entries for M in matrices))
+        )
+        # kernel[d] is positive at the d-th free column and 0 at the others
+        kernel = integer_kernel(echelon)
+        self.depths = depths = len(kernel)
+        self.viable = all(any(v[e] for v in kernel) for e in range(self.n))
         if not self.viable:
             return
 
         self.index = _PieceIndex(
             [(None, range(1, bound + 1))] if colouring is None else colouring.pieces(bound)
         )
-        # entry e joins the depth of its last free coordinate as (a*t + offset)/den
+        # entry e is the sum of t_d * kernel[d][e] / kernel[d][frees[d]], in
+        # lowest terms; it joins the depth of its last free coordinate as
+        # (a*t + offset)/den, den the lcm of the denominators
+        frees = sorted(set(range(self.n)) - set(echelon.pivots))
         at_depth: list[list[tuple]] = [[] for _ in range(depths)]
-        for e, expr in enumerate(exprs):
-            den = lcm(*(c.denominator for c in expr.values()))
-            # c*den in integers: den is a multiple of every denominator
-            *earlier, (d, a) = sorted(
-                (d, c.numerator * (den // c.denominator)) for d, c in expr.items()
-            )
+        for e in range(self.n):
+            terms = [(d, v[e] // g, v[f] // g) for d, (f, v) in enumerate(zip(frees, kernel))
+                     if v[e] for g in [gcd(v[e], v[f])]]
+            den = lcm(*(q for _, _, q in terms))
+            *earlier, (d, a) = [(d, p * (den // q)) for d, p, q in terms]
             at_depth[d].append((e, a, den, tuple(earlier)))
         # per depth: its key blocks (whose colours its candidates depend on),
         # its offset-free entries as (key-block slot, a, den), its offset

@@ -117,6 +117,10 @@ CHECKS = [
           stderr="partreg oracle solve: error: the following arguments are required: --bound"),
     Check("oracle", 2, stderr="partreg oracle: error: the following arguments are required: oracle_command"),
     Check("kpr schur.txt --cap x", 2, stderr="partreg kpr: error: argument --cap: invalid int value: 'x'"),
+    # an oracle subcommand's own parser reports its errors and prints its help
+    Check("oracle falsify schur.txt --colours x --bound 5", 2,
+          stderr="partreg oracle falsify: error: argument --colours: invalid int value: 'x'"),
+    Check("oracle solve --help", 0, stdout="  --colouring COLOURING"),
     # an input error names its file
     Check("oracle solve schur.txt --colouring table:gap_table.txt --bound 5", 2,
           stderr="error: gap_table.txt: colour table line 2: expected integer 2"),

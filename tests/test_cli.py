@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -466,6 +467,8 @@ def test_valid_commands_build_only_their_own_parser(tmp_path, capsys):
     schur = write(tmp_path, "schur.txt", SCHUR)
     tree = build_parser.cache_info()
     cli._command_parser.cache_clear()
+    cli._oracle_parsers.cache_clear()
+    built = []
     for argv in [
         ["kpr", schur],
         ["oracle", "solve", schur, "--colouring", "mod:2", "--bound", "10"],
@@ -474,9 +477,13 @@ def test_valid_commands_build_only_their_own_parser(tmp_path, capsys):
         ["kpr", schur, "--json"],
     ]:
         assert main(argv) in (EXIT_HOLDS, EXIT_FAILS), argv
+        built.append((cli._command_parser.cache_info().misses, cli._oracle_parsers.cache_info().misses))
     capsys.readouterr()
+    # the full tree is never built, kpr's parser once, and the three oracle
+    # leaves once, together, on the first oracle command
     assert build_parser.cache_info() == tree
-    assert cli._command_parser.cache_info().misses == 2  # kpr and oracle, once each
+    assert built == [(1, 0), (1, 1), (1, 1), (1, 1), (1, 1)]
+    assert list(cli._oracle_parsers()) == ["solve", "sweep", "falsify"]
 
 
 # one set of arguments that parses, and the integer option to give a bad value, per command path;
@@ -515,6 +522,48 @@ def test_usage_errors_match_the_full_parser(capsys, monkeypatch, path, case):
     else:
         pytest.fail(f"{argv} parsed")
     assert (main(argv), *capsys.readouterr()) == expected
+
+
+# an oracle leaf's arguments that parse, and its own option, per subcommand
+ORACLE_LEAVES = {
+    "solve": ["--colouring", "mod:2"],
+    "sweep": ["--colours", "2"],
+    "falsify": ["--colours", "2"],
+}
+
+
+class LeavesAllUnrecognised:
+    """An oracle leaf stand-in that recognises nothing, so main parses argv with the full tree."""
+
+    def parse_known_args(self, args):
+        return None, args or True
+
+
+@pytest.mark.parametrize("case", [
+    ["{file}", "--bound", "6"], ["{file}", "{own}", "x", "--bound", "6"],
+    ["{file}", "{own}", "{value}", "--bound=6"], ["{file}", "{own}", "{value}", "--bou", "6"],
+    ["{own}", "{value}", "--bound", "6", "--", "{file}"],
+    ["--bound", "6", "{own}", "{value}", "--", "{file}", "{file}"],
+], ids=["missing-option", "own-value", "equals", "abbreviated", "dashes", "dashes-two-files"])
+@pytest.mark.parametrize("name", list(ORACLE_LEAVES))
+def test_oracle_leaves_parse_as_the_full_tree(tmp_path, capsys, monkeypatch, name, case):
+    # --help, a bad --bound and an unknown option are test_usage_errors_match_the_full_parser's
+    # cases; usage text wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    own, value = ORACLE_LEAVES[name]
+    fields = {"file": write(tmp_path, "schur.txt", SCHUR), "own": own, "value": value}
+    argv = ["oracle", name, *(arg.format(**fields) for arg in case)]
+    through_leaf = (main(argv), *capsys.readouterr())
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_oracle_parsers", lambda: dict.fromkeys(ORACLE_LEAVES, LeavesAllUnrecognised()))
+        assert (main(argv), *capsys.readouterr()) == through_leaf
+    with contextlib.suppress(SystemExit):  # the tree refuses argv: nothing reaches a handler
+        args = build_parser().parse_args(argv)
+        # the leaf gives the handler the fields that the tree gives it
+        leaf, unrecognised = cli._oracle_parsers()[name].parse_known_args(argv[2:])
+        assert not unrecognised
+        assert vars(leaf) == {key: v for key, v in vars(args).items() if not key.endswith("command")}
+    capsys.readouterr()
 
 
 def test_repeated_main_matches_one_process_per_call(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import diag12, schur, fractional_b_matrix, random_matrix, vdw
+from conftest import diag12, schur, fractional_b_matrix, random_matrix, random_rational, vdw
 from partreg import (
     Colouring,
     QMatrix,
@@ -155,6 +155,12 @@ def test_trivial_kernel_has_no_witness():
     assert find_monochromatic_solution([QMatrix.identity(2)], Colouring.mod(1), 10) is None
 
 
+def test_kernel_search_needs_blocks_with_one_row_count():
+    for matrices in ([], [schur(), QMatrix.of([[1], [2]])]):
+        with pytest.raises(ValueError, match="all with one row count"):
+            find_monochromatic_solution(matrices, Colouring.mod(1), 5)
+
+
 def test_sign_blocked_kernel_has_no_witness():
     # kernel of (1 1) is spanned by (1, -1): no positive points at all
     assert find_monochromatic_solution([QMatrix.of([[1, 1]])], Colouring.mod(1), 50) is None
@@ -203,6 +209,67 @@ def test_witness_verify_rejects_an_entry_off_its_colour():
     # 1 + 1 = 2 solves x + y = z, but 2 is not coloured 1 mod 2
     assert not SolutionWitness(((1, 1, 2),), (1,)).verify([schur()], Colouring.mod(2))
     assert SolutionWitness(((2, 2, 4),), (0,)).verify([schur()], Colouring.mod(2))
+
+
+def fraction_verify(witness, matrices, colouring):
+    """The witness check in Fraction arithmetic, summing each row's products exactly."""
+    if not matrices or len(witness.vectors) != len(matrices) or len(witness.colours) != len(matrices):
+        return False
+    rows = matrices[0].rows
+    total = [Fraction(0)] * rows
+    for M, vec, col in zip(matrices, witness.vectors, witness.colours):
+        if M.rows != rows or len(vec) != M.cols:
+            return False
+        if any(x < 1 for x in vec) or any(colouring.colour(x) != col for x in vec):
+            return False
+        for r in range(rows):
+            total[r] += sum(M.entries[r][j] * vec[j] for j in range(M.cols))
+    return all(t == 0 for t in total)
+
+
+def test_witness_verify_scales_each_row_across_the_blocks():
+    # (1/2 1/3 -5/6) beside (1/4), and a second row over fifths, sevenths and 175ths
+    matrices = [QMatrix.of([["1/2", "1/3", "-5/6"], ["1/5", "-1/7", "0"]]),
+                QMatrix.of([["1/4"], ["-6/175"]])]
+    colouring = Colouring.mod(1)
+    vectors = ((6, 6, 9), (10,))
+    assert SolutionWitness(vectors, (0, 0)).verify(matrices, colouring)
+    # a witness off by one in a single entry fails
+    for b, vec in enumerate(vectors):
+        for j in range(len(vec)):
+            for delta in (-1, 1):
+                changed = list(map(list, vectors))
+                changed[b][j] += delta
+                broken = SolutionWitness(tuple(map(tuple, changed)), (0, 0))
+                assert not broken.verify(matrices, colouring), changed
+
+
+def test_witness_verify_matches_the_fraction_check():
+    # seeded rational rows made to vanish at a positive vector, then the
+    # vector kept, moved by one in one entry, or recoloured
+    rng = random.Random(113)
+    outcomes = Counter()
+    for _ in range(300):
+        rows = rng.randint(1, 3)
+        widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        x = [rng.randint(1, 6) for _ in range(sum(widths))]
+        grid = []
+        for _ in range(rows):
+            row = [random_rational(rng, max_num=5, max_den=7) for _ in x]
+            row[-1] -= sum(c * v for c, v in zip(row, x)) / x[-1]
+            grid.append(row)
+        cut = list(itertools.accumulate([0] + widths))
+        matrices = [QMatrix.of([row[cut[b]:cut[b + 1]] for row in grid]) for b in range(len(widths))]
+        e = rng.randrange(len(x))
+        x[e] = max(1, x[e] + rng.choice([-1, 0, 0, 1]))
+        vectors = tuple(tuple(x[cut[b]:cut[b + 1]]) for b in range(len(widths)))
+        colouring = Colouring.mod(rng.randint(1, 2))
+        colours = tuple(colouring.colour(vec[0]) for vec in vectors)
+        witness = SolutionWitness(vectors, colours)
+        expected = fraction_verify(witness, matrices, colouring)
+        assert witness.verify(matrices, colouring) is expected
+        outcomes[expected] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
 
 
 def brute_force_solutions(matrices, bound):
@@ -450,6 +517,38 @@ class InterleavedPieces:
     def pieces(self, bound):
         return [(0, range(2, bound + 1, 2)), (1, range(1, bound + 1, 4)),
                 (2, range(3, min(40, bound + 1), 4)), (3, range(43, bound + 1, 4))]
+
+
+def test_piece_index_meets_what_a_filter_of_all_pieces_meets():
+    # every colour kind and the interleaving pieces, whose spans need `lasts`'
+    # running maximum; one index per colouring answers every query, so each
+    # table is filed on its first query and read from then on
+    rng = random.Random(127)
+    for bound in (1, 9, 60, rng.randint(61, 400)):
+        for colouring in [*every_colouring_kind(rng, bound), InterleavedPieces()]:
+            pieces = [piece for piece in colouring.pieces(bound) if piece[1]]
+            index = oracle._PieceIndex(colouring.pieces(bound))
+            colours = [None, *dict.fromkeys(colour for colour, _ in pieces)]
+            for _ in range(40):
+                start = rng.randint(1, bound)
+                values = range(start, rng.randint(start, bound) + 1, rng.randint(1, 12))
+                for colour in rng.sample(colours, len(colours)):
+                    of_colour = [piece for piece in pieces if colour in (None, piece[0])]
+                    met = list(index.meeting(colour, values))
+                    assert len(met) == len(set(met)) and set(met) <= set(of_colour)
+                    assert set(met) >= {piece for piece in of_colour if set(piece[1]) & set(values)}
+            assert set(index.tables) == set(colours)
+
+
+def test_a_colour_blind_search_files_one_table():
+    # the one piece has colour None, the key of all pieces as well
+    search = _KernelSearch([schur()], 200, None)
+    assert len(list(search.solutions())) == 199 * 200 // 2
+    assert list(search.index.tables) == [None]
+    # a coloured search files only the colours it asks for
+    search = _KernelSearch([vdw()], 2000, Colouring.gamma(10))
+    assert next(search.solutions())[0] == ((100, 101, 102, 103, 1),)
+    assert len(search.index.tables) < len(search.index.pieces)
 
 
 def test_indexed_pieces_match_a_walk_of_the_free_coordinates():

@@ -49,7 +49,6 @@ from .linalg import (
     Q,
     QMatrix,
     QVector,
-    nullspace_basis,
     rational,
     residual_functionals,
     rref,

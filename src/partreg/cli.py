@@ -24,13 +24,12 @@ import dataclasses
 import functools
 import json
 import sys
-from fractions import Fraction
+from typing import Iterator
 
 from .columns import (
     ColumnsConditionCertificate,
     DEFAULT_PARTITION_CAP,
     PartitionCapExceeded,
-    RATIONAL_TOKEN,
     first_entries_from_certificate,
     verify_certificate,
 )
@@ -46,7 +45,7 @@ from .decisions import (
     multiply_kpr,
     scalar_union_over_partitions,
 )
-from .linalg import QMatrix
+from .linalg import QMatrix, rational
 from .oracle import (
     Colouring,
     find_monochromatic_solution,
@@ -63,29 +62,28 @@ EXIT_UNDECIDED = 3
 Result = tuple[int, dict | None, str | None]
 
 
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-separated fields) of each line not blank and not a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
 def parse_matrix(text: str) -> QMatrix:
     """Exact matrix from the text format; malformed input carries a line number."""
-    rows: list[list[Fraction]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries: list[Fraction] = []
-        for token in line.split():
-            if not RATIONAL_TOKEN.fullmatch(token):
-                raise ValueError(f"line {lineno}: malformed entry {token!r}")
-            if "/" in token and token.split("/")[1].lstrip("0") == "":
-                raise ValueError(f"line {lineno}: zero denominator in {token!r}")
-            try:
-                entries.append(Fraction(token))
-            except ValueError as err:  # more digits than int() converts
-                raise ValueError(f"line {lineno}: {err}") from None
-        if rows and len(entries) != len(rows[0]):
-            raise ValueError(f"line {lineno}: row has {len(entries)} entries, expected {len(rows[0])}")
-        rows.append(entries)
+    rows: list[tuple] = []
+    for lineno, fields in _lines(text):
+        try:
+            row = tuple(map(rational, fields))
+        except ValueError as err:  # malformed, a zero denominator or more digits than int() converts
+            raise ValueError(f"line {lineno}: {err}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: row has {len(row)} entries, expected {len(rows[0])}")
+        rows.append(row)
     if not rows:
         raise ValueError("line 0: no matrix rows found")
-    return QMatrix.of(rows)
+    return QMatrix(len(rows), len(rows[0]), tuple(rows))
 
 
 def _read(path: str, parse):
@@ -135,12 +133,9 @@ def parse_colouring_spec(spec: str, bound: int) -> Colouring:
 def _parse_colour_table(text: str) -> list[int]:
     """One line per integer: '<i> <colour>' for i = 1..N in order."""
     colours: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, fields in _lines(text):
         try:
-            index, colour = map(int, line.split())
+            index, colour = map(int, fields)
         except ValueError:  # not two fields, or not integers
             raise ValueError(f"colour table line {lineno}: expected '<i> <colour>'") from None
         if index != len(colours) + 1:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -48,7 +47,6 @@ from .linalg import (
     ONE,
     ZERO,
     EqualityEchelon,
-    Q,
     QMatrix,
     integer_kernel,
     rational,
@@ -57,7 +55,6 @@ from .linalg import (
 
 DEFAULT_PARTITION_CAP = 10_000_000  # candidate blocks one search may examine
 FIXED_ONE = None  # group tag for columns that carry no scalar
-RATIONAL_TOKEN = re.compile(r"[+-]?\d+(/\d+)?")  # an integer or p/q
 
 
 def _column_index(value) -> int:
@@ -68,13 +65,10 @@ def _column_index(value) -> int:
 
 
 def _coefficient(value) -> Fraction:
-    # JSON true and false must not be read as 1 and 0, and a string in
-    # exponent notation ("1e3000000") must not be expanded.
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Q(value)
-    if isinstance(value, str) and RATIONAL_TOKEN.fullmatch(value):
-        return Fraction(value)
-    raise ValueError(f"coefficient must be an integer or a string p/q, got {value!r}")
+    # JSON true and false must not be read as 1 and 0
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"coefficient must be an integer or a string p/q, got {value!r}")
+    return rational(value)
 
 
 @dataclass(frozen=True)
@@ -173,8 +167,6 @@ class ColumnsConditionCertificate:
                 witnesses.append(tuple(clause))
         except KeyError as err:
             raise ValueError(f"malformed certificate: {field}: missing {err}") from None
-        except ZeroDivisionError:
-            raise ValueError(f"malformed certificate: {field}: zero denominator") from None
         except (TypeError, ValueError) as err:
             raise ValueError(f"malformed certificate: {field}: {err}") from None
         return ColumnsConditionCertificate(partition, tuple(witnesses))
@@ -473,18 +465,16 @@ def _first_zero_sum_block(
 
     Blocks run largest first, then lexicographically, so that block is the
     complement of the lexicographically last of the smallest position sets
-    that sum to the level's total.  The counter is charged what a scan in
-    that order examines: every block of a larger size and, of the hit's
-    size, the blocks up to it; without a hit, all 2^r - 1 blocks.  Each
-    size's first block is charged before that size is searched, so a search
-    at its cap builds no further tables.
+    that sum to the level's total; the full block is the complement of the
+    empty set, which sums to the total exactly when it is zero.  The
+    counter is charged what a scan in that order examines: every block of a
+    larger size and, of the hit's size, the blocks up to it; without a hit,
+    all 2^r - 1 blocks.  Each size's first block is charged before that
+    size is searched, so a search at its cap builds no further tables.
     """
     r = len(rest)
-    counter.charge()
-    if not any(map(sum, zip(*vectors))):
-        return tuple(rest)
     last = _zero_sum_complements(vectors)
-    for c in range(1, r):
+    for c in range(r):
         counter.charge()
         kept = last(c)
         # kept's lexicographic rank among its size counts the blocks after

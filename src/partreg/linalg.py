@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -30,12 +31,23 @@ Q = Fraction
 ZERO, ONE = Q(0), Q(1)  # shared, as Fractions are immutable
 
 Scalar = int | str | Fraction
+RATIONAL_TOKEN = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # an integer or p/q
 
 
 def rational(value: Scalar) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused."""
+    """Coerce to an exact Fraction; floats are refused.
+
+    A string must be a RATIONAL_TOKEN, the matrix-file grammar, with a
+    non-zero q: no other string (say "1e3000000") expands into a Fraction.
+    """
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        if (token := RATIONAL_TOKEN.fullmatch(value)) is None:
+            raise ValueError(f"malformed entry {value!r}")
+        if not (q := int(token[2] or 1)):
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(token[1]), q)
     if isinstance(value, float):
         raise TypeError(f"exact arithmetic only, got float {value!r}")
     return Fraction(value)
@@ -311,20 +323,6 @@ def integer_kernel(echelon: EqualityEchelon) -> list[tuple[int, ...]]:
                 vector[p] = -row[f] * (scale // row[p])
         basis.append(_primitive(vector, f))
     return basis
-
-
-def nullspace_basis(M: QMatrix) -> list[QVector]:
-    """Rational basis of the kernel {x : Mx = 0}, one vector per free column.
-
-    Each basis vector carries a 1 at its free column and 0 at the other free
-    columns, so the free coordinates of any kernel vector are literally its
-    entries at those columns.
-    """
-    echelon = _homogeneous_echelon(M.cols, M.entries)
-    frees = sorted(set(range(M.cols)) - set(echelon.pivots))
-    return [
-        QVector(rational_row(vector, f)) for f, vector in zip(frees, integer_kernel(echelon))
-    ]
 
 
 def residual_functionals(vectors: Sequence[QVector], dim: int | None = None) -> QMatrix:

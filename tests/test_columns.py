@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -133,6 +134,20 @@ def test_verify_rejects_tampered_witness():
         cert.partition, (((0, F(7)), (2, F(0))),)
     )
     assert not verify_certificate(schur(), tampered)
+
+
+def test_verify_rejects_exponent_notation_before_it_expands():
+    # Fraction("1e3000000") is a 3,000,001-digit integer, about 1.2 MB
+    cert = ColumnsConditionCertificate(
+        OrderedPartition.from_one_based([[1, 3], [2]]), (((0, "1e3000000"), (2, "0")),)
+    )
+    tracemalloc.start()
+    try:
+        assert not verify_certificate(schur(), cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_verify_rejects_foreign_partition():

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "enumerate_ordered_partitions", "feasible_positive", "find_monochromatic_solution",
     "first_entries_from_certificate", "gamma_colour", "integer_b_analysis", "is_ipr",
     "is_ipr_template", "is_kpr", "leading_exponent", "multiply_kpr",
-    "multiply_kpr_template", "nullspace_basis", "rational", "residual_functionals", "rref",
+    "multiply_kpr_template", "rational", "residual_functionals", "rref",
     "scalar_union_over_partitions", "search_witness_colouring", "solve_positive",
     "span_membership", "verify_all_colourings", "verify_certificate", "verify_farkas",
     "zero_column_subset_exists",

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,6 @@ from conftest import random_matrix
 from partreg import (
     QMatrix,
     QVector,
-    nullspace_basis,
     rational,
     residual_functionals,
     rref,
@@ -21,6 +21,31 @@ def test_rational_refuses_floats():
     with pytest.raises(TypeError):
         rational(0.5)
     assert rational("1/2") == F(1, 2)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", " 2", "1/-2", "1/0"])
+def test_rational_reads_only_the_matrix_file_grammar(text):
+    # Fraction(str) reads the first three and raises ZeroDivisionError on "1/0"
+    with pytest.raises(ValueError):
+        rational(text)
+
+
+def test_rational_reads_signed_integers_and_fractions_in_lowest_terms():
+    for text, value in [("-4", F(-4)), ("+3", F(3)), ("-6/4", F(-3, 2)), ("007/014", F(1, 2))]:
+        assert rational(text) == value
+
+
+def test_exponent_notation_is_refused_before_it_expands():
+    # Fraction("1e3000000") builds a 3,000,001-digit integer; the reader
+    # refuses the string before any digit is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="malformed entry '1e3000000'"):
+            QMatrix.of([["1e3000000"]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_rref_proportional_rows():
@@ -238,18 +263,23 @@ def test_residual_matches_span_membership_on_random_input():
         assert annihilated == in_span
 
 
+def kernel_of(M: QMatrix) -> list[tuple[int, ...]]:
+    """integer_kernel of the echelon of M x == 0."""
+    return integer_kernel(EqualityEchelon(M.cols).extend(integer_row(row + (0,)) for row in M.entries))
+
+
 def test_nullspace_known_cases():
-    schur_kernel = nullspace_basis(QMatrix.of([[1, 1, -1]]))
-    assert len(schur_kernel) == 2
-    assert nullspace_basis(QMatrix.identity(3)) == []
-    assert len(nullspace_basis(QMatrix.of([[0, 0]]))) == 2
+    # x + y = z: one primitive vector per free column, positive there, 0 at the other
+    assert kernel_of(QMatrix.of([[1, 1, -1]])) == [(-1, 1, 0), (1, 0, 1)]
+    assert kernel_of(QMatrix.identity(3)) == []
+    assert kernel_of(QMatrix.of([[0, 0]])) == [(1, 0), (0, 1)]
 
 
 def test_nullspace_vectors_are_exact_and_independent():
     rng = random.Random(17)
     for _ in range(30):
         M = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 5))
-        basis = nullspace_basis(M)
+        basis = [QVector.of(v) for v in kernel_of(M)]
         _, _, rank = rref(M)
         assert len(basis) == M.cols - rank
         if basis:
@@ -262,8 +292,7 @@ def test_integer_kernel_is_an_independent_annihilating_basis():
     rng = random.Random(89)
     for _ in range(60):
         M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), max_den=rng.choice((1, 3)))
-        echelon = EqualityEchelon(M.cols).extend(integer_row(row + (0,)) for row in M.entries)
-        kernel = integer_kernel(echelon)
+        kernel = kernel_of(M)
         _, pivots, rank = gauss_jordan(M)
         assert len(kernel) == M.cols - rank
         free = [f for f in range(M.cols) if f not in pivots]
@@ -292,9 +321,11 @@ def test_nullspace_and_residual_match_fraction_gauss_jordan():
     rng = random.Random(97)
     for _ in range(60):
         M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), max_den=rng.choice((1, 3, 7)))
-        assert nullspace_basis(M) == gauss_jordan_kernel(M)
-        vectors = [QVector(row) for row in M.entries]
         annihilator = gauss_jordan_kernel(M)
+        # the reference has a 1 at each free column: divide by the free entry
+        free = [f for f in range(M.cols) if f not in gauss_jordan(M)[1]]
+        assert [QVector(rational_row(v, f)) for f, v in zip(free, kernel_of(M))] == annihilator
+        vectors = [QVector(row) for row in M.entries]
         if annihilator:
             R, _, rank = gauss_jordan(QMatrix.of([v.entries for v in annihilator]))
             expected = QMatrix(rank, M.cols, R.entries[:rank])

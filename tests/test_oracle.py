@@ -653,6 +653,26 @@ def test_window_of_entries_with_negative_steps():
             assert [t for t, _ in search._candidates(1)] == expected
 
 
+def test_an_empty_next_depth_drops_a_group_before_its_candidates(monkeypatch):
+    # diag(1,1,2)/(-I): x1 = y1 = t0, x2 = y2 = t1, y3 = 2*x3 = t2, and no
+    # start-parity colour holds both x and 2x, so depth 2 has no candidates
+    # under any colours.  No depth has offset entries, so _groups drops each
+    # group whose colours leave the next depth none: depth 1 keeps none, and
+    # depth 0 none.  A look-ahead at every depth in its place would list each
+    # t0: 4,097 _candidates calls at 2**12.
+    calls = Counter()
+
+    def counted(self, depth):
+        calls[depth] += 1
+        return candidates(self, depth)
+
+    candidates = _KernelSearch._candidates
+    monkeypatch.setattr(_KernelSearch, "_candidates", counted)
+    diag112 = QMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert find_monochromatic_solution([diag112, minus_identity(3)], Colouring.start_parity(2), 2**12) is None
+    assert calls == {0: 1}
+
+
 def test_refinement_work_is_linear_in_the_pieces(monkeypatch):
     # diag(1,2)/(-I): x1 = y1 = t0 and y2 = 2*x2 = t1; intersecting every
     # group with every piece made about pieces**2 calls per depth (513 for the

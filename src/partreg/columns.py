@@ -29,7 +29,8 @@ kernel partition regularity) cannot branch, so it is not scanned: its
 first zero-sum block comes from subset sums met in the middle, which
 zero_column_subset_exists shares.  A search for positive scalars skips,
 before elimination, each block whose equalities signs refute, and a whole
-level when signs refute all its blocks.  Every search counts the
+level when signs refute all its blocks, as any search does for a level
+without scalars.  Every search counts the
 candidate blocks it examines, or for such levels the blocks a scan would
 have examined, on a BlockCounter, and stops at the counter's cap.
 enumerate_ordered_partitions remains as the brute-force reference.
@@ -49,6 +50,7 @@ from .linalg import (
     EqualityEchelon,
     QMatrix,
     integer_kernel,
+    integer_row,
     rational,
     span_coefficients,
 )
@@ -262,18 +264,13 @@ def check_partition(
 
 
 def _combination(columns: Sequence[Sequence[int]], terms: Iterable[tuple[int, int]]) -> list[int]:
-    total = [0] * len(columns[0])
-    for i, m in terms:
-        if m:
-            total = [x + m * y for x, y in zip(total, columns[i])]
-    return total
+    terms = [(columns[i], m) for i, m in terms if m]
+    return [sum([m * column[r] for column, m in terms]) for r in range(len(columns[0]))]
 
 
 def _annihilates(columns: Sequence[Sequence[int]], terms: Sequence[tuple[int, Fraction | int]]) -> bool:
-    # sum(c_i * column_i) == 0, checked in integers after scaling by the lcm
-    # d of the coefficients' denominators
-    d = math.lcm(*(c.denominator for _, c in terms))
-    return not any(_combination(columns, ((i, c.numerator * (d // c.denominator)) for i, c in terms)))
+    # sum(c_i * column_i) == 0, checked with the coefficients scaled to integers
+    return not any(_combination(columns, zip([i for i, _ in terms], integer_row([c for _, c in terms]))))
 
 
 def verify_certificate(A: QMatrix, certificate: ColumnsConditionCertificate) -> bool:
@@ -378,7 +375,9 @@ def closure_search(
     sign, the constant included, is skipped before elimination; the
     current echelon has a positive point, so it never implies such a
     block.  A level with a row of one strict sign at every unplaced column
-    refutes all its blocks so, and ends without a scan.  Every search runs
+    refutes all its blocks so, and ends without a scan.  That needs no
+    positivity when no unplaced column carries a scalar: every block then
+    sums to a non-zero constant in that row.  Every search runs
     under the budget of `counter`, a BlockCounter: each candidate block is
     charged to it, a level settled without a scan being charged the blocks
     a scan would have examined, and reaching its cap with blocks left
@@ -420,12 +419,13 @@ def closure_search(
         while placed != full:
             rest = sorted(full - placed)
             projected, equalities = block_equalities(placed, rest)
-            if scaled.isdisjoint(rest):
-                taken = _first_zero_sum_block(rest, [projected[j] for j in rest], counter)
-            elif positive and any(min(row) > 0 or max(row) < 0 for row in zip(*projected.values())):
+            unscaled = scaled.isdisjoint(rest)
+            if (positive or unscaled) and any(min(r) > 0 or max(r) < 0 for r in zip(*projected.values())):
                 # that row of every block's equalities is non-zero and of one sign
                 counter.charge(2 ** len(rest) - 1)
                 return
+            if unscaled:
+                taken = _first_zero_sum_block(rest, [projected[j] for j in rest], counter)
             else:
                 taken = None
                 for size in range(len(rest), 0, -1):
@@ -455,7 +455,10 @@ def closure_search(
             chain += (taken,)
         yield OrderedPartition(chain), echelon
 
-    return explore(frozenset(), EqualityEchelon(nvars), ())
+    try:
+        yield from explore(frozenset(), EqualityEchelon(nvars), ())
+    finally:
+        del explore  # it holds itself through its closure: no cycle left for the collector
 
 
 def _first_zero_sum_block(
@@ -477,10 +480,10 @@ def _first_zero_sum_block(
     for c in range(r):
         counter.charge()
         kept = last(c)
-        # kept's lexicographic rank among its size counts the blocks after
-        # the hit, since complements run in the opposite order
-        examined = math.comb(r, c) - (0 if kept is None else _lex_rank(kept, r))
-        counter.charge(examined - 1)
+        if c:  # c = 0 has the one block just charged
+            # kept's lexicographic rank among its size counts the blocks
+            # after the hit, since complements run in the opposite order
+            counter.charge(math.comb(r, c) - 1 - (0 if kept is None else _lex_rank(kept, r)))
         if kept is not None:
             return tuple(j for p, j in enumerate(rest) if p not in kept)
     return None
@@ -502,18 +505,23 @@ def _zero_sum_complements(
     before a set's first: dropping the first position of a smallest mask
     leaves the smallest mask of its size and sum, so nothing is lost.  Vectors
     are read as the digits of one integer in a base that exceeds twice any
-    entry of a subset sum, which keeps distinct sums distinct.
+    entry of a subset sum, which keeps distinct sums distinct.  The empty
+    set, c = 0, is answered from the total alone, so the packing and the
+    tables are set up only when a larger c is asked for.
     """
     n, h = len(vectors), len(vectors) // 2
-    entries = list(zip(*vectors))
-    base = 2 * max([sum(map(abs, row)) for row in entries], default=0) + 1
-    packed = [0] * n
-    for row in entries:
-        packed = [total * base + x for total, x in zip(packed, row)]
-    target = sum(packed)
-    halves = ((packed[:h], [{0: 0}]), (packed[h:], [{0: 0}]))
+    halves: list[tuple[list[int], list[dict[int, int]]]] = []  # set up on the first c > 0
 
     def last(c: int) -> tuple[int, ...] | None:
+        if not c:
+            return None if any(map(sum, zip(*vectors))) else ()
+        if not halves:
+            entries = list(zip(*vectors))
+            base = 2 * max([sum(map(abs, row)) for row in entries], default=0) + 1
+            packed = [0] * n
+            for row in entries:
+                packed = [total * base + x for total, x in zip(packed, row)]
+            halves.extend(((packed[:h], [{0: 0}]), (packed[h:], [{0: 0}])))
         for values, tables in halves:
             m = len(values)
             while len(tables) <= min(c, m):
@@ -524,8 +532,8 @@ def _zero_sum_complements(
                         if bits < grown.get(key, bits + 1):
                             grown[key] = bits
                 tables.append(grown)
-        lows, highs = halves[0][1], halves[1][1]
-        best = None
+        (low_values, lows), (high_values, highs) = halves
+        target, best = sum(low_values) + sum(high_values), None
         for a in range(max(0, c - n + h), min(c, h) + 1):
             high = highs[c - a]
             for total, bits in lows[a].items():
@@ -628,17 +636,20 @@ def first_entries_from_certificate(
     if not verify_certificate(A, certificate):
         raise ValueError("certificate fails verification against the matrix")
     blocks = certificate.partition.blocks
-    m = len(blocks)
-    grid = [[ZERO] * m for _ in range(A.cols)]
+    witnesses = [[(i, rational(c)) for i, c in terms] for terms in certificate.witnesses]
+    d = math.lcm(*(c.denominator for terms in witnesses for _, c in terms))
+    grid = [[ZERO] * len(blocks) for _ in range(A.cols)]
+    view = [[0] * A.cols for _ in blocks]  # G's columns times d, the lcm of its denominators
     for t, block in enumerate(blocks):
         for i in block:
-            grid[i][t] = ONE
-    for t, terms in enumerate(certificate.witnesses, start=1):
-        for i, coeff in terms:
-            grid[i][t] = -coeff
-    G = QMatrix(A.cols, m, tuple(map(tuple, grid)))
-    # G's integer view serves this check and the validation in FirstEntriesMatrix.
+            grid[i][t], view[t][i] = ONE, d
+    for t, terms in enumerate(witnesses, start=1):
+        for i, c in terms:
+            grid[i][t], view[t][i] = -c, -c.numerator * (d // c.denominator)
+    G = QMatrix(A.cols, len(blocks), tuple(map(tuple, grid)))
+    # the integer view G would compute, for this check and FirstEntriesMatrix's
+    G.__dict__["integer_columns"] = view = tuple(map(tuple, view))
     cols = A.integer_columns
-    for column in G.integer_columns:
+    for column in view:
         assert not any(_combination(cols, enumerate(column))), "construction violated A @ G == 0"
     return FirstEntriesMatrix(G)

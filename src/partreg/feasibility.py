@@ -22,7 +22,9 @@ constraints plus an arbitrary-sign combination of the equalities whose
 variables cancel and whose constant is contradictory.  The elimination is
 stage 1 of solve_positive; stages 2-4 are solve_positive_echelon, which the
 decision procedures call directly on the closure search's echelon, already
-reduced and in integers, once per YES for its scalars.
+reduced and in integers, once per YES for its scalars.  Its back-substitution
+also runs on integers, over one common denominator, so the returned point is
+its only Fractions.
 
 has_positive_solution is the search's check and solves for no point: a row
 with no negative entry refutes the echelon, rows on disjoint variables admit
@@ -251,42 +253,58 @@ def solve_positive_echelon(
     # --- stage 4: back-substitute a concrete point, preferring the value 1 ---
     # A variable that left every row before its own elimination is
     # unconstrained by the projection, so 1 is as good as any value for it.
-    # Only these values are Fractions.
-    values: list[Fraction] = [Q(1)] * nf
+    # The values are nums[i] / d over one common denominator d, and a bound
+    # is a pair (n, m) for n / m with m > 0.  Only the returned assignment
+    # is made of Fractions.
+    nums, d = [1] * nf, 1
 
-    def bound(row: tuple[int, ...], k: int) -> Fraction:
-        total = Q(row[nf])
-        for i in range(nf):
-            if i != k and row[i]:
-                total += row[i] * values[i]
-        return -total / row[k]
+    def bound(rows: list[_Ineq], k: int, tightest) -> tuple[int, int] | None:
+        # row r gives x_k > or < -(r's other terms) / r[k]; put all over m * d
+        if not rows:
+            return None
+        m = math.lcm(*(row[k] for row in rows))
+        return tightest(
+            -(row[nf] * d + sum(row[i] * nums[i] for i in range(nf) if i != k)) * (m // row[k])
+            for row in rows
+        ), m * d
 
-    # Every bound is strict, and the projection that stage 3 checked leaves
-    # lo < hi whenever both exist; a missing bound does not constrain.
     for k, lowers, uppers in reversed(snapshots):
-        lo = max((bound(row, k) for row in lowers), default=None)
-        hi = min((bound(row, k) for row in uppers), default=None)
-        if (lo is None or lo < 1) and (hi is None or 1 < hi):
-            values[k] = Q(1)
-        elif hi is None:
-            values[k] = lo + 1
-        elif lo is None:
-            values[k] = hi - 1
-        else:
-            values[k] = (lo + hi) / 2
+        p, q = _pick(bound(lowers, k, max), bound(uppers, k, min))
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        scale = q // math.gcd(d, q)
+        nums, d = [x * scale for x in nums], d * scale
+        nums[k] = p * (d // q)
 
-    assignment = [Q(0)] * nv
-    for f, value in zip(free_vars, values):
-        assignment[f] = value
+    # x_p = -(row[width] + sum(row[f] * x_f)) / row[p], all over den
+    den = d * math.lcm(*(row[p] for p, row in pivot_rows.items()))
+    values = [0] * nv
+    for f, x in zip(free_vars, nums):
+        values[f] = x * (den // d)
     for p, row in pivot_rows.items():
-        total = sum((row[f] * value for f, value in zip(free_vars, values)), Q(row[width]))
-        assignment[p] = -total / row[p]
+        total = row[width] * d + sum(row[f] * x for f, x in zip(free_vars, nums))
+        values[p] = -total * (den // (row[p] * d))
 
     for row in echelon.rows:
-        total = sum((c * a for c, a in zip(row, assignment)), Q(row[width]))
+        total = sum(c * x for c, x in zip(row, values)) + row[width] * den
         assert total == 0, "back-substitution broke an equality"
-    assert all(assignment[p] > 0 for p in pos), "back-substitution lost positivity"
-    return PositiveSolution(tuple(assignment)), None
+    assert all(values[p] > 0 for p in pos), "back-substitution lost positivity"
+    return PositiveSolution(tuple(Fraction(x, den) for x in values)), None
+
+
+def _pick(lo: tuple[int, int] | None, hi: tuple[int, int] | None) -> tuple[int, int]:
+    """A value in the open interval (lo, hi), preferring 1; stage 3 left lo < hi.
+
+    The value and each end are pairs (n, m) for n / m with m > 0; an end that
+    does not constrain is None.
+    """
+    if (lo is None or lo[0] < lo[1]) and (hi is None or hi[1] < hi[0]):
+        return 1, 1
+    if hi is None:
+        return lo[0] + lo[1], lo[1]
+    if lo is None:
+        return hi[0] - hi[1], hi[1]
+    return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
 
 
 def has_positive_solution(echelon: EqualityEchelon) -> bool:

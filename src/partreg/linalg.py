@@ -167,7 +167,7 @@ class QMatrix:
         proportional, so a combination vanishes exactly when it did before
         and span coefficients are unchanged.
         """
-        flat = integer_row(x for row in self.entries for x in row)
+        flat = integer_row([x for row in self.entries for x in row])
         return tuple(tuple(flat[j::self.cols]) for j in range(self.cols))
 
     def to_lines(self) -> str:
@@ -176,9 +176,9 @@ class QMatrix:
 
 def integer_row(values: Iterable[Fraction | int]) -> list[int]:
     """The values times the lcm of their denominators: integers, same ratios."""
-    values = list(values)
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in pairs])
+    return [n * (scale // d) for n, d in pairs]
 
 
 def rational_row(row: Sequence[int], pivot: int) -> tuple[Fraction, ...]:

@@ -419,6 +419,38 @@ def test_first_entries_vdw():
     assert fe.unital
 
 
+def test_first_entries_integer_view_is_the_one_of_its_entries():
+    # first_entries_from_certificate builds G's integer view from the blocks
+    # and the witnesses; it must be the view integer_columns reads off G's
+    # entries.  Each A is made to certify chosen witnesses with
+    # denominators up to max_den.
+    rng = random.Random(3804)
+    for blocks, max_den in itertools.product(range(1, 6), range(1, 8)):
+        for _ in range(3):
+            v = rng.randint(blocks, blocks + 3)
+            labels = list(range(blocks)) + [rng.randrange(blocks) for _ in range(v - blocks)]
+            rng.shuffle(labels)
+            partition = OrderedPartition.of([[i for i in range(v) if labels[i] == b] for b in range(blocks)])
+            rows = rng.randint(1, 3)
+            cols, witnesses, earlier = {}, [], []
+            for block in partition.blocks:
+                terms = tuple((i, F(rng.randint(-6, 6), rng.randint(1, max_den))) for i in sorted(earlier))
+                *free, last = block
+                for i in free:
+                    cols[i] = [random_rational(rng) for _ in range(rows)]
+                cols[last] = [
+                    sum((c * cols[i][r] for i, c in terms), F(0)) - sum((cols[i][r] for i in free), F(0))
+                    for r in range(rows)
+                ]
+                witnesses.append(terms)
+                earlier += block
+            A = QMatrix.of([[cols[j][r] for j in range(v)] for r in range(rows)])
+            cert = ColumnsConditionCertificate(partition, tuple(witnesses[1:]))
+            G = first_entries_from_certificate(A, cert).matrix
+            assert G == reference_first_entries(A, cert)
+            assert G.integer_columns == QMatrix(G.rows, G.cols, G.entries).integer_columns
+
+
 def test_first_entries_rejects_invalid_certificate():
     cert = check_partition(schur(), OrderedPartition.from_one_based([[1, 3], [2]]))
     tampered = ColumnsConditionCertificate(cert.partition, (((0, F(5)), (2, F(0))),))

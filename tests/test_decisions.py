@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction as F
@@ -233,6 +234,22 @@ def test_a_yes_solves_only_the_echelon_it_ends_on(monkeypatch):
     decision = doubly_kpr(QMatrix.of([[1, 1, -1]]), QMatrix.of([[1, 2]]))
     assert decision.is_yes and decision.scalar("c_2") == F(1, 3)
     assert solved == [((3, -1),)]
+
+
+def test_decisions_and_searches_leave_no_reference_cycle():
+    # Reference counts alone free what a search made, also for a search
+    # dropped after its first hit, so no decision feeds the cyclic collector.
+    template = doubly_ipr_template(fractional_b_matrix())
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_kpr(schur()).is_yes and is_ipr(vdw_image()).is_yes
+        assert doubly_ipr(diag12()).verdict == NO
+        next(columns.closure_search(template, counter=columns.BlockCounter(10**6)))
+        scalar_union_over_partitions(template)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_doubly_ipr_matches_doubly_kpr_with_negated_identity():

@@ -310,6 +310,55 @@ def test_positivity_check_matches_the_positive_solver():
     assert min(seen.values()) >= 40, seen
 
 
+def _stage4_branch(lo, hi):
+    # the rule of feasibility._pick, read in Fractions from its (n, m) ends
+    lo, hi = (None if end is None else F(*end) for end in (lo, hi))
+    if (lo is None or lo < 1) and (hi is None or 1 < hi):
+        return "one"
+    return "lo + 1" if hi is None else "hi - 1" if lo is None else "midpoint"
+
+
+def test_integer_back_substitution_matches_the_fraction_reference(monkeypatch):
+    # solve_positive_echelon on random consistent reduced echelons against
+    # the Fraction solver on the same equalities: the same point, as
+    # Fractions.  Partial positivity leaves some variables with upper bounds
+    # only, and every branch of the value rule is taken.
+    from partreg import feasibility
+
+    seen = {"one": 0, "lo + 1": 0, "hi - 1": 0, "midpoint": 0}
+    pick = feasibility._pick
+
+    def recording(lo, hi):
+        seen[_stage4_branch(lo, hi)] += 1
+        return pick(lo, hi)
+
+    monkeypatch.setattr(feasibility, "_pick", recording)
+    rng = random.Random(3801)
+    solved = 0
+    for _ in range(1500):
+        nvars = rng.randint(1, 4)
+        echelon = EqualityEchelon(nvars).extend(
+            [rng.choice((0, 1, -1, 2, -2, 3, -3)) for _ in range(nvars)] + [rng.randint(-4, 4)]
+            for _ in range(rng.randint(0, 2))
+        )
+        if echelon is None:
+            continue
+        positivity = [v for v in range(nvars) if rng.random() < 0.7]
+        solution, _ = solve_positive_echelon(echelon, nvars, positivity)
+        system = AffineSystem(
+            nvars,
+            tuple(LinearEquality(tuple(map(F, row[:nvars])), F(row[nvars])) for row in echelon.rows),
+            frozenset(positivity),
+        )
+        expected, _ = reference_solve_positive(system)
+        assert (solution is None) == (expected is None), echelon
+        if solution is not None:
+            assert solution.assignment == expected.assignment, echelon
+            assert all(type(x) is F for x in solution.assignment)
+            solved += 1
+    assert solved >= 300 and min(seen.values()) >= 20, (solved, seen)
+
+
 # ------------------------------------------------------------- scalar values
 
 def test_enumerate_feasible_scalars_requires_single_variable():

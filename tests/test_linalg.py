@@ -126,6 +126,41 @@ def test_integer_row_and_rational_row():
     assert rational_row((0, -6, 4, 3), 1) == (0, 1, F(-2, 3), F(-1, 2))
 
 
+def _least_multiplier(values) -> int:
+    # the smallest k >= 1 that makes every value an integer, by trial
+    k = 1
+    while any((F(x) * k).denominator != 1 for x in values):
+        k += 1
+    return k
+
+
+def test_integer_views_match_a_fraction_computation():
+    # Rows of ints and Fractions, with zeros and negatives, and rows of
+    # plain ints: the views are the values times their least common
+    # multiplier, as ints, and a matrix's columns share one multiplier.
+    rng = random.Random(3803)
+    values = [0, 0, 1, -1, 3, -4, F(0), F(2), F(1, 2), F(-2, 3), F(5, 4), F(-7, 6), F(3, 7)]
+    integral = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        row = [rng.choice(values) for _ in range(n)]
+        if rng.random() < 0.3:
+            row = [rng.randint(-5, 5) for _ in range(n)]
+        integral += all(F(x).denominator == 1 for x in row)
+        k = _least_multiplier(row)
+        got = integer_row(row)
+        assert got == [int(F(x) * k) for x in row], row
+        assert all(type(x) is int for x in got)
+
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        grid = tuple(tuple(rng.choice(values) for _ in range(cols)) for _ in range(rows))
+        k = _least_multiplier([x for r in grid for x in r])
+        expected = tuple(tuple(int(F(r[j]) * k) for r in grid) for j in range(cols))
+        assert QMatrix(rows, cols, grid).integer_columns == expected
+        assert QMatrix.of(grid).integer_columns == expected
+    assert integral >= 60
+
+
 def assert_canonical(echelon: EqualityEchelon) -> None:
     assert list(echelon.pivots) == sorted(set(echelon.pivots))
     for p, row in zip(echelon.pivots, echelon.rows):

@@ -188,6 +188,25 @@ def test_one_signed_levels_are_refuted_without_a_scan(monkeypatch):
         assert decision.verdict == UNDECIDED and decision.cap == cap
 
 
+def test_one_signed_unscaled_levels_are_refuted_without_positivity(monkeypatch):
+    # No block of ones(1 x n) sums to zero, whatever the scalars: one charge
+    # of all 2^n - 1 blocks, also for a search not told that they are positive.
+    charges = []
+    charge = BlockCounter.charge
+
+    def recording(self, blocks=1):
+        charges.append(blocks)
+        charge(self, blocks)
+
+    monkeypatch.setattr(BlockCounter, "charge", recording)
+    assert is_kpr(ones(12)).verdict == NO
+    assert charges == [2**12 - 1]
+    charges.clear()
+    template = ScalingTemplate(ones(12), (FIXED_ONE,) * 12, 0)
+    assert list(closure_search(template, counter=BlockCounter(2**12 - 1))) == []
+    assert charges == [2**12 - 1]
+
+
 def test_scalar_union_takes_no_sign_rule():
     # (1 1 c c) admits only negative values, which the sign rules would
     # refute: the union, which asks for every value, scans its blocks.

@@ -283,11 +283,12 @@ class WitnessColouring:
 class _PieceIndex:
     """The colour pieces of [1..bound], found by the values they can meet.
 
-    Grouped by colour at set-up; a colour's pieces (all under None) are filed
-    when `meeting` first asks, by residue modulo the gcd of the piece steps and
-    by start: intervals (start parity, gamma, table runs) are found by
-    bisection on a span, residue classes ("mod") by residue.  `lasts` holds
-    running maxima, so bisection stays complete if spans interleave.
+    Grouped by colour and sorted by start at set-up (all under None), as a
+    depth's own entry x = t takes them; for any other entry a colour's pieces
+    are filed when `meeting` first asks, by residue modulo the gcd of the
+    piece steps and by start: intervals (start parity, gamma, table runs) are
+    found by bisection on a span, residue classes ("mod") by residue.  `lasts`
+    holds running maxima, so bisection stays complete if spans interleave.
     """
 
     def __init__(self, pieces: list[tuple[Hashable, range]]):
@@ -325,10 +326,12 @@ class _KernelSearch:
     offset fixed by the earlier free values.  Per colour piece its t form a
     progression, so the candidates are groups (t-progression, colours of
     the blocks they fix) built by intersecting progressions, never by
-    scanning [1..N], and merged lazily in increasing t.  An entry splits a group
-    only along the pieces its values there can meet (_PieceIndex), so the work
-    follows the pieces, not their square: offset-free entries once per depth and
-    colours (cached), the others per offset.  The t are first clipped to the
+    scanning [1..N], and merged lazily in increasing t.  The free column's
+    own entry, x = t, takes its colour's pieces as they are; any other entry
+    splits a group only along the pieces its values there can meet
+    (_PieceIndex), so the work follows the pieces, not their square:
+    offset-free entries once per depth and colours (cached), the others per
+    offset.  The t are first clipped to the
     depth's window, where every offset entry lies in [1..bound].  A group is
     dropped when the next depth can place no value: against the next depth's
     window over the group's t-range, lazily as the merge reaches the group,
@@ -391,13 +394,15 @@ class _KernelSearch:
         # terms) and the (column, a, den) of every entry its t fixes; no piece
         # is pulled back before a group asks for it
         self.levels = []
-        for entries in at_depth:
+        for f, entries in zip(frees, at_depth):
             blocks = tuple(sorted({self.block_of[e] for e, *_ in entries}))
             plain, offsets = [], []
             for e, a, den, earlier in entries:
                 slot = blocks.index(self.block_of[e])
                 if earlier:
                     offsets.append((e, slot, a, den, earlier))
+                elif e == f:  # the free column's own entry, x = t, goes first
+                    plain.insert(0, (slot, a, den))
                 else:
                     plain.append((slot, a, den))
             fix = [(e, a, den) for e, a, den, _ in entries]
@@ -434,7 +439,7 @@ class _KernelSearch:
         met; only the pieces that a group's values can meet are pulled back.
         """
         sign = 1 if a > 0 else -1
-        same = a == den == 1 and not offset  # a free column's own entry: x = t
+        same = a == den == 1 and not offset  # x = t: a column equal to a free one
         refined = []
         for progression, colours in groups:
             # the integer values x = (a*t + offset)/den of the group, increasing
@@ -452,6 +457,7 @@ class _KernelSearch:
     def _groups(self, depth: int, key: tuple) -> list[tuple[range, tuple]]:
         """Groups at `depth` under colours `key`, from its offset-free entries.
 
+        The first, x = t, gives the pieces of its colour (all while unfixed).
         Sorted by start where this depth or the next has offset entries;
         otherwise a group is dropped here when the next depth's offset-free
         entries leave it no candidates, as fixing more colours only shrinks them.
@@ -459,8 +465,9 @@ class _KernelSearch:
         cached = self.group_cache.get((depth, key))
         if cached is not None:
             return cached
-        groups = [(range(1, self.bound + 1), key)]
-        blocks, plain, offsets, _ = self.levels[depth]
+        blocks, ((slot, _, _), *plain), offsets, _ = self.levels[depth]
+        groups = [(r, key[:slot] + (c,) + key[slot + 1:])
+                  for c, r in self.index.pieces.get(key[slot], ())]
         for slot, a, den in plain:
             groups = self._refine(groups, slot, a, 0, den)
         if depth + 1 < self.depths and not self.ahead[depth]:

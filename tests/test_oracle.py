@@ -541,14 +541,16 @@ def test_piece_index_meets_what_a_filter_of_all_pieces_meets():
 
 
 def test_a_colour_blind_search_files_one_table():
-    # the one piece has colour None, the key of all pieces as well
+    # the one piece has colour None, the key of all pieces as well, and each
+    # depth reads its own entry's groups off the pieces, so no table is filed
     search = _KernelSearch([schur()], 200, None)
     assert len(list(search.solutions())) == 199 * 200 // 2
-    assert list(search.index.tables) == [None]
-    # a coloured search files only the colours it asks for
+    assert list(search.index.tables) == []
+    # a coloured search files only the colours it asks for: one of 181 keys
     search = _KernelSearch([vdw()], 2000, Colouring.gamma(10))
     assert next(search.solutions())[0] == ((100, 101, 102, 103, 1),)
-    assert len(search.index.tables) < len(search.index.pieces)
+    assert len(search.index.pieces) == 181
+    assert len(search.index.tables) == 1
 
 
 def test_indexed_pieces_match_a_walk_of_the_free_coordinates():
@@ -630,6 +632,81 @@ def test_kernel_search_lists_what_a_walk_of_the_free_values_lists():
     assert listed > 1000 and coloured > 1000
 
 
+def seeded_groups(search, depth, key, memo):
+    """[1..N] under `key` refined through every offset-free entry of `depth`.
+
+    The groups _groups built before it read its free column's own entry off
+    the piece index, dropped where _groups drops them, in no set order;
+    `memo` holds them per (depth, key), as _groups caches its own.
+    """
+    if (depth, key) in memo:
+        return memo[depth, key]
+    blocks, plain, _, _ = search.levels[depth]
+    groups = [(range(1, search.bound + 1), key)]
+    for slot, a, den in plain:
+        groups = search._refine(groups, slot, a, 0, den)
+    if depth + 1 < search.depths and not search.ahead[depth]:
+        after = search.levels[depth + 1][0]
+        groups = [
+            group for group in groups
+            if seeded_groups(search, depth + 1, tuple(
+                group[1][blocks.index(b)] if b in blocks else None for b in after
+            ), memo)
+        ]
+    memo[depth, key] = groups
+    return groups
+
+
+def test_groups_match_refining_the_whole_bound(monkeypatch):
+    # seeded matrices of one to three blocks under every colouring kind and
+    # colour-blind, for unfixed keys and keys with some colours fixed: the
+    # same groups as refining [1..N] through every offset-free entry, in
+    # start order where _groups sorts, with fewer intersections
+    calls = Counter()
+
+    def counted(x, y):
+        calls["intersect"] += 1
+        return intersect(x, y)
+
+    intersect = oracle._intersect
+    monkeypatch.setattr(oracle, "_intersect", counted)
+    rng = random.Random(139)
+    seen = Counter()
+    shapes = [[3], [4], [2, 1], [1, 2], [2, 2], [2, 3], [1, 1, 1], [2, 1, 2]]
+    for _ in range(30):
+        rows = rng.randint(1, 2)
+        matrices = [
+            QMatrix.of([[rng.randint(-3, 3) for _ in range(w)] for _ in range(rows)])
+            for w in rng.choice(shapes)
+        ]
+        if not _KernelSearch(matrices, 1, None).viable:
+            continue
+        bound = rng.randint(5, 30)
+        for colouring in [None, *every_colouring_kind(rng, bound)]:
+            colours = [None] if colouring is None else [
+                colouring.colour(x) for x in range(1, bound + 1)
+            ]
+            search = _KernelSearch(matrices, bound, colouring)
+            for depth, (blocks, plain, offsets, _) in enumerate(search.levels):
+                seen["several entries"] += len(plain) > 1
+                for fixed in range(4):
+                    key = tuple(rng.choice(colours) if fixed else None for _ in blocks)
+                    calls.clear()
+                    expected = seeded_groups(_KernelSearch(matrices, bound, colouring), depth, key, {})
+                    reference_calls = calls["intersect"]
+                    calls.clear()
+                    groups = _KernelSearch(matrices, bound, colouring)._groups(depth, key)
+                    assert calls["intersect"] <= reference_calls
+                    assert search._groups(depth, key) == groups
+                    assert set(groups) == set(expected)
+                    if search.ahead[depth] or offsets:
+                        seen["sorted"] += 1
+                        assert groups == sorted(expected, key=lambda group: group[0].start)
+                    seen["fixed" if any(c is not None for c in key) else "unfixed"] += 1
+                    seen["saved"] += calls["intersect"] < reference_calls
+    assert min(seen.values()) > 20
+
+
 def test_window_of_entries_with_negative_steps():
     # colour-blind, depth 1's candidates under a fixed t_0 are the t_1 in
     # [1..N] that make every entry fixed at depth 1 an integer in [1..N]:
@@ -701,6 +778,31 @@ def test_refinement_work_is_linear_in_the_pieces(monkeypatch):
         witness = find_monochromatic_solution([diag12(), minus_identity(2)], colouring, bound)
         assert (witness and witness.vectors) == vectors
         assert calls["intersect"] <= 5 * len(colouring.pieces(bound))
+
+
+def test_refinement_calls_per_first_solution(monkeypatch):
+    # each depth reads its free column's own entry, x = t, off the piece
+    # index and refines only by its other entries: refining [1..N] through
+    # the own entry as well made 106 _refine and 322 _intersect calls for the
+    # 4-AP and 2,002 and 3,001 for diag(1,2)/(-I)
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(_KernelSearch, "_refine", counting("refine", _KernelSearch._refine))
+    monkeypatch.setattr(oracle, "_intersect", counting("intersect", oracle._intersect))
+    cases = [
+        ([vdw()], Colouring.gamma(10), ((100, 101, 102, 103, 1),), (6, 3)),
+        ([diag12(), minus_identity(2)], Colouring.mod(1000), ((1000, 1000), (1000, 2000)), (1001, 1001)),
+    ]
+    for matrices, colouring, vectors, counts in cases:
+        calls.clear()
+        assert find_monochromatic_solution(matrices, colouring, 2000).vectors == vectors
+        assert (calls["refine"], calls["intersect"]) == counts
 
 
 # ------------------------------------------------ colouring sweeps and search

@@ -6,10 +6,11 @@ lines starting with '#' are ignored.  Exit codes: 0 the property holds
 (YES / verified / solution found), 1 it fails (NO / falsified / none found),
 2 input or usage error, 3 undecided because the search examined as many
 candidate blocks as --cap allows.  Each command is declared once, in
-COMMANDS, and each oracle subcommand in _ORACLE_COMMANDS, whose entry adds
-its arguments and the handler that answers it to a parser: main parses argv
-with the parser of the command, or oracle subcommand, that it names alone,
-and build_parser hangs every command under one tree for help and usage errors.
+COMMANDS, and each oracle subcommand in _ORACLE_COMMANDS, as a _Leaf: its
+positionals, its options and the handler that answers it.  main reads a
+plain, valid argv straight from that declaration and builds no parser;
+every other argv (--help, --opt=value, a usage error) goes to the one
+argparse tree that build_parser configures from the same declarations.
 A handler returns its exit code, its result as a JSON document and the
 same result as text, and only main writes to stdout: the document under
 --json, the text otherwise.  A handler that returns no document has
@@ -229,31 +230,69 @@ def _oracle_falsify(args: argparse.Namespace) -> Result:
     return EXIT_FAILS, {"witness_colouring": witness.to_json_dict()}, witness.to_text()
 
 
-def _leaf(run, *positionals: str, cap: bool = True, **required: dict):
-    """Adds --cap if `cap`, --json, the positionals ("files" takes one or more), the `required` options and `run`."""
-    def configure(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        if cap:
+class _Leaf:
+    """One command's arguments and handler: "files" takes one or more positionals, the others one each."""
+
+    def __init__(self, run, *positionals: str, cap: bool = True, **required: dict):
+        self.run, self.positionals, self.cap, self.required = run, positionals, cap, required
+
+    def __call__(self, parser: argparse.ArgumentParser) -> None:
+        """Adds --cap if `cap`, --json, the positionals, the `required` options and `run` to parser."""
+        if self.cap:
             parser.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP, help="max candidate "
                                 "blocks the search examines before reporting UNDECIDED")
         parser.add_argument("--json", action="store_true", help="canonical JSON output")
-        for positional in positionals:
+        for positional in self.positionals:
             parser.add_argument(positional, nargs="+" if positional == "files" else None)
-        for option, keywords in required.items():
+        for option, keywords in self.required.items():
             parser.add_argument(f"--{option}", required=True, **keywords)
-        parser.set_defaults(run=run)
-        return parser
-    return configure
+        parser.set_defaults(run=self.run)
+
+    def read(self, args: list[str]) -> argparse.Namespace | None:
+        """The namespace that the parser gives args if they are plain: one run of positionals, and each
+        option at most once, spelled out, with a value that converts and does not start with '-'.
+        Else None: --help, --, --opt=value, abbreviations and every usage error are the parser's."""
+        types = {"--json": None, **({"--cap": int} if self.cap else {}),
+                 **{f"--{option}": keywords.get("type", str) for option, keywords in self.required.items()}}
+        values: dict = {}
+        positionals: list[str] = []
+        closed = False  # an option follows the positionals, so a second run would be misread
+        tokens = iter(args)
+        for token in tokens:
+            if not token.startswith("-"):
+                if closed:
+                    return None
+                positionals.append(token)
+                continue
+            if token not in types or token in values:
+                return None
+            closed = bool(positionals)
+            value = next(tokens, "-") if types[token] else ""
+            if value.startswith("-"):
+                return None
+            try:
+                values[token] = types[token](value) if types[token] else True
+            except ValueError:
+                return None
+        many = self.positionals == ("files",)
+        if len(positionals) != len(self.positionals) and not (many and positionals) or \
+                not values.keys() >= {f"--{option}" for option in self.required}:
+            return None
+        return argparse.Namespace(
+            **({"cap": values.get("--cap", DEFAULT_PARTITION_CAP)} if self.cap else {}), json="--json" in values,
+            **dict(zip(self.positionals, [positionals] if many else positionals)),
+            **{option: values[f"--{option}"] for option in self.required}, run=self.run)
 
 
 # name: (help text, configure) of each oracle subcommand, as in COMMANDS
 _ORACLE_COMMANDS = {
-    "solve": ("search a bounded monochromatic solution", _leaf(
+    "solve": ("search a bounded monochromatic solution", _Leaf(
         _oracle_solve, "files", cap=False,
         colouring={"help": "mod:M | gamma:P | startparity:B | table:FILE"}, bound={"type": int})),
     "sweep": ("check every r-colouring of [1..N] admits a solution",
-              _leaf(_oracle_sweep, "files", cap=False, colours={"type": int}, bound={"type": int})),
+              _Leaf(_oracle_sweep, "files", cap=False, colours={"type": int}, bound={"type": int})),
     "falsify": ("search a colouring of [1..N] with no bounded solution",
-                _leaf(_oracle_falsify, "files", cap=False, colours={"type": int}, bound={"type": int})),
+                _Leaf(_oracle_falsify, "files", cap=False, colours={"type": int}, bound={"type": int})),
 }
 
 
@@ -263,52 +302,37 @@ def _configure_oracle(parser: argparse.ArgumentParser) -> None:
         configure(oracle_sub.add_parser(name, help=help_text))
 
 
-# name: (help text, configure), which adds the command's arguments and its handler, the default
-# `run`, to a parser.  Only the searches that decide take --cap; the oracle's have no budget yet.
+# name: (help text, configure), a _Leaf for every command but oracle, whose subcommands are
+# leaves.  Only the searches that decide take --cap; the oracle's have no budget yet.
 # Handlers look up partreg's functions in this module's globals when they run, not at import.
 COMMANDS = {
     "kpr": ("kernel partition regularity of FILE",
-            _leaf(lambda args: _report_decision(is_kpr(load_matrix(args.file), args.cap)), "file")),
+            _Leaf(lambda args: _report_decision(is_kpr(load_matrix(args.file), args.cap)), "file")),
     "ipr": ("image partition regularity of FILE",
-            _leaf(lambda args: _report_decision(is_ipr(load_matrix(args.file), args.cap)), "file")),
+            _Leaf(lambda args: _report_decision(is_ipr(load_matrix(args.file), args.cap)), "file")),
     "doubly-ipr": ("doubly image partition regularity of FILE",
-                   _leaf(lambda args: _report_decision(doubly_ipr(load_matrix(args.file), args.cap)), "file")),
-    "doubly-kpr": ("doubly kernel partition regularity of a pair", _leaf(
+                   _Leaf(lambda args: _report_decision(doubly_ipr(load_matrix(args.file), args.cap)), "file")),
+    "doubly-kpr": ("doubly kernel partition regularity of a pair", _Leaf(
         lambda args: _report_decision(doubly_kpr(*_load_matrices([args.file_a, args.file_b]), args.cap)),
         "file_a", "file_b")),
-    "multiply-kpr": ("multiply kernel partition regularity of a tuple", _leaf(
+    "multiply-kpr": ("multiply kernel partition regularity of a tuple", _Leaf(
         lambda args: _report_decision(multiply_kpr(_load_matrices(args.files), args.cap)), "files")),
-    "certify": ("verify a certificate against a matrix", _leaf(_certify, "file", "certificate", cap=False)),
+    "certify": ("verify a certificate against a matrix", _Leaf(_certify, "file", "certificate", cap=False)),
     "first-entries": ("emit the unital first-entries matrix of a certificate",
-                      _leaf(_first_entries, "file", "certificate", cap=False)),
-    "scalars": ("all scalar values admitted by the doubly-IPR template", _leaf(_scalars, "file")),
+                      _Leaf(_first_entries, "file", "certificate", cap=False)),
+    "scalars": ("all scalar values admitted by the doubly-IPR template", _Leaf(_scalars, "file")),
     "oracle": ("finite-scale colouring oracles", _configure_oracle),
 }
-
-
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command: the subtree that build_parser hangs under `name`, with its prog."""
-    parser = argparse.ArgumentParser(prog=f"partreg {name}")
-    COMMANDS[name][1](parser)
-    return parser
-
-
-@functools.cache
-def _oracle_parsers() -> dict[str, argparse.ArgumentParser]:
-    """The oracle subcommands' parsers, built together; each parses as its subtree of the full tree."""
-    return {name: configure(argparse.ArgumentParser(prog=f"partreg oracle {name}"))
-            for name, (_, configure) in _ORACLE_COMMANDS.items()}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The full parser tree, built on first use and then shared.
 
-    main() builds it only when argv names no command (--help, no arguments,
-    a typo) or its command's or oracle subcommand's parser leaves arguments
-    unrecognised, which the tree reports under the top-level usage.  Parsing
-    does not change a parser; none is built at import, which would charge every importer.
+    main() builds it only for an argv that its command's _Leaf does not read:
+    help, no command, a typo, a spelling other than the plain one, or a usage
+    error, which the tree reports.  Parsing does not change a parser; none
+    is built at import, which would charge every importer.
     """
     parser = argparse.ArgumentParser(
         prog="partreg",
@@ -323,17 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        if len(argv) > 1 and argv[0] == "oracle" and argv[1] in _ORACLE_COMMANDS:
-            args, unrecognised = _oracle_parsers()[argv[1]].parse_known_args(argv[2:])
-        else:
-            args, unrecognised = (_command_parser(argv[0]).parse_known_args(argv[1:])
-                                  if argv and argv[0] in COMMANDS else (None, True))
-        # no command named, or arguments the command does not take: the tree reports either as before
-        if unrecognised:
+    depth = 2 if argv and argv[0] == "oracle" else 1
+    entry = (_ORACLE_COMMANDS if depth == 2 else COMMANDS).get(argv[depth - 1]) if len(argv) >= depth else None
+    args = entry[1].read(argv[depth:]) if entry else None
+    # argv names no command or oracle subcommand, or is not plain: the tree parses or reports it
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else 0
+        except SystemExit as err:
+            return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         # only the subcommands that search take --cap
         if "cap" in args and args.cap < 0:

@@ -116,6 +116,9 @@ CHECKS = [
     Check("oracle solve schur.txt --colouring mod:3", 2,
           stderr="partreg oracle solve: error: the following arguments are required: --bound"),
     Check("oracle", 2, stderr="partreg oracle: error: the following arguments are required: oracle_command"),
+    # nargs="+" takes only the first run of positionals, so a file after the options is unrecognised
+    Check("oracle solve schur.txt --colouring mod:3 --bound 50 schur.txt", 2,
+          stderr="partreg: error: unrecognized arguments: schur.txt"),
     Check("kpr schur.txt --cap x", 2, stderr="partreg kpr: error: argument --cap: invalid int value: 'x'"),
     # an oracle subcommand's own parser reports its errors and prints its help
     Check("oracle falsify schur.txt --colours x --bound 5", 2,

@@ -1,6 +1,6 @@
-import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -463,27 +463,38 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def test_valid_commands_build_only_their_own_parser(tmp_path, capsys):
-    schur = write(tmp_path, "schur.txt", SCHUR)
+class NoParser:
+    """An argparse.ArgumentParser stand-in that fails the test if main builds a parser."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a valid argv built an argparse parser")
+
+
+def write_leaf_inputs(tmp_path, capsys):
+    """The files that COMMAND_PATHS and the oracle workload name, written to tmp_path."""
+    for name, text in [("a.txt", SCHUR), ("b.txt", SCHUR), ("schur.txt", SCHUR), ("one_two.txt", "1 2\n"),
+                       ("diag12.txt", "1 0\n0 2\n"), ("neg_identity2.txt", "-1 0\n0 -1\n")]:
+        write(tmp_path, name, text)
+    assert main(["kpr", "a.txt", "--json"]) == EXIT_HOLDS
+    write(tmp_path, "c.json", json.dumps(json.loads(capsys.readouterr().out)["certificate"]))
+
+
+def test_a_valid_argv_builds_no_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_leaf_inputs(tmp_path, capsys)
     tree = build_parser.cache_info()
-    cli._command_parser.cache_clear()
-    cli._oracle_parsers.cache_clear()
-    built = []
-    for argv in [
-        ["kpr", schur],
-        ["oracle", "solve", schur, "--colouring", "mod:2", "--bound", "10"],
-        ["oracle", "sweep", schur, "--colours", "2", "--bound", "5"],
-        ["oracle", "falsify", schur, "--colours", "2", "--bound", "4"],
-        ["kpr", schur, "--json"],
-    ]:
-        assert main(argv) in (EXIT_HOLDS, EXIT_FAILS), argv
-        built.append((cli._command_parser.cache_info().misses, cli._oracle_parsers.cache_info().misses))
-    capsys.readouterr()
-    # the full tree is never built, kpr's parser once, and the three oracle
-    # leaves once, together, on the first oracle command
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", NoParser)
+    argvs = [[*path, *arguments] for path, (arguments, _) in COMMAND_PATHS.items()] + [
+        # the oracle workload's three shapes
+        ["oracle", "solve", "diag12.txt", "neg_identity2.txt", "--colouring", "startparity:2", "--bound",
+         "1024", "--json"],
+        ["oracle", "sweep", "schur.txt", "--colours", "3", "--bound", "13", "--json"],
+        ["oracle", "falsify", "schur.txt", "--colours", "2", "--bound", "4", "--json"],
+    ]
+    for argv in argvs:
+        assert main(argv) in (EXIT_HOLDS, EXIT_FAILS, EXIT_UNDECIDED), argv
+        assert capsys.readouterr().err == "", argv
     assert build_parser.cache_info() == tree
-    assert built == [(1, 0), (1, 1), (1, 1), (1, 1), (1, 1)]
-    assert list(cli._oracle_parsers()) == ["solve", "sweep", "falsify"]
 
 
 # one set of arguments that parses, and the integer option to give a bad value, per command path;
@@ -524,46 +535,73 @@ def test_usage_errors_match_the_full_parser(capsys, monkeypatch, path, case):
     assert (main(argv), *capsys.readouterr()) == expected
 
 
-# an oracle leaf's arguments that parse, and its own option, per subcommand
-ORACLE_LEAVES = {
-    "solve": ["--colouring", "mod:2"],
-    "sweep": ["--colours", "2"],
-    "falsify": ["--colours", "2"],
-}
-
-
-class LeavesAllUnrecognised:
-    """An oracle leaf stand-in that recognises nothing, so main parses argv with the full tree."""
-
-    def parse_known_args(self, args):
-        return None, args or True
-
-
 @pytest.mark.parametrize("case", [
-    ["{file}", "--bound", "6"], ["{file}", "{own}", "x", "--bound", "6"],
-    ["{file}", "{own}", "{value}", "--bound=6"], ["{file}", "{own}", "{value}", "--bou", "6"],
-    ["{own}", "{value}", "--bound", "6", "--", "{file}"],
-    ["--bound", "6", "{own}", "{value}", "--", "{file}", "{file}"],
+    ["{files}", "{int}", "6"], ["{files}", "{own}", "x", "{int}", "6"],
+    ["{files}", "{own}", "{value}", "{int}=6"], ["{files}", "{own}", "{value}", "{abbreviated}", "6"],
+    ["{own}", "{value}", "{int}", "6", "--", "{files}"],
+    ["{int}", "6", "{own}", "{value}", "--", "{files}", "{files}"],
 ], ids=["missing-option", "own-value", "equals", "abbreviated", "dashes", "dashes-two-files"])
-@pytest.mark.parametrize("name", list(ORACLE_LEAVES))
-def test_oracle_leaves_parse_as_the_full_tree(tmp_path, capsys, monkeypatch, name, case):
-    # --help, a bad --bound and an unknown option are test_usage_errors_match_the_full_parser's
+@pytest.mark.parametrize("path", list(COMMAND_PATHS), ids=" ".join)
+def test_leaves_parse_as_the_full_tree(tmp_path, capsys, monkeypatch, path, case):
+    # --help, a bad integer and an unknown option are test_usage_errors_match_the_full_parser's
     # cases; usage text wraps at COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
-    own, value = ORACLE_LEAVES[name]
-    fields = {"file": write(tmp_path, "schur.txt", SCHUR), "own": own, "value": value}
-    argv = ["oracle", name, *(arg.format(**fields) for arg in case)]
+    monkeypatch.chdir(tmp_path)
+    write_leaf_inputs(tmp_path, capsys)
+    arguments, integer_option = COMMAND_PATHS[path]
+    files = [arg for arg in arguments if arg.endswith((".txt", ".json"))]
+    # its own option and value: the first option that is not the integer one, else --json alone
+    own = arguments[len(files):len(files) + 2] if len(arguments) > len(files) + 2 else ["--json", ""]
+    fields = {"files": " ".join(files), "own": own[0], "value": own[1], "int": integer_option,
+              "abbreviated": integer_option[:-1]}
+    tail = [arg for template in case for arg in template.format(**fields).split(" ") if arg]
+    argv = [*path, *tail]
     through_leaf = (main(argv), *capsys.readouterr())
-    with monkeypatch.context() as patched:
-        patched.setattr(cli, "_oracle_parsers", lambda: dict.fromkeys(ORACLE_LEAVES, LeavesAllUnrecognised()))
+    with monkeypatch.context() as patched:  # no leaf reads argv, so the full tree parses it
+        patched.setattr(cli._Leaf, "read", lambda leaf, args: None)
         assert (main(argv), *capsys.readouterr()) == through_leaf
-    with contextlib.suppress(SystemExit):  # the tree refuses argv: nothing reaches a handler
-        args = build_parser().parse_args(argv)
-        # the leaf gives the handler the fields that the tree gives it
-        leaf, unrecognised = cli._oracle_parsers()[name].parse_known_args(argv[2:])
-        assert not unrecognised
-        assert vars(leaf) == {key: v for key, v in vars(args).items() if not key.endswith("command")}
-    capsys.readouterr()
+    args = (cli._ORACLE_COMMANDS if path[0] == "oracle" else cli.COMMANDS)[path[-1]][1].read(tail)
+    if args is not None:  # the leaf gives the handler the fields that the tree gives it
+        tree_args = build_parser().parse_args(argv)
+        assert vars(args) == {key: v for key, v in vars(tree_args).items() if not key.endswith("command")}
+
+
+def test_the_leaves_match_the_full_tree_on_seeded_argvs(tmp_path, capsys, monkeypatch):
+    # usage text wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    write_leaf_inputs(tmp_path, capsys)
+    heads = [[name] for name in cli.COMMANDS] + [["oracle", name] for name in cli._ORACLE_COMMANDS] + [
+        ["bogus"], []]
+    pool = ["--json", "--cap", "--colouring", "--bound", "--colours", "--cap=5", "--bou", "--col", "--js",
+            "-h", "--", "-", "-1", "--bogus", "a.txt", "one_two.txt", "diag12.txt", "c.json",
+            "5", "x", "-2", " 3", "mod:3", "startparity:2"]
+    rng = random.Random(40)
+    argvs = []
+    for _ in range(3000):
+        # a command path's valid argv, or a head alone, with one to three edits after the head
+        head = rng.choice(heads)
+        argv = [*head, *COMMAND_PATHS.get(tuple(head), ([], None))[0]]
+        for _ in range(rng.randint(1, 3)):
+            at, edit = rng.randint(len(head), len(argv)), rng.random()
+            if edit < 0.5:
+                argv.insert(at, rng.choice(pool))
+            elif at < len(argv):
+                argv[at:at + 1] = [rng.choice(pool)] if edit < 0.75 else []
+        argvs.append(argv)
+    read, leaf_read = [], cli._Leaf.read
+
+    def counted_read(leaf, args):
+        read.append(leaf_read(leaf, args))
+        return read[-1]
+
+    monkeypatch.setattr(cli._Leaf, "read", counted_read)
+    with_leaves = [(main(argv), *capsys.readouterr()) for argv in argvs]
+    monkeypatch.setattr(cli._Leaf, "read", lambda leaf, args: None)
+    tree_alone = [(main(argv), *capsys.readouterr()) for argv in argvs]
+    for argv, got, expected in zip(argvs, with_leaves, tree_alone):
+        assert got == expected, argv
+    assert sum(args is not None for args in read) > 300
 
 
 def test_repeated_main_matches_one_process_per_call(tmp_path, capsys, monkeypatch):

@@ -21,18 +21,8 @@ append the second chain's blocks minus what is already placed; each
 leftover sum is a block sum minus placed columns, so it stays in the larger
 span.  So the search state is the set of placed columns plus the
 equalities that the unknown scalars of a scaled matrix must meet so far,
-and a block that adds no equality can be taken without branching.  Blocks
-are tried largest first, then in lexicographic order.  The equalities are
 kept in linalg's EqualityEchelon, the package's one elimination kernel.
-A level whose unplaced columns carry no scalar (every level of plain
-kernel partition regularity) cannot branch, so it is not scanned: its
-first zero-sum block comes from subset sums met in the middle, which
-zero_column_subset_exists shares.  A search for positive scalars skips,
-before elimination, each block whose equalities signs refute, and a whole
-level when signs refute all its blocks, as any search does for a level
-without scalars.  Every search counts the
-candidate blocks it examines, or for such levels the blocks a scan would
-have examined, on a BlockCounter, and stops at the counter's cap.
+Each state is explored once, and _level settles the blocks of one state.
 enumerate_ordered_partitions remains as the brute-force reference.
 """
 
@@ -354,9 +344,7 @@ def closure_search(
     equalities: the scalars, all non-zero, for which it is a certificate.
     For non-zero scalars the scaled and unscaled earlier columns span the
     same space, so a later block's condition is linear: the annihilators of
-    the unscaled earlier columns kill its scaled sum.  The search reads the
-    matrix's integer view, so a template shares it with the certificate
-    check of its unscaled matrix.
+    the unscaled earlier columns kill its scaled sum.
 
     The state is (placed columns, echelon).  A block whose equalities are
     already implied is taken without branching; by the union lemma this
@@ -364,95 +352,45 @@ def closure_search(
     when `feasible` accepts the new echelon (None accepts all).  Which
     scalars succeed depends on the echelon alone, so each echelon is
     explored once: the first partition is found by the first next(), and
-    exhausting the iterator finds every echelon that succeeds.  Blocks are
-    tried largest first, then in lexicographic order.  A level whose
-    unplaced columns carry no scalar cannot branch: a block is taken when
-    its annihilated sum is zero and contradicts the echelon otherwise.  So
-    such a level takes its first zero-sum block, found by subset sums met
-    in the middle instead of a scan.  Other levels scan their blocks.  When
-    `positive` says that `feasible` accepts only echelons with a strictly
-    positive point, a block whose equalities have a non-zero row of one
-    sign, the constant included, is skipped before elimination; the
-    current echelon has a positive point, so it never implies such a
-    block.  A level with a row of one strict sign at every unplaced column
-    refutes all its blocks so, and ends without a scan.  That needs no
-    positivity when no unplaced column carries a scalar: every block then
-    sums to a non-zero constant in that row.  Every search runs
-    under the budget of `counter`, a BlockCounter: each candidate block is
-    charged to it, a level settled without a scan being charged the blocks
-    a scan would have examined, and reaching its cap with blocks left
-    raises PartitionCapExceeded.  Searches given one counter draw on its
-    cap together.
+    exhausting the iterator finds every echelon that succeeds.  _level
+    settles each state's blocks; `positive` says that `feasible` accepts
+    only echelons with a strictly positive point.  Every candidate block is
+    charged to `counter`, a BlockCounter, and reaching its cap with blocks
+    left raises PartitionCapExceeded.  Searches given one counter draw on
+    its cap together.
     """
     integral = template.matrix.integer_columns
     dim, nvars = template.matrix.rows, template.nvars
     full = frozenset(range(template.matrix.cols))
     slot = [nvars if g is None else g for g in template.group_of]
-    scaled = {j for j, g in enumerate(template.group_of) if g is not None}
     explored: set[tuple] = set()
-
-    def block_equalities(placed: frozenset[int], rest: list[int]):
-        # One integer equality per annihilator row of the placed columns.
-        if placed:
-            span = EqualityEchelon(dim).extend(integral[i] + (0,) for i in placed)
-            functionals = integer_kernel(span)
-            projected = {
-                j: [sum(f * x for f, x in zip(row, integral[j])) for row in functionals]
-                for j in rest
-            }
-        else:
-            projected = {j: integral[j] for j in rest}
-        k = len(projected[rest[0]])
-
-        def equalities(block: tuple[int, ...]) -> list[list[int]]:
-            sums = [[0] * (nvars + 1) for _ in range(k)]
-            for j in block:
-                at = slot[j]
-                for row, x in zip(sums, projected[j]):
-                    row[at] += x
-            return sums
-
-        return projected, equalities
 
     def explore(placed: frozenset[int], echelon: EqualityEchelon, chain: tuple):
         explored.add(echelon.rows)
         while placed != full:
             rest = sorted(full - placed)
-            projected, equalities = block_equalities(placed, rest)
-            unscaled = scaled.isdisjoint(rest)
-            if (positive or unscaled) and any(min(r) > 0 or max(r) < 0 for r in zip(*projected.values())):
-                # that row of every block's equalities is non-zero and of one sign
-                counter.charge(2 ** len(rest) - 1)
-                return
-            if unscaled:
-                taken = _first_zero_sum_block(rest, [projected[j] for j in rest], counter)
+            if placed:  # one integer equality per annihilator row of the placed columns
+                span = EqualityEchelon(dim).extend(integral[i] + (0,) for i in placed)
+                functionals = integer_kernel(span)
+                projected = {
+                    j: [sum(f * x for f, x in zip(row, integral[j])) for row in functionals]
+                    for j in rest
+                }
             else:
-                taken = None
-                for size in range(len(rest), 0, -1):
-                    for block in itertools.combinations(rest, size):
-                        counter.charge()
-                        sums = equalities(block)
-                        # a non-zero row of one sign is non-zero at every positive point
-                        if positive and any(any(r) and (min(r) >= 0 or max(r) <= 0) for r in sums):
-                            continue
-                        extended = echelon.extend(sums)
-                        if extended is None:
-                            continue
-                        if extended is echelon:
-                            taken = block
-                            break
-                        if extended.rows in explored:
-                            continue
-                        if feasible is not None and not feasible(extended):
-                            explored.add(extended.rows)
-                            continue
-                        yield from explore(placed.union(block), extended, chain + (block,))
-                    if taken is not None:
-                        break
-            if taken is None:
+                projected = {j: integral[j] for j in rest}
+            for block, extended in _level(rest, projected, slot, echelon, counter, positive):
+                if extended is echelon:
+                    break
+                if extended.rows in explored:
+                    continue
+                if feasible is not None and not feasible(extended):
+                    explored.add(extended.rows)
+                    continue
+                yield from explore(placed.union(block), extended, chain + (block,))
+            else:
                 return
-            placed = placed.union(taken)
-            chain += (taken,)
+            placed = placed.union(block)
+            chain += (block,)
         yield OrderedPartition(chain), echelon
 
     try:
@@ -461,32 +399,77 @@ def closure_search(
         del explore  # it holds itself through its closure: no cycle left for the collector
 
 
-def _first_zero_sum_block(
-    rest: list[int], vectors: list[Sequence[int]], counter: BlockCounter
-) -> tuple[int, ...] | None:
-    """The first block of `rest`, in search order, whose vectors sum to zero.
+def _level(
+    rest: list[int],
+    projected: dict[int, Sequence[int]],
+    slot: Sequence[int],
+    echelon: EqualityEchelon,
+    counter: BlockCounter,
+    positive: bool,
+) -> Iterator[tuple[tuple[int, ...], EqualityEchelon]]:
+    """Yield (block, extension) for each block of `rest` that keeps `echelon` consistent.
 
-    Blocks run largest first, then lexicographically, so that block is the
-    complement of the lexicographically last of the smallest position sets
-    that sum to the level's total; the full block is the complement of the
-    empty set, which sums to the total exactly when it is zero.  The
-    counter is charged what a scan in that order examines: every block of a
-    larger size and, of the hit's size, the blocks up to it; without a hit,
-    all 2^r - 1 blocks.  Each size's first block is charged before that
-    size is searched, so a search at its cap builds no further tables.
+    A block is a non-empty set of the unplaced columns `rest`.  Its
+    equalities hold one row per row of `projected`, column j's image under
+    the placed columns' annihilators: the sum, at slot[j], of its columns'
+    entries, where slot nvars is the constant of the columns fixed at 1.
+    Blocks run largest first, then lexicographically.  Each is charged to
+    `counter`, and the first that `echelon` already implies is yielded with
+    `echelon` itself and ends the level.  Every rule below charges what
+    that scan charges, so a cap falls at the same block:
+    - A row of `projected` of one strict sign at every column is non-zero
+      in every block's equalities, when no column carries a scalar or, for
+      `positive`, at every positive point.  The level yields nothing and is
+      charged its 2^r - 1 blocks in one call.
+    - When no column carries a scalar, a block is implied when its sum is
+      zero and contradicts `echelon` otherwise.  The first zero-sum block
+      is the complement of the lexicographically last of the smallest
+      position sets that sum to the level's total (_zero_sum_complements).
+      Every block of a larger size is charged, then those of its size up
+      to it, or all 2^r - 1 without a hit.  Each size's first block is
+      charged before that size is searched, so a search at its cap builds
+      no further tables.
+    - Otherwise each block is scanned.  When `positive`, a block whose
+      equalities have a non-zero row of one sign, the constant included, is
+      skipped before elimination: that row is non-zero at every positive
+      point, and `echelon`, which has one, never implies such a block.
     """
-    r = len(rest)
-    last = _zero_sum_complements(vectors)
-    for c in range(r):
-        counter.charge()
-        kept = last(c)
-        if c:  # c = 0 has the one block just charged
-            # kept's lexicographic rank among its size counts the blocks
-            # after the hit, since complements run in the opposite order
-            counter.charge(math.comb(r, c) - 1 - (0 if kept is None else _lex_rank(kept, r)))
-        if kept is not None:
-            return tuple(j for p, j in enumerate(rest) if p not in kept)
-    return None
+    r, nvars = len(rest), echelon.nvars
+    vectors = [projected[j] for j in rest]
+    unscaled = all(slot[j] == nvars for j in rest)
+    if (positive or unscaled) and any(min(row) > 0 or max(row) < 0 for row in zip(*vectors)):
+        counter.charge(2**r - 1)
+        return
+    if unscaled:
+        last = _zero_sum_complements(vectors)
+        for c in range(r):
+            counter.charge()
+            kept = last(c)
+            if c:  # c = 0 has the one block just charged
+                # kept's lexicographic rank among its size counts the blocks
+                # after the hit, since complements run in the opposite order
+                counter.charge(math.comb(r, c) - 1 - (0 if kept is None else _lex_rank(kept, r)))
+            if kept is not None:
+                yield tuple(j for p, j in enumerate(rest) if p not in kept), echelon
+                return
+        return
+    k = len(vectors[0])
+    for size in range(r, 0, -1):
+        for block in itertools.combinations(rest, size):
+            counter.charge()
+            sums = [[0] * (nvars + 1) for _ in range(k)]
+            for j in block:
+                at = slot[j]
+                for row, x in zip(sums, projected[j]):
+                    row[at] += x
+            if positive and any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in sums):
+                continue
+            extended = echelon.extend(sums)
+            if extended is echelon:
+                yield block, echelon
+                return
+            if extended is not None:
+                yield block, extended
 
 
 def _zero_sum_complements(

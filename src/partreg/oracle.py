@@ -676,12 +676,15 @@ def search_witness_colouring(
     one-block solution has no blocks without m, so its check is read off its
     sorted distinct values.  Forbidden-colour masks are undone on backtrack,
     and a branch dies when an open value has every colour forbidden, so only
-    dead subtrees are cut.  With one colour
-    the all-zero table is the witness exactly when verify_all_colourings
-    finds no bounded solution.  Absence means every colouring of [1..bound]
-    admits a bounded solution.
+    dead subtrees are cut.  With one colour the all-zero table is the witness
+    exactly when verify_all_colourings finds no bounded solution; that table
+    lists every value, so a bound above COLOURING_SWEEP_LIMIT is refused
+    before any search.  Absence means every colouring of [1..bound] admits a
+    bounded solution.
     """
     if colours == 1:
+        if bound > COLOURING_SWEEP_LIMIT:
+            raise ValueError(f"a {bound}-value witness exceeds the sweep limit of {COLOURING_SWEEP_LIMIT}")
         return None if verify_all_colourings(matrices, 1, bound) else WitnessColouring(bound, 1, (0,) * bound)
     _guard_sweep_size(colours, bound)
     # each distinct solution as (m, the other values of its blocks with m, its

@@ -1,13 +1,14 @@
 """Reference closure search: every level scans its 2^r - 1 candidate blocks.
 
-This is the search partreg shipped before levels whose unplaced columns
-carry no scalar were settled by meet-in-the-middle subset sums.  It is kept
+This is the whole-search reference.  It is the search partreg shipped
+before columns._level settled levels by subset sums and sign rules, kept
 here, outside the package, so that the differential tests can compare the
 two: both must yield the same partitions and echelons, count the same
 candidate blocks and stop at the same cap.  Each candidate block takes one
 value of `counter`, an itertools.count, so after a search next(counter)
-is the number of blocks it examined.  reference_zero_column_subset is the
-subset scan that columns.zero_column_subset_exists replaced.
+is the number of blocks it examined.  The reference for one level is
+reference_level in test_level_harness.py.  reference_zero_column_subset is
+the subset scan that columns.zero_column_subset_exists replaced.
 """
 
 from __future__ import annotations

@@ -72,8 +72,9 @@ CHECKS = [
     Check("oracle falsify schur.txt --colours 1 --bound 2", 0),
     # the sweep lists and files its 253 solutions at N = 23 well within the limit
     Check("oracle sweep schur.txt --colours 2 --bound 23", 0, limit=5),
-    # 2^24 colourings exceed the size guard
+    # 2^24 colourings exceed the size guard, and so does a one-colour witness listing 10^7 + 1 values
     Check("oracle sweep schur.txt --colours 2 --bound 24", 2),
+    Check("oracle falsify schur.txt --colours 1 --bound 10000001", 2),
     # x + 2y = 4z: 1 2 3 coloured 0 1 0 avoids (2, 1; 1) and (2, 3; 2); (4, 4; 3) is monochromatic
     Check("oracle falsify one_two.txt minus_four.txt --colours 2 --bound 3", 1),
     Check("oracle falsify one_two.txt minus_four.txt --colours 2 --bound 12", 0),

@@ -839,6 +839,18 @@ def test_sweep_rejects_oversized_instances():
         search_witness_colouring([schur()], 3, 10**9)
 
 
+def test_one_colour_witness_past_the_sweep_limit_is_refused_before_any_search():
+    # x + y = 0 has no solution, so the witness would be a table listing every value
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sweep limit"):
+            search_witness_colouring([QMatrix.of([[1, 1]])], 1, oracle.COLOURING_SWEEP_LIMIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_schur_witness_colouring_class():
     witness = search_witness_colouring([schur()], 2, 4)
     assert witness.table == (0, 1, 1, 0)

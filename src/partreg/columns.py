@@ -436,7 +436,7 @@ def _level(
     """
     r, nvars = len(rest), echelon.nvars
     vectors = [projected[j] for j in rest]
-    unscaled = all(slot[j] == nvars for j in rest)
+    unscaled = min(map(slot.__getitem__, rest)) == nvars
     if (positive or unscaled) and any(min(row) > 0 or max(row) < 0 for row in zip(*vectors)):
         counter.charge(2**r - 1)
         return

@@ -34,7 +34,7 @@ are joined into one part.  A YES merges the parts' chains block by block
 and solves their merged equalities once; check_partition re-certifies it.
 scalar_union_over_partitions asks for every value of one scalar: it
 exhausts each part's search and keeps the non-zero values all parts admit,
-and decides 0 by _search_parts on the matrix scaled by 0, split afresh.
+and decides 0 by _search_parts on the fixed columns alone.
 """
 
 from __future__ import annotations
@@ -334,8 +334,12 @@ def scalar_union_over_partitions(
     lemma a non-zero value qualifies exactly when every part admits it.  A
     part's closure search, run to exhaustion, yields each value its
     certificates pin, or stops at one that leaves the scalar free.  The
-    value 0 can shrink spans, so the matrix scaled by 0 is split afresh and
-    searched part by part, as a template without scalars.  All searches
+    value 0 can shrink spans, so it is decided apart.  Scaled by 0, every
+    scaled column is zero: it joins any first block and changes no span,
+    and a chain less its zero columns is still a chain.  So by Rado's
+    columns condition 0 qualifies exactly when the fixed columns alone
+    satisfy it, and always when there are none; they are searched part by
+    part, as a template without scalars.  All searches
     share one budget of `cap` candidate blocks; reaching it raises
     PartitionCapExceeded, since a partial union would be silently wrong.
     """
@@ -347,16 +351,16 @@ def scalar_union_over_partitions(
     for part in [template] if len(parts) == 1 else [_part_template(template, c)[0] for c in parts]:
         pinned = set()
         for _, echelon in closure_search(part, lambda e: _pinned(e) != 0, counter=counter):
-            if _pinned(echelon) is None:
+            if (value := _pinned(echelon)) is None:
                 break
-            pinned.add(_pinned(echelon))
+            pinned.add(value)
         else:
             allowed = pinned if allowed is None else allowed & pinned
             if not allowed:
                 break
     result = ScalarSet.all_except((Q(0),)) if allowed is None else ScalarSet.finite(tuple(allowed))
-    zero = template.scaled_matrix([Q(0)] * template.nvars)
-    if _search_parts(ScalingTemplate(zero, (FIXED_ONE,) * zero.cols, 0), None, counter) is not None:
+    fixed = [j for j, g in enumerate(template.group_of) if g is FIXED_ONE]
+    if not fixed or _search_parts(_part_template(template, fixed)[0], None, counter) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))
     return result
 

@@ -96,9 +96,9 @@ CHECKS = [
     # table runs with offset entries: each run's look-ahead waits until the merge reaches it
     Check("oracle solve vdw4ap.txt --colouring table:lastdigit3.txt --bound 3000", 0,
           stdout="x_1 = (1, 4, 7, 10, 3)", limit=5),
-    # the non-zero values take 67 candidate blocks and the value 0 takes 17: --cap bounds both
-    Check("scalars union.txt --cap 83", 3, stderr="search cap of 83 candidate blocks exceeded"),
-    Check("scalars union.txt --cap 84", 0, stdout="feasible scalar values: -1, 1, 2, 3"),
+    # the non-zero values take 67 candidate blocks and the value 0 takes 15: --cap bounds both
+    Check("scalars union.txt --cap 81", 3, stderr="search cap of 81 candidate blocks exceeded"),
+    Check("scalars union.txt --cap 82", 0, stdout="feasible scalar values: -1, 1, 2, 3"),
     Check("scalars union.txt --json", 0,
           stdout='  "values": [\n    "-1",\n    "1",\n    "2",\n    "3"\n  ],'),
     # empty in 7 blocks, part by part; one search over (diag(1..20) | 0) would exceed the default cap

@@ -7,21 +7,43 @@ such a set for some c exactly when a or b has one, or a and b hold entries
 of opposite signs: a sum from a plus c times a sum from b vanishes only
 when the two sums have opposite signs.  Neither form runs a search, so
 they pin verdicts at widths where the brute-force references cannot run.
-Each verdict must equal the closed form or be UNDECIDED, and the number of
-UNDECIDED cases is pinned exactly: a change to the search's budget moves it.
+The same reading gives the one-row forms of the scaled procedures: the
+scalar union of (a  -b) is every rational when a has a zero-sum set and
+otherwise the non-empty subset sums of a; doubly_ipr(a) is YES exactly
+when a has a zero-sum set or a positive entry; is_ipr(a) exactly when a
+has a positive entry.  Each verdict must equal the closed form or be
+UNDECIDED (for the union, reach the cap), and the number of UNDECIDED
+cases is pinned exactly: a change to the search's budget moves it.
 """
 
 import random
 
-from partreg import NO, UNDECIDED, QMatrix, doubly_kpr, is_kpr, verify_certificate
+from partreg import (
+    NO,
+    UNDECIDED,
+    PartitionCapExceeded,
+    QMatrix,
+    ScalarSet,
+    doubly_ipr,
+    doubly_ipr_template,
+    doubly_kpr,
+    is_ipr,
+    is_kpr,
+    scalar_union_over_partitions,
+    verify_certificate,
+)
 
 
-def zero_sum_subset(entries) -> bool:
+def subset_sums(entries) -> set[int]:
     # every sum of a non-empty subset, grown one entry at a time
     sums: set[int] = set()
     for x in entries:
         sums |= {x} | {s + x for s in sums}
-    return 0 in sums
+    return sums
+
+
+def zero_sum_subset(entries) -> bool:
+    return 0 in subset_sums(entries)
 
 
 def opposite_signs(a, b) -> bool:
@@ -84,3 +106,47 @@ def test_one_signed_pairs_are_settled_by_the_row_rule():
         assert (decision.verdict == NO) == (len(a) + len(b) < 24)
         undecided += not _decided(decision, False)
     assert undecided == 45
+
+
+def test_one_row_scalar_union_is_its_subset_sums():
+    # (a  -b) has a zero-sum set at b != 0 exactly when a has one or b is a
+    # sum from a; at b = 0 its last column is zero, so exactly when a has one
+    rng = random.Random(42)
+    undecided = every = 0
+    for _ in range(300):
+        a = _row(rng, rng.randint(1, 12))
+        try:
+            union = scalar_union_over_partitions(doubly_ipr_template(QMatrix.of([a])))
+        except PartitionCapExceeded:
+            undecided += 1
+            continue
+        if zero_sum_subset(a):
+            assert union == ScalarSet.all_rationals()
+            every += 1
+        else:
+            assert union == ScalarSet.finite(tuple(subset_sums(a)))
+    assert undecided == 0
+    assert every == 63  # of 300, the rest finite
+
+
+def test_one_row_doubly_ipr_is_a_zero_sum_or_a_positive_entry():
+    # b > 0 is a sum from a exactly when a has a positive entry
+    rng = random.Random(4242)
+    undecided = 0
+    for _ in range(200):
+        a = _row(rng, rng.randint(1, 12))
+        expected = zero_sum_subset(a) or max(a) > 0
+        undecided += not _decided(doubly_ipr(QMatrix.of([a])), expected)
+    assert undecided == 0
+
+
+def test_one_row_is_ipr_is_a_positive_entry():
+    # sum(a_j e_j) = 1 over a set of columns has a positive solution e
+    # exactly when the set holds a positive entry, and a one-signed
+    # negative row has no zero-sum set with the -1 column either
+    rng = random.Random(424242)
+    undecided = 0
+    for _ in range(200):
+        a = _row(rng, rng.randint(1, 12))
+        undecided += not _decided(is_ipr(QMatrix.of([a])), max(a) > 0)
+    assert undecided == 0

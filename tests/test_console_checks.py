@@ -32,7 +32,7 @@ def test_checks_run_under_a_command_prefix(monkeypatch):
     # the mode that runs the table against an installed console script
     monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(partreg.__file__)))
     checks = [
-        Check("scalars union.txt --cap 83", 3, stderr="search cap of 83 candidate blocks exceeded"),
+        Check("scalars union.txt --cap 81", 3, stderr="search cap of 81 candidate blocks exceeded"),
         Check("kpr schur.txt", 1),
     ]
     prefix = [sys.executable, "-m", "partreg.cli"]

@@ -444,14 +444,14 @@ def test_scalar_union_reports_its_cap():
 
 
 def test_scalar_union_searches_draw_on_one_cap():
-    # the non-zero search examines 67 candidate blocks; the value 0 splits
-    # (A | 0 0) into two zero columns, one block each, and A, 15 blocks, so
-    # the union needs a cap of 67 + 17
+    # the non-zero search examines 67 candidate blocks; the value 0 is
+    # decided on the fixed columns A alone, 15 blocks, so the union needs a
+    # cap of 67 + 15
     template = doubly_ipr_template(QMatrix.of([[1, 2, -3, 1], [2, -1, 1, 1]]))
-    for cap in (67, 83):
+    for cap in (67, 81):
         with pytest.raises(PartitionCapExceeded):
             scalar_union_over_partitions(template, cap=cap)
-    assert scalar_union_over_partitions(template, cap=84) == ScalarSet.finite((-1, 1, 2, 3))
+    assert scalar_union_over_partitions(template, cap=82) == ScalarSet.finite((-1, 1, 2, 3))
 
 
 def test_scalar_union_diagonal_matrix_is_empty():

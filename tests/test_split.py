@@ -13,6 +13,7 @@ procedures, whose brute force solves one positive system per partition.
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -308,10 +309,11 @@ def test_parts_draw_on_one_cap():
 def test_scalar_union_is_searched_part_by_part():
     # Each row (i  -b) of (diag(1..k)  -bI) admits only b = i, in 3 blocks,
     # so the non-zero values are gone after two parts.  The value 0 is asked
-    # of (diag(1..k) | 0) split afresh into one-column parts, and its first
-    # part, the column (1 0 ... 0), has no zero-sum block: 6 + 1 blocks at
-    # every k.  A first hit on the whole of (diag(1..k) | 0) charges about
-    # (4^k + C(2k, k))/2 blocks, over the default cap from k = 13.
+    # of the fixed columns diag(1..k), split into one-column parts, and its
+    # first part, the column (1 0 ... 0), has no zero-sum block: 6 + 1
+    # blocks at every k.  A first hit on the whole of (diag(1..k) | 0)
+    # charges about (4^k + C(2k, k))/2 blocks, over the default cap from
+    # k = 13.
     for k in (8, 13, 20):
         template = doubly_ipr_template(diag(*range(1, k + 1)))
         assert scalar_union_over_partitions(template) == ScalarSet.empty()
@@ -337,3 +339,32 @@ def test_scalar_union_admits_zero_exactly_when_the_matrix_is_kpr():
         assert scalar_union_over_partitions(doubly_ipr_template(A)).contains(0) == kpr
         kinds[kpr] += 1
     assert min(kinds) >= 20  # both answers are drawn
+
+
+def test_scalar_union_decides_zero_like_the_matrix_scaled_by_zero():
+    # The union decides 0 on the fixed columns alone; the reference scales
+    # every scaled column by 0 and asks is_kpr of the whole matrix.  Drawn
+    # on doubly-IPR templates, one-scalar pairs (A B) with fixed columns
+    # that are sometimes zero, and templates with every column scaled.
+    rng = random.Random(4242)
+    admitted = [0, 0, 0]  # per kind of template, 50 draws each
+    for draw in range(150):
+        rows = rng.randint(1, 3)
+        A = random_block(rng, rows, rng.randint(1, 7 - rows))
+        if draw % 3 == 0:
+            template = doubly_ipr_template(QMatrix.of(mix_rows(rng, A)))
+        elif draw % 3 == 1:
+            if rng.random() < 0.25:
+                for row in A:
+                    row[0] = 0
+            B = random_block(rng, rows, rng.randint(1, 3))
+            template = multiply_kpr_template((QMatrix.of(A), QMatrix.of(B)))
+        else:
+            M = QMatrix.of(A)
+            template = ScalingTemplate(M, (0,) * M.cols, 1)
+        union = scalar_union_over_partitions(template)
+        zero = is_kpr(template.scaled_matrix([Fraction(0)])).is_yes
+        assert union.contains(0) == zero, (template, union)
+        admitted[draw % 3] += zero
+    assert 10 <= admitted[0] <= 40 and 10 <= admitted[1] <= 40  # both answers are drawn
+    assert admitted[2] == 50  # scaled by 0, every column is zero

@@ -316,6 +316,10 @@ class ScalingTemplate:
         if used != set(range(self.nvars)):
             raise ValueError("every variable id in 0..nvars-1 must scale some column")
 
+    @property
+    def integer_columns(self) -> tuple[tuple[int, ...], ...]:
+        return self.matrix.integer_columns  # the view closure_search and column_parts read
+
     def scaled_matrix(self, assignment: Sequence[Fraction]) -> QMatrix:
         """The matrix with each column multiplied by its scalar."""
         if len(assignment) != self.nvars:
@@ -357,11 +361,11 @@ def closure_search(
     only echelons with a strictly positive point.  Every candidate block is
     charged to `counter`, a BlockCounter, and reaching its cap with blocks
     left raises PartitionCapExceeded.  Searches given one counter draw on
-    its cap together.
+    its cap together.  It reads only integer_columns, group_of and nvars.
     """
-    integral = template.matrix.integer_columns
-    dim, nvars = template.matrix.rows, template.nvars
-    full = frozenset(range(template.matrix.cols))
+    integral = template.integer_columns
+    dim, nvars = len(integral[0]), template.nvars
+    full = frozenset(range(len(integral)))
     slot = [nvars if g is None else g for g in template.group_of]
     explored: set[tuple] = set()
 

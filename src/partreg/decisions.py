@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 from .columns import (
@@ -56,7 +57,7 @@ from .columns import (
     zero_column_subset_exists,
 )
 from .feasibility import ScalarSet, has_positive_solution, solve_positive_echelon
-from .linalg import EqualityEchelon, Q, QMatrix
+from .linalg import MINUS_ONE, ZERO, EqualityEchelon, Q, QMatrix
 
 YES = "YES"
 NO = "NO"
@@ -135,7 +136,9 @@ def _decide_scaled(
 
 
 def _search_parts(
-    template: ScalingTemplate, feasible: Callable[[EqualityEchelon], bool] | None, counter: BlockCounter
+    template: ScalingTemplate | SimpleNamespace,
+    feasible: Callable[[EqualityEchelon], bool] | None,
+    counter: BlockCounter,
 ) -> tuple[OrderedPartition, EqualityEchelon] | None:
     """The template's first certificate and its echelon, found part by part.
 
@@ -143,7 +146,7 @@ def _search_parts(
     scalars to share.  Either way every scalar is positive, so each search
     may refute blocks by their signs.
     """
-    parts = column_parts(template.matrix)
+    parts = column_parts(template)
     if len(parts) == 1:
         return next(closure_search(template, feasible, counter=counter, positive=True), None)
     chains = []
@@ -171,7 +174,7 @@ def _search_parts(
 
 
 def _shared_hits(
-    parts: list[ScalingTemplate],
+    parts: list[SimpleNamespace],
     feasible: Callable[[EqualityEchelon], bool],
     counter: BlockCounter,
 ) -> list[tuple[OrderedPartition, EqualityEchelon]] | None:
@@ -181,17 +184,19 @@ def _shared_hits(
     later part stops at its first hit at that value, so only a NO exhausts
     a part.  A part whose hit leaves the scalar free suits every value, and
     the answer is then the later parts'.  The last part, alone or after
-    parts that leave the scalar free, takes its first hit.
+    parts that leave the scalar free, takes its first hit.  A later part's
+    echelons are compared as rows with the value's one primitive row; that
+    value is positive, and a search asks `feasible` only of echelons with rows.
     """
     hits = []  # first hits of the leading parts that leave the scalar free
     for i, part in enumerate(parts[:-1]):
         # The search explores each echelon once, and so yields each value once.
         for found in closure_search(part, feasible, counter=counter, positive=True):
-            value = _pinned(found[1])
-            if value is None:
+            pinned = found[1].rows
+            if not pinned:
                 hits.append(found)
                 break
-            at_value = lambda e, value=value: _pinned(e) in (None, value) and feasible(e)
+            at_value = lambda e, pinned=pinned: e.rows == pinned
             later = []
             for other in parts[i + 1:]:
                 later.append(next(closure_search(other, at_value, counter=counter, positive=True), None))
@@ -203,11 +208,6 @@ def _shared_hits(
             return None
     found = next(closure_search(parts[-1], feasible, counter=counter, positive=True), None)
     return None if found is None else hits + [found]
-
-
-def _pinned(echelon: EqualityEchelon) -> Fraction | None:
-    # the value a one-variable echelon fixes, if any: its row a*x + c == 0
-    return Fraction(-echelon.rows[0][1], echelon.rows[0][0]) if echelon.rows else None
 
 
 def _clusters(template: ScalingTemplate, parts: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
@@ -223,25 +223,29 @@ def _clusters(template: ScalingTemplate, parts: list[tuple[int, ...]]) -> list[l
     ]
 
 
-def _part_template(template: ScalingTemplate, columns) -> tuple[ScalingTemplate, list[int]]:
+def _part_template(template: ScalingTemplate | SimpleNamespace, columns) -> tuple[SimpleNamespace, list[int]]:
     """The template on one part's columns, and its scalars' global ids.
 
-    Its rows are the input's rows restricted to the columns, less those that
-    vanish there.  The input is T times its reduced rows for an injective T,
-    so the restricted columns meet exactly the linear relations of the
-    reduced rows restricted to them: the part's chains and echelons are the
-    same from either rows.
+    The part holds only what closure_search and column_parts read:
+    integer_columns, group_of and nvars.  Its columns are the parent's
+    integer columns restricted to the part, less the rows that vanish there:
+    no Fraction matrix, no validation.  The input is T times its reduced
+    rows for an injective T, so the restricted columns meet exactly the
+    linear relations of the reduced rows restricted to them.  The parent's
+    view is the part's columns times one positive multiplier, and primitive
+    echelon rows, sign rules and subset-sum levels do not change under such
+    a scaling: chains, echelons and charges are the same.
     """
     scalars = sorted({template.group_of[j] for j in columns} - {FIXED_ONE})
     local = {g: k for k, g in enumerate(scalars)}
-    restricted = (tuple(row[j] for j in columns) for row in template.matrix.entries)
-    rows = tuple(row for row in restricted if any(row))
+    rows = [row for row in zip(*(template.integer_columns[j] for j in columns)) if any(row)]
     groups = tuple(local.get(template.group_of[j]) for j in columns)
-    return ScalingTemplate(QMatrix(len(rows), len(columns), rows), groups, len(scalars)), scalars
+    integer_columns = tuple(zip(*rows)) if rows else ((),) * len(columns)
+    return SimpleNamespace(integer_columns=integer_columns, group_of=groups, nvars=len(scalars)), scalars
 
 
-def column_parts(matrix: QMatrix) -> list[tuple[int, ...]]:
-    """The connected components of the matrix's column matroid.
+def column_parts(matrix: QMatrix | ScalingTemplate | SimpleNamespace) -> list[tuple[int, ...]]:
+    """The connected components of the column matroid of matrix.integer_columns.
 
     Rows that each have a column of their own, non-zero in no other row,
     are reduced with respect to those columns, a basis; so one-row matrices
@@ -252,7 +256,8 @@ def column_parts(matrix: QMatrix) -> list[tuple[int, ...]]:
     column is a part of its own.  Each part is its columns in increasing
     order, and parts are ordered by their first column.
     """
-    n, u, cols = matrix.cols, matrix.rows, matrix.integer_columns
+    cols = matrix.integer_columns
+    n, u = len(cols), len(cols[0])
     if u == 1 or len({i for c in cols if c.count(0) == u - 1 for i, x in enumerate(c) if x}) == u:
         rows = [row for row in zip(*cols) if any(row)]
     else:
@@ -317,7 +322,8 @@ def doubly_kpr(A: QMatrix, B: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Deci
 
 def doubly_ipr_template(A: QMatrix) -> ScalingTemplate:
     """Columns of (A  -b*I) with A fixed and the identity block under one scalar."""
-    return multiply_kpr_template((A, QMatrix.identity(A.rows).scale(-1)))
+    minus_identity = tuple(tuple(MINUS_ONE if i == j else ZERO for j in range(A.rows)) for i in range(A.rows))
+    return multiply_kpr_template((A, QMatrix(A.rows, A.rows, minus_identity)))
 
 
 def doubly_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:
@@ -346,19 +352,20 @@ def scalar_union_over_partitions(
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
     counter = BlockCounter(cap)
-    parts = column_parts(template.matrix)
-    allowed = None  # every non-zero value, until a part pins some
+    parts = column_parts(template)
+    allowed = None  # every value but 0, whose row (a, c) of a*x + c == 0 is (1, 0), until a part pins some
     for part in [template] if len(parts) == 1 else [_part_template(template, c)[0] for c in parts]:
         pinned = set()
-        for _, echelon in closure_search(part, lambda e: _pinned(e) != 0, counter=counter):
-            if (value := _pinned(echelon)) is None:
+        for _, echelon in closure_search(part, lambda e: e.rows != ((1, 0),), counter=counter):
+            if not echelon.rows:
                 break
-            pinned.add(value)
+            pinned.add(echelon.rows[0])
         else:
             allowed = pinned if allowed is None else allowed & pinned
             if not allowed:
                 break
-    result = ScalarSet.all_except((Q(0),)) if allowed is None else ScalarSet.finite(tuple(allowed))
+    result = (ScalarSet.all_except((Q(0),)) if allowed is None
+              else ScalarSet.finite([Q(-c, a) for a, c in allowed]))
     fixed = [j for j, g in enumerate(template.group_of) if g is FIXED_ONE]
     if not fixed or _search_parts(_part_template(template, fixed)[0], None, counter) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))
@@ -367,8 +374,7 @@ def scalar_union_over_partitions(
 
 def is_ipr_template(A: QMatrix) -> ScalingTemplate:
     """Columns of (A*diag(e)  -I) with one scalar per A-column, identity fixed."""
-    matrix = QMatrix.hstack([A, QMatrix.identity(A.rows).scale(-1)])
-    return ScalingTemplate(matrix, tuple(range(A.cols)) + (FIXED_ONE,) * A.rows, A.cols)
+    return ScalingTemplate(doubly_ipr_template(A).matrix, tuple(range(A.cols)) + (FIXED_ONE,) * A.rows, A.cols)
 
 
 def is_ipr(A: QMatrix, cap: int = DEFAULT_PARTITION_CAP) -> Decision:

@@ -22,14 +22,14 @@ constraints plus an arbitrary-sign combination of the equalities whose
 variables cancel and whose constant is contradictory.  The elimination is
 stage 1 of solve_positive; stages 2-4 are solve_positive_echelon, which the
 decision procedures call directly on the closure search's echelon, already
-reduced and in integers, once per YES for its scalars.  Its back-substitution
-also runs on integers, over one common denominator, so the returned point is
-its only Fractions.
+reduced and in integers, once per YES for its scalars.  Stages 2-3, the
+Fourier-Motzkin projection, are _project; stage 4 back-substitutes on integers
+over one common denominator, so the returned point is its only Fractions.
 
-has_positive_solution is the search's check and solves for no point: a row
-with no negative entry refutes the echelon, rows on disjoint variables admit
-a positive solution, and only rows that share a variable go to
-Fourier-Motzkin.
+has_positive_solution is the search's check and solves for no point, so it
+makes no Fraction: a row with no negative entry refutes the echelon, rows on
+disjoint variables admit a positive solution, and only rows that share a
+variable go to _project.
 """
 
 from __future__ import annotations
@@ -178,19 +178,12 @@ def solve_positive(
     return solution, None
 
 
-def solve_positive_echelon(
-    echelon: EqualityEchelon, nvars: int, positivity: Iterable[int]
-) -> tuple[PositiveSolution | None, tuple[int, ...] | None]:
-    """Stages 2-4 of solve_positive on a consistent, reduced equality echelon.
+def _project(echelon: EqualityEchelon, nvars: int, pos: Sequence[int]) -> tuple[tuple | None, tuple | None]:
+    """Stages 2-3 of solve_positive_echelon on integer rows, `pos` sorted.
 
-    The echelon's first `nvars` variables are the unknowns; any later ones
-    carry provenance mu over original equalities, as stage 1 builds them.
-    Returns (solution, None), strictly positive on `positivity`, or (None,
-    provenance): the integer multipliers of a Farkas-style contradiction,
-    lam over the sorted positivity set, then mu.
-    """
+    Returns ((pivot rows, free variables, snapshots), None), a snapshot being
+    an eliminated variable with its bounding rows, or (None, provenance)."""
     nv, width = nvars, echelon.nvars
-    pos = sorted(positivity)
     n_pos = len(pos)
     pivot_rows = {p: row for p, row in zip(echelon.pivots, echelon.rows) if p < nv}
     free_vars = [i for i in range(nv) if i not in pivot_rows]
@@ -250,6 +243,27 @@ def solve_positive_echelon(
         if contradiction is not None:
             return None, contradiction[nf + 1:]
 
+    return (pivot_rows, free_vars, snapshots), None
+
+
+def solve_positive_echelon(
+    echelon: EqualityEchelon, nvars: int, positivity: Iterable[int]
+) -> tuple[PositiveSolution | None, tuple[int, ...] | None]:
+    """Stages 2-4 of solve_positive on a consistent, reduced equality echelon.
+
+    The echelon's first `nvars` variables are the unknowns; any later ones
+    carry provenance mu over original equalities, as stage 1 builds them.
+    Returns (solution, None), strictly positive on `positivity`, or (None,
+    provenance): the integer multipliers of a Farkas-style contradiction,
+    lam over the sorted positivity set, then mu.
+    """
+    positivity = sorted(positivity)
+    projection, provenance = _project(echelon, nvars, positivity)
+    if projection is None:
+        return None, provenance
+    (pivot_rows, free_vars, snapshots), nv, width = projection, nvars, echelon.nvars
+    nf = len(free_vars)
+
     # --- stage 4: back-substitute a concrete point, preferring the value 1 ---
     # A variable that left every row before its own elimination is
     # unconstrained by the projection, so 1 is as good as any value for it.
@@ -288,7 +302,7 @@ def solve_positive_echelon(
     for row in echelon.rows:
         total = sum(c * x for c, x in zip(row, values)) + row[width] * den
         assert total == 0, "back-substitution broke an equality"
-    assert all(values[p] > 0 for p in pos), "back-substitution lost positivity"
+    assert all(values[p] > 0 for p in positivity), "back-substitution lost positivity"
     return PositiveSolution(tuple(Fraction(x, den) for x in values)), None
 
 
@@ -314,7 +328,7 @@ def has_positive_solution(echelon: EqualityEchelon) -> bool:
     all >= 0 cannot vanish on positive values: it refutes the echelon on its
     own, a one-row Farkas witness.  Otherwise one row always has a positive
     solution, and rows on disjoint variables are independent.  Rows that
-    share a variable go to solve_positive_echelon.
+    share a variable go to _project's Fourier-Motzkin, which solves no point.
     """
     if any(min(row) >= 0 for row in echelon.rows):
         return False
@@ -322,7 +336,7 @@ def has_positive_solution(echelon: EqualityEchelon) -> bool:
     for row in echelon.rows:
         support = {i for i in range(n) if row[i]}
         if not seen.isdisjoint(support):
-            return solve_positive_echelon(echelon, n, range(n))[0] is not None
+            return _project(echelon, n, range(n))[0] is not None
         seen |= support
     return True
 

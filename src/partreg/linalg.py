@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Q = Fraction
-ZERO, ONE = Q(0), Q(1)  # shared, as Fractions are immutable
+ZERO, ONE, MINUS_ONE = Q(0), Q(1), Q(-1)  # shared, as Fractions are immutable
 
 Scalar = int | str | Fraction
 RATIONAL_TOKEN = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # an integer or p/q

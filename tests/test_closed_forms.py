@@ -5,8 +5,13 @@ its entries sums to zero (Rado 1933; Graham, Rothschild and Spencer,
 Ramsey Theory, ch. 3).  With a positive scalar c, the row (a  c b) has
 such a set for some c exactly when a or b has one, or a and b hold entries
 of opposite signs: a sum from a plus c times a sum from b vanishes only
-when the two sums have opposite signs.  Neither form runs a search, so
-they pin verdicts at widths where the brute-force references cannot run.
+when the two sums have opposite signs.  For rows a_1, ..., a_k of non-zero
+entries, k >= 2, with a positive scalar on each row after the first, that
+reads: some entries of both signs appear among them.  Two of opposite
+signs in different rows cancel at one ratio of their scalars, and a row
+holding both signs has one opposite to an entry of any other row.  Neither
+form runs a search, so they pin verdicts at widths where the brute-force
+references cannot run.
 The same reading gives the one-row forms of the scaled procedures: the
 scalar union of (a  -b) is every rational when a has a zero-sum set and
 otherwise the non-empty subset sums of a; doubly_ipr(a) is YES exactly
@@ -29,6 +34,7 @@ from partreg import (
     doubly_kpr,
     is_ipr,
     is_kpr,
+    multiply_kpr,
     scalar_union_over_partitions,
     verify_certificate,
 )
@@ -106,6 +112,24 @@ def test_one_signed_pairs_are_settled_by_the_row_rule():
         assert (decision.verdict == NO) == (len(a) + len(b) < 24)
         undecided += not _decided(decision, False)
     assert undecided == 45
+
+
+def test_one_row_multiply_kpr_is_both_signs_among_the_rows():
+    # k = 2..4 rows, some made one-signed; a one-signed set of 24 or more
+    # columns is charged its 2^n - 1 blocks at once and so is UNDECIDED
+    rng = random.Random(43)
+    undecided = yes = 0
+    for _ in range(150):
+        rows = [_row(rng, rng.randint(1, 8)) for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.4:
+            sign = rng.choice((1, -1))
+            rows = [[sign * abs(x) for x in row] for row in rows]
+        entries = [x for row in rows for x in row]
+        expected = max(entries) > 0 > min(entries)
+        undecided += not _decided(multiply_kpr([QMatrix.of([row]) for row in rows]), expected)
+        yes += expected
+    assert undecided == 4
+    assert yes == 84  # of 150, the rest one-signed
 
 
 def test_one_row_scalar_union_is_its_subset_sums():

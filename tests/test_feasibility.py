@@ -310,6 +310,38 @@ def test_positivity_check_matches_the_positive_solver():
     assert min(seen.values()) >= 40, seen
 
 
+def test_projection_matches_the_positive_solver_and_the_fraction_reference():
+    # feasibility._project, the positivity check's Fourier-Motzkin, against
+    # solve_positive_echelon and the Fraction solver of fm_reference on
+    # random consistent echelons of up to 7 variables, under full and
+    # partial positivity: one verdict, and the solver's provenance on a NO.
+    from partreg import feasibility
+
+    rng = random.Random(4302)
+    seen = {(verdict, size): 0 for verdict in ("yes", "no") for size in ("1-4", "5-7")}
+    for _ in range(1500):
+        nvars = rng.randint(1, 7)
+        echelon = EqualityEchelon(nvars).extend(
+            [rng.choice((0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(nvars)] + [rng.randint(-3, 3)]
+            for _ in range(rng.randint(1, min(nvars, 4)))
+        )
+        if echelon is None:
+            continue
+        positivity = [v for v in range(nvars) if rng.random() < 0.8]
+        projection, provenance = feasibility._project(echelon, nvars, positivity)
+        solution, solver_provenance = solve_positive_echelon(echelon, nvars, positivity)
+        system = AffineSystem(
+            nvars,
+            tuple(LinearEquality(tuple(map(F, row[:nvars])), F(row[nvars])) for row in echelon.rows),
+            frozenset(positivity),
+        )
+        expected, _ = reference_solve_positive(system)
+        assert (projection is None) == (solution is None) == (expected is None), echelon
+        assert provenance == solver_provenance, echelon
+        seen["no" if projection is None else "yes", "1-4" if nvars <= 4 else "5-7"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def _stage4_branch(lo, hi):
     # the rule of feasibility._pick, read in Fractions from its (n, m) ends
     lo, hi = (None if end is None else F(*end) for end in (lo, hi))

@@ -100,7 +100,7 @@ def clusters_of(template):
 
 
 def part_rows(template, columns):
-    return decisions._part_template(template, columns)[0].matrix.entries
+    return tuple(zip(*decisions._part_template(template, columns)[0].integer_columns))
 
 
 def assert_certified(decision):

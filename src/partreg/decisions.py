@@ -4,10 +4,11 @@ Every decision reduces to one search: stack the candidate matrices into a
 scaling template (some columns fixed at 1, the rest under unknown positive
 scalars), then run the closure search of the columns module, which places
 blocks largest first and enters a branch only while the scalar equalities
-gathered so far keep a strictly positive solution.  The search is told
-that only positive scalars count, so it refutes blocks by their signs
-before elimination wherever it can.  All five procedures go
-through _decide_scaled; is_kpr is the template with no scalars.  YES
+gathered so far keep a strictly positive solution.  Every search is
+handed that one check, feasibility.has_positive_solution, and told that
+only positive scalars count, so it refutes blocks by their signs before
+elimination wherever it can.  All five procedures go through
+_decide_scaled; is_kpr is the template with no scalars.  YES
 verdicts carry the scalars, the assembled scaled matrix and a certificate
 that re-verifies independently; NO verdicts are issued only after the
 search was exhausted.  Every search runs under `cap` candidate blocks, and
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .columns import (
     BlockCounter,
@@ -105,19 +106,13 @@ class Decision:
 def _decide_scaled(
     template: ScalingTemplate, scalar_names: Sequence[str], cap: int
 ) -> Decision:
-    # Verdicts by (variable count, echelon rows), so no system is decided
-    # twice, not even by two parts.
-    decided = {}
+    """The template's first certificate, found part by part, as a Decision.
 
-    def feasible(echelon: EqualityEchelon) -> bool:
-        # The search's echelon is already reduced and consistent: no stage 1.
-        key = (echelon.nvars, echelon.rows)
-        if key not in decided:
-            decided[key] = has_positive_solution(echelon)
-        return decided[key]
-
+    A search checks each echelon it enters once, and two parts of one
+    decision rarely reach the same echelon, so no check is cached across them.
+    """
     try:
-        found = _search_parts(template, feasible, BlockCounter(cap))
+        found = _search_parts(template, BlockCounter(cap))
     except PartitionCapExceeded as exceeded:
         return Decision(UNDECIDED, cap=exceeded.cap)
     if found is None:
@@ -136,24 +131,23 @@ def _decide_scaled(
 
 
 def _search_parts(
-    template: ScalingTemplate | SimpleNamespace,
-    feasible: Callable[[EqualityEchelon], bool] | None,
-    counter: BlockCounter,
+    template: ScalingTemplate | SimpleNamespace, counter: BlockCounter
 ) -> tuple[OrderedPartition, EqualityEchelon] | None:
     """The template's first certificate and its echelon, found part by part.
 
-    `feasible` is the decision's positivity check, and None only without
-    scalars to share.  Either way every scalar is positive, so each search
-    may refute blocks by their signs.
+    Every search is handed has_positive_solution: every scalar is positive,
+    so each may also refute blocks by their signs.  A template without
+    scalars reaches no echelon with a row, and so is never checked.  One
+    part is searched as the template itself, without a part template.
     """
     parts = column_parts(template)
     if len(parts) == 1:
-        return next(closure_search(template, feasible, counter=counter, positive=True), None)
+        return next(closure_search(template, has_positive_solution, counter=counter, positive=True), None)
     chains = []
     for cluster in sorted(_clusters(template, parts), key=lambda c: sum(map(len, c))):
         cluster = sorted(cluster, key=lambda columns: (len(columns), columns))
         templates = [_part_template(template, columns) for columns in cluster]
-        hits = _shared_hits([part for part, _ in templates], feasible, counter)
+        hits = _shared_hits([part for part, _ in templates], counter)
         if hits is None:
             return None
         chains += [(columns, scalars, found) for columns, (_, scalars), found in zip(cluster, templates, hits)]
@@ -174,9 +168,7 @@ def _search_parts(
 
 
 def _shared_hits(
-    parts: list[SimpleNamespace],
-    feasible: Callable[[EqualityEchelon], bool],
-    counter: BlockCounter,
+    parts: list[SimpleNamespace], counter: BlockCounter
 ) -> list[tuple[OrderedPartition, EqualityEchelon]] | None:
     """A first hit of each part at one common value of their one scalar.
 
@@ -186,12 +178,13 @@ def _shared_hits(
     the answer is then the later parts'.  The last part, alone or after
     parts that leave the scalar free, takes its first hit.  A later part's
     echelons are compared as rows with the value's one primitive row; that
-    value is positive, and a search asks `feasible` only of echelons with rows.
+    value is positive, and a search checks only echelons with rows.  Every
+    other search is handed has_positive_solution.
     """
     hits = []  # first hits of the leading parts that leave the scalar free
     for i, part in enumerate(parts[:-1]):
         # The search explores each echelon once, and so yields each value once.
-        for found in closure_search(part, feasible, counter=counter, positive=True):
+        for found in closure_search(part, has_positive_solution, counter=counter, positive=True):
             pinned = found[1].rows
             if not pinned:
                 hits.append(found)
@@ -206,7 +199,7 @@ def _shared_hits(
                 return hits + [found] + later
         else:
             return None
-    found = next(closure_search(parts[-1], feasible, counter=counter, positive=True), None)
+    found = next(closure_search(parts[-1], has_positive_solution, counter=counter, positive=True), None)
     return None if found is None else hits + [found]
 
 
@@ -352,9 +345,8 @@ def scalar_union_over_partitions(
     if template.nvars > 1:
         raise ValueError("scalar union handles at most one variable")
     counter = BlockCounter(cap)
-    parts = column_parts(template)
     allowed = None  # every value but 0, whose row (a, c) of a*x + c == 0 is (1, 0), until a part pins some
-    for part in [template] if len(parts) == 1 else [_part_template(template, c)[0] for c in parts]:
+    for part in (_part_template(template, c)[0] for c in column_parts(template)):
         pinned = set()
         for _, echelon in closure_search(part, lambda e: e.rows != ((1, 0),), counter=counter):
             if not echelon.rows:
@@ -367,7 +359,7 @@ def scalar_union_over_partitions(
     result = (ScalarSet.all_except((Q(0),)) if allowed is None
               else ScalarSet.finite([Q(-c, a) for a, c in allowed]))
     fixed = [j for j, g in enumerate(template.group_of) if g is FIXED_ONE]
-    if not fixed or _search_parts(_part_template(template, fixed)[0], None, counter) is not None:
+    if not fixed or _search_parts(_part_template(template, fixed)[0], counter) is not None:
         result = result.union(ScalarSet.finite((Q(0),)))
     return result
 

@@ -91,6 +91,8 @@ def test_ordered_partition_validation():
         OrderedPartition.of([[0], []])
     with pytest.raises(ValueError):
         OrderedPartition.of([])
+    with pytest.raises(ValueError):
+        next(enumerate_ordered_partitions(0))
     for index in (0.5, 1.0, True, "1"):
         with pytest.raises(ValueError):
             OrderedPartition.of([[index]])

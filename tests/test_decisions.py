@@ -133,6 +133,8 @@ def test_multiply_kpr_counterexample_pair():
     decision = multiply_kpr([fractional_b_matrix(), minus_identity(2)])
     assert decision.verdict == YES
     assert decision.scalar("c_2") == F(1, 2)
+    with pytest.raises(KeyError):
+        decision.scalar("c_3")
 
 
 def test_multiply_kpr_validates_input():
@@ -221,12 +223,37 @@ def record_solves(monkeypatch):
     return solved
 
 
+def record_projections(monkeypatch):
+    """Rows of every echelon feasibility._project is called on.
+
+    _project is the Fourier-Motzkin of has_positive_solution, the search's
+    positivity check, and stages 2-3 of solve_positive_echelon.
+    """
+    projected = []
+    project = feasibility._project
+
+    def recording(echelon, *args):
+        projected.append(echelon.rows)
+        return project(echelon, *args)
+
+    monkeypatch.setattr(feasibility, "_project", recording)
+    return projected
+
+
 def test_a_no_refuted_by_row_signs_solves_nothing(monkeypatch):
-    # Every scaled branch of (-2e_1 -e_2 -4e_3 | -1) gathers a row with no
-    # negative entry, so no positivity check needs a solve.
+    # Every block of (-2e_1 -e_2 -4e_3 | -1) is refuted by its signs before
+    # any positivity check.  Each of the four echelons that is_ipr of
+    # [[-3, 2], [1, -1]] checks has a row with no negative entry.  So neither
+    # decision needs a solve or Fourier-Motzkin.
     solved = record_solves(monkeypatch)
+    projected = record_projections(monkeypatch)
+    checked = []
+    check = feasibility.has_positive_solution
+    monkeypatch.setattr(decisions, "has_positive_solution", lambda e: checked.append(e.rows) or check(e))
     assert is_ipr(QMatrix.of([[-2, -1, -4]])).verdict == NO
-    assert solved == []
+    assert checked == []
+    assert is_ipr(QMatrix.of([[-3, 2], [1, -1]])).verdict == NO
+    assert len(checked) == 4 and solved == projected == []
 
 
 def test_a_yes_solves_only_the_echelon_it_ends_on(monkeypatch):

@@ -40,6 +40,10 @@ def test_template_validation():
     with pytest.raises(ValueError):  # ragged columns
         ragged = [QVector.of([1]), QVector.of([1, 2])]
         ScalingTemplate(QMatrix.from_columns(ragged), (None, None), 0)
+    with pytest.raises(ValueError):  # one tag for two columns
+        ScalingTemplate(QMatrix.of([[1, 1]]), (0,), 1)
+    with pytest.raises(ValueError):  # two values for one scalar
+        one_var_template().scaled_matrix([F(1), F(2)])
 
 
 def test_build_system_single_equality():
@@ -48,6 +52,8 @@ def test_build_system_single_equality():
     assert system.positivity == frozenset({0})
     solution = feasible_positive(system)
     assert solution.assignment == (F(2),)
+    with pytest.raises(ValueError, match="does not cover"):  # column 2 in no block
+        build_system(one_var_template(), OrderedPartition.of([[0, 1]]))
 
 
 def test_build_system_counterexample_template_pins_one_half():
@@ -395,9 +401,9 @@ def test_integer_back_substitution_matches_the_fraction_reference(monkeypatch):
 
 def test_enumerate_feasible_scalars_requires_single_variable():
     template = ScalingTemplate(QMatrix.of([[1, 1]]), (0, 1), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most one variable"):
         enumerate_feasible_scalars(template, OrderedPartition.of([[0, 1]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most one variable"):
         scalar_union_over_partitions(template)
 
 
@@ -423,6 +429,10 @@ def test_scalar_zero_candidate_is_rechecked_against_the_matrix():
     template = doubly_ipr_template(fractional_b_matrix())
     partition = OrderedPartition.from_one_based([[4], [5], [1, 2, 3]])
     assert enumerate_feasible_scalars(template, partition) == ScalarSet.empty()
+    # (b, -b | 1): no equality pins b, and only b = 0 leaves 1 outside the span
+    template = ScalingTemplate(QMatrix.of([[1, -1, 1]]), (0, 0, None), 1)
+    partition = OrderedPartition.of([[0, 1], [2]])
+    assert enumerate_feasible_scalars(template, partition) == ScalarSet.all_except((F(0),))
 
 
 def test_scalar_set_without_variables_is_vacuous():

@@ -48,6 +48,21 @@ def test_exponent_notation_is_refused_before_it_expands():
     assert peak < 2**16
 
 
+def test_qmatrix_rejects_malformed_shapes():
+    row = (F(1), F(2))
+    for rows, cols, entries in [(1, 0, ((),)), (2, 2, (row,)), (-1, 2, ()), (2, 2, (row, (F(1),)))]:
+        with pytest.raises(ValueError):
+            QMatrix(rows, cols, entries)
+    for build in (
+        lambda: QMatrix.of([]),
+        lambda: QMatrix.from_columns([]),
+        lambda: QMatrix.hstack([]),
+        lambda: QMatrix.of([[1, 2]]).matmul(QMatrix.of([[1, 2]])),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_rref_proportional_rows():
     R, pivots, rank = rref(QMatrix.of([[2, 4], [1, 2]]))
     assert R == QMatrix.of([[1, 2], [0, 0]])
@@ -281,6 +296,10 @@ def test_residual_functionals_known_cases():
 def test_residual_functionals_requires_dim_for_empty_set():
     with pytest.raises(ValueError):
         residual_functionals([])
+    with pytest.raises(ValueError):  # vectors of two dimensions
+        residual_functionals([QVector.of([1]), QVector.of([1, 2])])
+    with pytest.raises(ValueError):  # dim disagrees with the vectors
+        residual_functionals([QVector.of([1, 2])], dim=3)
 
 
 def test_residual_matches_span_membership_on_random_input():

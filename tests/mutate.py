@@ -2,7 +2,7 @@
 
 Usage, from anywhere (standard library only; pytest does not collect this file):
 
-    python tests/mutate.py _search_parts _shared_hits [--timeout S] [--json PATH] [--list]
+    python tests/mutate.py _search_parts _shared_hits
 
 Each name is a function or method of src/partreg (`Class.method` also works),
 nested functions and lambdas included.  One mutant applies one operator at
@@ -13,19 +13,20 @@ drop a `continue`, a `break` or a `not`, or return None for a returned value.
 The repository is copied once to a scratch directory.  The unmutated copy
 runs tier-1 first and must pass; each mutant then rewrites its one function
 in the copy (the rest of the file stays byte for byte) and runs tier-1 with
--x, one mutant at a time, under a timeout of three times the clean run unless
---timeout is given.  A failing run kills the mutant, a passing one lets it
-survive.  The report lists killed, survived and timed out per function, then
-each survivor with its line in the original file.
+-x, one mutant at a time, under a timeout of three times the clean run; a run
+that times out is stopped with every process it started.  A failing run kills
+the mutant, a passing one lets it survive.  The report lists killed, survived
+and timed out per function, then each survivor with its line in the original
+file.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -139,19 +140,19 @@ def rewritten(source: str, name: str, index: int, k: int, i: int) -> str:
 
 def run_tier1(copy: Path, timeout: float | None) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timed out"
-    return "survived" if done.returncode == 0 else "killed"
+    out = subprocess.DEVNULL
+    with subprocess.Popen(TIER1, cwd=copy, env=env, stdout=out, stderr=out, start_new_session=True) as run:
+        try:
+            return "survived" if run.wait(timeout) == 0 else "killed"
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)  # pytest and the processes its tests started
+            run.wait()
+            return "timed out"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("functions", nargs="+", help="function or Class.method names in src/partreg")
-    parser.add_argument("--timeout", type=float, help="seconds per mutant (default: 3x the clean run)")
-    parser.add_argument("--json", help="also write the results to this file")
-    parser.add_argument("--list", action="store_true", help="list the mutants without running them")
     args = parser.parse_args(argv)
 
     mutants = []  # (function, module path, index among its namesakes, k, i, description, line)
@@ -163,10 +164,6 @@ def main(argv: list[str] | None = None) -> int:
                 mutants += [(name, path, index, *site) for site in sites(function)]
         if not matched:
             parser.error(f"no function named {name!r} in {PACKAGE}")
-    if args.list:
-        for name, path, _, _, _, what, line in mutants:
-            print(f"{name}  {path.name}:{line}  {what}")
-        return 0
 
     copy = Path(tempfile.mkdtemp(prefix="mutate-")) / "repo"
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
@@ -175,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         if run_tier1(copy, None) != "survived":
             print("tier-1 fails on the unmutated copy; no mutant was run", file=sys.stderr)
             return 2
-        timeout = args.timeout or 3 * (time.monotonic() - start)
+        timeout = 3 * (time.monotonic() - start)
         print(f"clean run {time.monotonic() - start:.1f} s; {len(mutants)} mutants, timeout {timeout:.0f} s", flush=True)
         results = []
         for name, path, index, k, i, what, line in mutants:
@@ -199,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     for r in results:
         if r["outcome"] != "killed":
             print(f"{r['outcome']}: {r['function']}  {r['file']}:{r['line']}  {r['mutant']}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(results, indent=1) + "\n")
     return 0
 
 

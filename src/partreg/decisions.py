@@ -175,14 +175,14 @@ def _shared_hits(
     The parts' values are taken one at a time in search order, and every
     later part stops at its first hit at that value, so only a NO exhausts
     a part.  A part whose hit leaves the scalar free suits every value, and
-    the answer is then the later parts'.  The last part, alone or after
-    parts that leave the scalar free, takes its first hit.  A later part's
+    the answer is then the later parts'.  No later part is left to confirm
+    the last part's first hit, so that hit is its answer.  A later part's
     echelons are compared as rows with the value's one primitive row; that
     value is positive, and a search checks only echelons with rows.  Every
     other search is handed has_positive_solution.
     """
-    hits = []  # first hits of the leading parts that leave the scalar free
-    for i, part in enumerate(parts[:-1]):
+    hits = []  # first hits of the parts that leave the scalar free
+    for i, part in enumerate(parts):
         # The search explores each echelon once, and so yields each value once.
         for found in closure_search(part, has_positive_solution, counter=counter, positive=True):
             pinned = found[1].rows
@@ -199,8 +199,7 @@ def _shared_hits(
                 return hits + [found] + later
         else:
             return None
-    found = next(closure_search(parts[-1], has_positive_solution, counter=counter, positive=True), None)
-    return None if found is None else hits + [found]
+    return hits
 
 
 def _clusters(template: ScalingTemplate, parts: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:

@@ -4,14 +4,15 @@ A ScalingTemplate (defined beside the search in the columns module) groups the
 columns of an assembled matrix under unknown strictly positive scalars (or
 fixes them at 1).  For a candidate ordered partition, build_system linearises
 the columns condition of the scaled matrix into an affine system: multiplying
-columns by positive scalars never changes their span, so the later-block
-membership constraints can be stated once against annihilators of the
-*unscaled* earlier columns.  That reduction is what keeps the system affine
-rather than polynomial; it is valid for any nonzero scalar values, and the
-places where scalar value 0 could sneak in (the sign-unconstrained scalar
-sets) check 0 directly against the matrix.  The decisions module never walks
-partitions, so build_system and enumerate_feasible_scalars are the reference
-its answers are tested against.
+columns by positive scalars never changes their span, so each block's
+membership constraint can be stated once against annihilators of the
+*unscaled* earlier columns; before the first block there are none, and their
+annihilators are the identity rows.  That reduction is what keeps the system
+affine rather than polynomial; it is valid for any nonzero scalar values.
+enumerate_feasible_scalars reads the one-scalar answer set off the equalities
+and, where 0 is a candidate, checks 0 directly against the matrix.  The
+decisions module never walks partitions, so build_system and
+enumerate_feasible_scalars are the reference its answers are tested against.
 
 feasible_positive decides the system exactly: equalities are eliminated in
 linalg's EqualityEchelon, then Fourier-Motzkin elimination runs over the strict
@@ -352,42 +353,23 @@ def iter_system_equalities(
 ) -> Iterator[tuple[tuple[Fraction, ...], Fraction]]:
     """Yield (coeffs, const) equalities of the scaled columns condition.
 
-    First the rows of "block-1 scaled columns sum to zero", then for each
-    later block the annihilator rows of the earlier unscaled columns applied
-    to the block's scaled sum.
+    For each block in order, the annihilator rows of the earlier unscaled
+    columns applied to the block's scaled sum.  The annihilators of no
+    columns are the identity rows, so the first block's equalities say that
+    its scaled columns sum to zero; a matrix without rows has none.
     """
     if not partition.covers(template.matrix.cols):
         raise ValueError("partition does not cover the template's columns")
     cols = template.matrix.columns()
     u = template.matrix.rows
-    nvars = template.nvars
-    group_of = template.group_of
-
-    def accumulate(block: tuple[int, ...], value_of) -> tuple[tuple[Fraction, ...], Fraction]:
-        coeffs = [Q(0)] * nvars
-        const = Q(0)
-        for i in block:
-            value = value_of(cols[i].entries)
-            g = group_of[i]
-            if g is None:
-                const += value
-            else:
-                coeffs[g] += value
-        return tuple(coeffs), const
-
-    first = partition.blocks[0]
-    for r in range(u):
-        yield accumulate(first, lambda col, r=r: col[r])
-
-    prefix = frozenset(first)
-    for t in range(1, partition.block_count):
-        R = residual_functionals([cols[i] for i in sorted(prefix)], dim=u)
-        for functional in R.entries:
-            yield accumulate(
-                partition.blocks[t],
-                lambda col, f=functional: sum((f[r] * col[r] for r in range(u)), Q(0)),
-            )
-        prefix = prefix | frozenset(partition.blocks[t])
+    for t, block in enumerate(partition.blocks):
+        earlier = [cols[i] for prior in partition.blocks[:t] for i in prior]
+        for functional in residual_functionals(earlier, dim=u).entries if u else ():
+            row = [Q(0)] * (template.nvars + 1)  # the coefficients, then the constant
+            for i in block:
+                g = template.group_of[i]
+                row[-1 if g is None else g] += sum((f * x for f, x in zip(functional, cols[i].entries)), Q(0))
+            yield tuple(row[:-1]), row[-1]
 
 
 def build_system(template: ScalingTemplate, partition: OrderedPartition) -> AffineSystem:
@@ -462,10 +444,11 @@ def enumerate_feasible_scalars(
     """Exact, sign-unconstrained solution set of a single-variable template.
 
     All values for which the partition witnesses the columns condition of
-    the scaled matrix.  The affine reduction is exact for every nonzero
-    value; the value 0 can shrink spans, so whenever 0 is a candidate it is
-    re-checked directly against the scaled matrix.  Multi-variable templates
-    are rejected.
+    the scaled matrix: a row a * x + c == 0 with a == 0 != c empties the set,
+    the rows with a != 0 must share one root -c / a, and without such rows
+    every value is a candidate.  That is exact for every nonzero value; 0
+    can shrink spans, so when 0 is a candidate it is re-checked against the
+    scaled matrix.  Multi-variable templates are rejected.
     """
     if template.nvars > 1:
         raise ValueError("enumerate_feasible_scalars handles at most one variable")
@@ -474,31 +457,16 @@ def enumerate_feasible_scalars(
         consistent = all(eq.const == 0 for eq in system.equalities)
         return ScalarSet.all_rationals() if consistent else ScalarSet.empty()
 
-    value: Fraction | None = None
-    constrained = False
+    roots = set()
     for eq in system.equalities:
         a, c = eq.coeffs[0], eq.const
-        if a == 0:
-            if c != 0:
-                return ScalarSet.empty()
-        else:
-            root = -c / a
-            if constrained and root != value:
-                return ScalarSet.empty()
-            value, constrained = root, True
-
-    if not constrained:
-        if _scaled_check(template, partition, Q(0)):
-            return ScalarSet.all_rationals()
-        return ScalarSet.all_except((Q(0),))
-    assert value is not None
-    if value == 0 and not _scaled_check(template, partition, Q(0)):
+        if a == 0 != c:
+            return ScalarSet.empty()
+        if a:
+            roots.add(-c / a)
+    if len(roots) > 1:
         return ScalarSet.empty()
-    return ScalarSet.finite((value,))
-
-
-def _scaled_check(
-    template: ScalingTemplate, partition: OrderedPartition, value: Fraction
-) -> bool:
-    matrix = template.scaled_matrix([value] * template.nvars)
-    return check_partition(matrix, partition) is not None
+    zero = set()
+    if roots <= {0} and check_partition(template.scaled_matrix([Q(0)]), partition) is None:
+        zero = {Q(0)}
+    return ScalarSet.finite(roots - zero) if roots else ScalarSet.all_except(zero)

@@ -256,6 +256,18 @@ def test_a_no_refuted_by_row_signs_solves_nothing(monkeypatch):
     assert len(checked) == 4 and solved == projected == []
 
 
+def test_positivity_check_projects_only_rows_that_share_a_variable(monkeypatch):
+    # Each row has a positive solution of its own, so rows on disjoint
+    # variables need no Fourier-Motzkin; rows that share x_3 take one.
+    projected = record_projections(monkeypatch)
+    disjoint = linalg.EqualityEchelon(4).extend([(1, 0, -1, 0, 0), (0, 1, 0, -2, 0)])
+    assert disjoint.rows == ((1, 0, -1, 0, 0), (0, 1, 0, -2, 0))
+    assert feasibility.has_positive_solution(disjoint) and projected == []
+    shared = linalg.EqualityEchelon(3).extend([(1, 0, -1, 0), (0, 1, -1, 0)])
+    assert shared.rows == ((1, 0, -1, 0), (0, 1, -1, 0))
+    assert feasibility.has_positive_solution(shared) and projected == [shared.rows]
+
+
 def test_a_yes_solves_only_the_echelon_it_ends_on(monkeypatch):
     solved = record_solves(monkeypatch)
     decision = doubly_kpr(QMatrix.of([[1, 1, -1]]), QMatrix.of([[1, 2]]))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -348,6 +349,20 @@ def test_projection_matches_the_positive_solver_and_the_fraction_reference():
     assert min(seen.values()) >= 40, seen
 
 
+def test_projection_divides_each_combined_row_by_its_gcd():
+    # Eliminating x_2 from 3x_2 - x_3 + 2 > 0 and -7x_2 + 3x_3 - 8 > 0 gives
+    # 2x_3 - 10 > 0, whose provenance (14, 12, 0, 0) shares the factor 2,
+    # so the projection keeps x_3 - 5 > 0.  Every row it keeps, the stage-2
+    # rows included, is primitive.
+    from partreg import feasibility
+
+    echelon = EqualityEchelon(4).extend([(2, 0, -3, 1, -2), (0, 4, 7, -3, 8)])
+    assert echelon.rows == ((2, 0, -3, 1, -2), (0, 4, 7, -3, 8))
+    (_, free_vars, snapshots), _ = feasibility._project(echelon, 4, range(4))
+    assert free_vars == [2, 3] and [k for k, _, _ in snapshots] == [0, 1]
+    assert all(math.gcd(*row) == 1 for _, lowers, uppers in snapshots for row in lowers + uppers)
+
+
 def _stage4_branch(lo, hi):
     # the rule of feasibility._pick, read in Fractions from its (n, m) ends
     lo, hi = (None if end is None else F(*end) for end in (lo, hi))
@@ -443,6 +458,16 @@ def test_scalar_set_without_variables_is_vacuous():
     assert enumerate_feasible_scalars(
         template, OrderedPartition.from_one_based([[1, 2], [3]])
     ) == ScalarSet.empty()
+
+
+def test_a_matrix_without_rows_states_no_equalities():
+    # Columns in a zero-dimensional space are all zero, so every partition
+    # satisfies the columns condition at every value, 0 included.
+    template = ScalingTemplate(QMatrix.empty(2), (0, None), 1)
+    for blocks in ([[0, 1]], [[0], [1]], [[1], [0]]):
+        partition = OrderedPartition.of(blocks)
+        assert build_system(template, partition).equalities == ()
+        assert enumerate_feasible_scalars(template, partition) == ScalarSet.all_rationals()
 
 
 def test_scalar_union_reproduces_the_counterexample_matrix():

@@ -123,6 +123,22 @@ def test_column_parts_are_read_after_row_reduction():
     assert column_parts(QMatrix.of([[1, 2], [3, 4]])) == [(0,), (1,)]
 
 
+def test_one_row_and_identity_block_parts_need_no_elimination(monkeypatch):
+    # A one-row matrix, or a template whose rows each own a column (the -I
+    # of doubly_ipr's template), is already reduced: column_parts reads its
+    # rows as they are.  Any other matrix pays one extend.
+    extended = []
+    extend = decisions.EqualityEchelon.extend
+    monkeypatch.setattr(
+        decisions.EqualityEchelon, "extend", lambda echelon, rows: extended.append(rows) or extend(echelon, rows)
+    )
+    assert column_parts(doubly_ipr_template(diag(1, 2, 3))) == [(0, 3), (1, 4), (2, 5)]
+    assert column_parts(QMatrix.of([[1, -2, 3, 0]])) == [(0, 1, 2), (3,)]
+    assert extended == []
+    assert column_parts(QMatrix.of([[1, 2], [3, 4]])) == [(0,), (1,)]
+    assert len(extended) == 1
+
+
 def test_direct_sums_decide_like_their_parts_and_the_brute_force():
     rng = random.Random(211)
     counts = {"kpr": {YES: 0, NO: 0}, "brute": 0, "scaled_brute": 0, "scaled_yes": 0, "split": 0}

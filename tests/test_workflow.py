@@ -24,3 +24,10 @@ def test_the_correctness_gate_runs_every_benchmark_workload():
         _read(".github", "workflows", "tests.yml"),
     )
     assert loop.split() == list(workloads)
+
+
+def test_ci_installs_one_exact_pytest():
+    # filterwarnings = ["error"] makes any deprecation a newer pytest adds a
+    # tier-1 failure, so CI installs the version tier-1 is verified with
+    [install] = re.findall(r"^\s+- run: python -m pip install (.*pytest.*)$", _read(".github", "workflows", "tests.yml"), re.M)
+    assert re.fullmatch(r"pytest==\d+(\.\d+)+", install), install
